@@ -20,7 +20,6 @@ from extlab import (
     RandomStream,
     TiltedGenerator,
     estimate_psi,
-    reference_for,
 )
 
 
@@ -47,7 +46,7 @@ def main() -> None:
     args = ap.parse_args()
 
     system = make_system(args.scheme)
-    ref = reference_for(system)
+    ref = system.reference()
     grid = np.round(np.linspace(0.1, 0.9, 9), 10)
     psi_ref = np.array([ref.psi(s) for s in grid])
 

@@ -26,7 +26,6 @@ from extlab import (
     TwoPoint,
     estimate_psi,
     index_report,
-    reference_for,
 )
 
 
@@ -60,7 +59,7 @@ def main() -> None:
         est = estimate_psi(system, args.n, s_grid=grid,
                            replicates=args.replicates, stream=stream,
                            workers=args.workers)
-        ref = reference_for(system)
+        ref = system.reference()
         print(f"\n{label}  (n={args.n}, R={args.replicates})")
         header = f"  {'s':>6} {'u_n(s)':>12} {'psi_hat':>9} {'stderr':>9}"
         if ref is not None:

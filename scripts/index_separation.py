@@ -21,7 +21,6 @@ from extlab import (
     def2_fit,
     estimate_psi,
     mean_log_slope,
-    reference_for,
 )
 
 
@@ -63,7 +62,7 @@ def main() -> None:
     _, slope, se, fit = report(
         "stable-size gumbel, beta=0.5, gamma=ln 2",
         sys_s, n=10_000, replicates=R, seed=seed, workers=workers)
-    limit = reference_for(sys_s)
+    limit = sys_s.reference()
     print(f"  closed-form targets: curve {limit.theta_def1:.4f},"
           f" matching {limit.theta_def2:.4f}")
     lo, hi = slope - 3 * se, slope + 3 * se

@@ -53,10 +53,8 @@ from .systems import (
     Calibrator,
     build_calibration_pool,
     build_system,
-    mean_F_pow_nu,
-    sample_replicate,
 )
-from .normalizer import SolverError, SolvedPoint, NormalizingCurve, solve_u, solve_curve
+from .normalizer import SolverError, NormalizingCurve, solve_curve
 from .estimator import (
     PsiEstimate,
     estimate_psi,
@@ -69,6 +67,6 @@ from .estimator import (
     IndexReport,
     index_report,
 )
-from .reference import reference_for, psi_reference, mixed_max_stable_cdf
+from .reference import mixed_max_stable_cdf
 
 __version__ = "0.1.0"

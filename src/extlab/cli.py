@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -26,38 +27,13 @@ import numpy as np
 
 from .estimator import DEFAULT_GRID, def2_fit, estimate_psi, index_report
 from .normalizer import SolverError
-from .reference import psi_reference, reference_for
 from .sampling import RandomStream
-from .systems import ConfigError, build_system
+from .systems import SYSTEMS, ConfigError, _integral, build_system
 
 _ANALYSES = ("psi", "partial_indices", "tail_indices", "def2_fit", "compare")
 _CONFIG_KEYS = {"system", "n", "replicates", "s_grid", "seed", "workers",
                 "analyses", "format", "out", "def2_bounds"}
 _CSV_HEADER = "s,u_n,psi_hat,stderr,psi_ref,z"
-
-_SYSTEM_BLURBS = [
-    ("exchangeable_copula", "generator={family, alpha?, tilt_gamma?}",
-     "deterministic size n, exchangeable Archimedean dependence"),
-    ("duplicated_iid", "m",
-     "independent terms duplicated m times each"),
-    ("mixture_spike", "gamma",
-     "deterministic size with one mixture-spiked term per series"),
-    ("geometric_threshold", "eps | eps_exponent",
-     "geometric size from a fixed threshold 1 - eps_n"),
-    ("random_threshold", "law={kind: two_point|pareto|gamma|degenerate, ...}",
-     "threshold 1 - zeta/n with random mean-one zeta"),
-    ("stable_size_gumbel", "beta, gamma",
-     "positive-stable size over a power-tilted dependent series"),
-    ("branching_heredity", "offspring, gamma, a, particle_budget?",
-     "branching population scores with hereditary stable increments"),
-    ("power_law_graph", "beta, a?, x_min?",
-     "aggregate activity maxima on a power-law random graph"),
-    ("monotone_transform", "base, power",
-     "monotone reparametrization of another system"),
-    ("size_jitter", "base",
-     "root-n size perturbation of a copula or duplication system"),
-]
-
 
 class CliError(Exception):
     """Validation failure carrying a formatted, located message."""
@@ -174,10 +150,19 @@ def _validate_config(cfg: dict, path: str, raw: str) -> None:
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise _located(path, raw, '"format"', f"format must be csv or json, got {fmt!r}")
+    for key in ("n", "workers"):
+        try:
+            _integral(cfg.get(key, 0))
+        except (TypeError, ValueError, OverflowError):
+            raise _located(path, raw, f'"{key}"',
+                           f"{key} must be an integer, got {cfg[key]!r}") from None
     bounds = cfg.get("def2_bounds")
     if bounds is not None:
-        ok = (isinstance(bounds, list) and len(bounds) == 2
-              and 0.0 < float(bounds[0]) < float(bounds[1]))
+        try:
+            ok = (isinstance(bounds, list) and len(bounds) == 2
+                  and 0.0 < float(bounds[0]) < float(bounds[1]))
+        except (TypeError, ValueError):
+            ok = False
         if not ok:
             raise _located(path, raw, '"def2_bounds"',
                            f"def2_bounds must be [lo, hi] with 0 < lo < hi, got {bounds!r}")
@@ -209,8 +194,6 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     analyses = list(cfg.get("analyses",
                             ["psi", "partial_indices", "tail_indices", "compare"]))
     fmt = getattr(args, "format", None) or cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise CliError(f"format must be csv or json, got {fmt!r}")
     workers = args.workers if getattr(args, "workers", None) is not None \
         else int(cfg.get("workers", 0))
     replicates = args.replicates if getattr(args, "replicates", None) is not None \
@@ -235,8 +218,11 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     except ConfigError as exc:
         raise _located(path, raw, '"n"', str(exc)) from None
 
-    ref = reference_for(system) if "compare" in analyses else None
-    psi_ref = psi_reference(ref, est.s) if ref is not None else None
+    ref = system.reference() if "compare" in analyses else None
+    try:
+        psi_ref = None if ref is None else ref.psi(est.s)
+    except NotImplementedError:  # a model with indices but no curve
+        psi_ref = None
     fit = None
     if "def2_fit" in analyses:
         bounds = cfg.get("def2_bounds")
@@ -488,9 +474,12 @@ def _cmd_sweep(args) -> int:
 # entry point
 
 def _cmd_list_systems(_args) -> int:
-    width = max(len(kind) for kind, _, _ in _SYSTEM_BLURBS)
-    for kind, fields, blurb in _SYSTEM_BLURBS:
-        print(f"{kind:<{width}}  {blurb}")
+    width = max(map(len, SYSTEMS))
+    for kind, cls in SYSTEMS.items():
+        params = inspect.signature(cls).parameters
+        fields = ", ".join(name + ("" if params[name].default is inspect.Parameter.empty
+                                   else "?") for name in cls.fields)
+        print(f"{kind:<{width}}  {cls.__doc__.splitlines()[0]}")
         print(f"{'':<{width}}  fields: {fields}")
     return 0
 

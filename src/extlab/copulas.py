@@ -271,7 +271,7 @@ class TiltedGenerator:
     diagonal and sampling helpers below resolve the tilt automatically.
     """
 
-    def __init__(self, base: ArchimedeanGenerator, gamma: float, power_fn=None):
+    def __init__(self, base: ArchimedeanGenerator, gamma: float):
         if isinstance(base, TiltedGenerator):
             raise ValueError("cannot tilt an already tilted generator")
         if not isinstance(base, ArchimedeanGenerator):
@@ -280,12 +280,9 @@ class TiltedGenerator:
             raise ValueError(f"gamma must be a finite non-negative number, got {gamma}")
         self.base = base
         self.gamma = float(gamma)
-        self.power_fn = power_fn
         self.name = f"tilted({base.name}, gamma={self.gamma:g})"
 
     def power_at(self, d):
-        if self.power_fn is not None:
-            return self.power_fn(d)
         return default_tilt_power(d, self.gamma)
 
     def fixed(self, d) -> ArchimedeanGenerator:
@@ -375,7 +372,7 @@ def psi_archimedean(gen, s):
     if np.any((s < 0.0) | (s > 1.0)):
         raise ValueError("s must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        out = np.where(s == 0.0, 0.0, g.f(-np.log(np.maximum(s, 1e-300)) / g.mu))
+        out = np.where(s == 0.0, 0.0, g.f(-np.log(s) / g.mu))
     return out if out.ndim else float(out)
 
 
@@ -390,7 +387,7 @@ def psi_tilted(base, gamma: float, s):
         raise ValueError("s must lie in [0, 1]")
     scale = math.exp(-gamma) / base.mu
     with np.errstate(divide="ignore"):
-        out = np.where(s == 0.0, 0.0, base.f(-np.log(np.maximum(s, 1e-300)) * scale))
+        out = np.where(s == 0.0, 0.0, base.f(-np.log(s) * scale))
     return out if out.ndim else float(out)
 
 

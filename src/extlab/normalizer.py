@@ -25,22 +25,11 @@ import numpy as np
 
 from .systems import Calibrator, ConfigError, SeriesSystem
 
-__all__ = ["SolverError", "SolvedPoint", "NormalizingCurve", "solve_u", "solve_curve"]
+__all__ = ["SolverError", "NormalizingCurve", "solve_curve"]
 
 
 class SolverError(RuntimeError):
     """Threshold calibration failed (no bracket, or residual above tolerance)."""
-
-
-@dataclass
-class SolvedPoint:
-    """One calibrated threshold: E F_n(u)^nu_n = achieved ~ s."""
-
-    s: float
-    u: float
-    achieved: float
-    stderr: float
-    method: str
 
 
 @dataclass
@@ -53,12 +42,6 @@ class NormalizingCurve:
     achieved: np.ndarray
     stderr: np.ndarray
     method: str
-
-    def point(self, j: int) -> SolvedPoint:
-        return SolvedPoint(
-            float(self.s[j]), float(self.u[j]), float(self.achieved[j]),
-            float(self.stderr[j]), self.method,
-        )
 
 
 _ROOT_STEPS = 60          # interval shrinks by 2^-60: far below any tolerance here
@@ -154,10 +137,3 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None, tol: float = 
         # residual vanishes except across pool step edges; stderr is the honest figure
         method = "stochastic_root"
     return NormalizingCurve(n, s, u, achieved, stderr, method)
-
-
-def solve_u(system: SeriesSystem, n: int, s: float, stream=None, tol: float = _DETERMINISTIC_TOL,
-            pool=None, pool_size: int = 200_000) -> SolvedPoint:
-    """Calibrate a single threshold; see solve_curve."""
-    curve = solve_curve(system, n, [float(s)], stream=stream, tol=tol, pool=pool, pool_size=pool_size)
-    return curve.point(0)

@@ -4,7 +4,8 @@ Each model packages the exact limit behaviour of one system family: the
 curve psi(s) = lim P(M_n <= u_n(s)) where one exists, the partial indices
 (extrema of log_s psi), the tail exponents at s -> 0 and s -> 1, and the
 Definition-2 matching index where the model has one.  Everything here is
-deterministic; Monte Carlo enters only on the estimation side.
+deterministic; Monte Carlo enters only on the estimation side.  A system
+hands out its own model through ``SeriesSystem.reference()``.
 """
 
 from __future__ import annotations
@@ -23,19 +24,6 @@ from .copulas import (
     psi_tilted,
 )
 from .sampling import Degenerate, Distribution, Pareto, TwoPoint
-from .systems import (
-    BranchingHereditySystem,
-    DuplicatedIidSystem,
-    ExchangeableCopulaSystem,
-    GeometricThresholdSystem,
-    MixtureSpikeSystem,
-    MonotoneTransformSystem,
-    PowerLawGraphSystem,
-    RandomThresholdSystem,
-    SeriesSystem,
-    SizeJitterSystem,
-    StableSizeGumbelSystem,
-)
 
 __all__ = [
     "ReferenceModel",
@@ -51,8 +39,6 @@ __all__ = [
     "BranchingHeredityIndex",
     "MaxStableLaw",
     "mixed_max_stable_cdf",
-    "psi_reference",
-    "reference_for",
 ]
 
 
@@ -471,38 +457,3 @@ def mixed_max_stable_cdf(law: MaxStableLaw, zeta: Distribution, theta: float, x)
         out = vals.reshape(u.shape) if u.ndim else vals[0]
     out = np.asarray(out)
     return out if out.ndim else float(out)
-
-
-def psi_reference(model: ReferenceModel, s):
-    """The model's limit curve at s."""
-    return model.psi(s)
-
-
-def reference_for(system: SeriesSystem) -> ReferenceModel | None:
-    """The closed-form limit model matching a system, where one exists."""
-    if isinstance(system, (MonotoneTransformSystem, SizeJitterSystem)):
-        return reference_for(system.base)
-    if isinstance(system, ExchangeableCopulaSystem):
-        gen = system.gen
-        if isinstance(gen, TiltedGenerator):
-            if math.isfinite(gen.base.mu):
-                return TiltedArchimedeanLimit(gen.base, gen.gamma)
-            return None
-        if math.isfinite(gen.mu):
-            return ArchimedeanLimit(gen)
-        return None
-    if isinstance(system, DuplicatedIidSystem):
-        return DuplicatedIidLimit(system.m)
-    if isinstance(system, MixtureSpikeSystem):
-        return SpikeMixtureLimit(system.gamma)
-    if isinstance(system, GeometricThresholdSystem):
-        return FixedThresholdLimit()
-    if isinstance(system, RandomThresholdSystem):
-        return RandomThresholdLimit(system.zeta)
-    if isinstance(system, StableSizeGumbelSystem):
-        return StableSizeGumbelLimit(system.beta, system.gamma)
-    if isinstance(system, BranchingHereditySystem):
-        return BranchingHeredityIndex(system.a, system.gamma, system.mu)
-    if isinstance(system, PowerLawGraphSystem):
-        return GraphActivityLimit(system.beta, system.a, system.x_min)
-    return None

@@ -3,10 +3,7 @@
 A system describes one triangular-array model: at stage n a series holds
 nu_n terms (possibly random) with common marginal d.f. F_n, and M_n is the
 maximum over the terms.  Each system knows how to draw (nu_n, M_n) exactly,
-and exposes the calibration functional
-
-    mean_F_pow_nu:  E F_n(u)^(r nu_n)
-
+and exposes the calibration functional E F_n(u)^(r nu_n) (``Calibrator``)
 either in closed form or through frozen Monte Carlo pools.  r = 1 is the
 threshold-calibration case; general r > 0 is the comparand used when
 matching against maxima of a theta-fraction of independent terms.
@@ -14,12 +11,18 @@ matching against maxima of a theta-fraction of independent terms.
 Systems are immutable, picklable descriptions; all randomness flows through
 the generator handed to the sampling methods, so replicate batches can be
 farmed out to workers without changing results.
+
+Each system class is its own registry entry: ``kind`` names it in configs,
+``fields`` maps each config field to the parser that turns the JSON value
+into the constructor argument of the same name, the first docstring line
+is its catalog blurb, and ``reference()`` gives its closed-form limit model.
+``SYSTEMS`` maps kinds to classes; ``build_system`` reads nothing else.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +36,18 @@ from .copulas import (
     default_tilt_power,
     diag_cdf,
     diag_inverse,
+)
+from .reference import (
+    ArchimedeanLimit,
+    BranchingHeredityIndex,
+    DuplicatedIidLimit,
+    FixedThresholdLimit,
+    GraphActivityLimit,
+    RandomThresholdLimit,
+    ReferenceModel,
+    SpikeMixtureLimit,
+    StableSizeGumbelLimit,
+    TiltedArchimedeanLimit,
 )
 from .sampling import (
     Degenerate,
@@ -58,11 +73,9 @@ __all__ = [
     "PowerTransform",
     "MonotoneTransformSystem",
     "SizeJitterSystem",
-    "MeanFPower",
     "Calibrator",
-    "sample_replicate",
-    "mean_F_pow_nu",
     "build_calibration_pool",
+    "SYSTEMS",
     "build_system",
 ]
 
@@ -71,13 +84,78 @@ class ConfigError(ValueError):
     """Invalid system or run configuration."""
 
 
+# ---------------------------------------------------------------------------
+# config field parsers: JSON value -> constructor argument
+
+def _integral(value) -> int:
+    """An integer field; integral floats pass, fractional ones are refused."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+_GEN_FAMILIES = {
+    "independence": lambda p: IndependenceGenerator(),
+    "clayton": lambda p: ClaytonGenerator(float(p["alpha"])),
+    "frank": lambda p: FrankGenerator(float(p["alpha"])),
+    "gumbel_hougaard": lambda p: GumbelHougaardGenerator(float(p["alpha"])),
+}
+
+
+def _build_generator(cfg: dict):
+    cfg = dict(cfg)
+    family = cfg.pop("family", None)
+    if family not in _GEN_FAMILIES:
+        raise ConfigError(f"unknown generator family {family!r}; know {sorted(_GEN_FAMILIES)}")
+    tilt = cfg.pop("tilt_gamma", None)
+    allowed = {"alpha"} if family != "independence" else set()
+    extra = set(cfg) - allowed
+    if extra:
+        raise ConfigError(f"unknown generator fields {sorted(extra)} for family {family!r}")
+    missing = allowed - set(cfg)
+    if missing:
+        raise ConfigError(f"generator family {family!r} needs fields {sorted(missing)}")
+    gen = _GEN_FAMILIES[family](cfg)
+    if tilt is not None:
+        gen = TiltedGenerator(gen, float(tilt))
+    return gen
+
+
+def _build_zeta(cfg: dict) -> Distribution:
+    cfg = dict(cfg)
+    kind = cfg.pop("kind", None)
+    try:
+        if kind == "two_point":
+            delta = float(cfg.pop("delta"))
+            if not 0.0 < delta < 1.0:
+                raise ConfigError(f"delta must lie in (0, 1), got {delta}")
+            law = TwoPoint(1.0 - delta, 1.0 + delta, 0.5)
+        elif kind == "pareto":
+            a = float(cfg.pop("a"))
+            if a <= 1.0:
+                raise ConfigError(f"pareto threshold law needs a > 1, got {a}")
+            law = Pareto(a, (a - 1.0) / a)  # x_min chosen so the mean is 1
+        elif kind == "gamma":
+            shape = float(cfg.pop("shape"))
+            law = Gamma(shape, 1.0 / shape)
+        elif kind == "degenerate":
+            law = Degenerate(1.0)
+        else:
+            raise ConfigError(f"unknown threshold law {kind!r}")
+    except KeyError as exc:
+        raise ConfigError(f"threshold law {kind!r} is missing field {exc}") from None
+    if cfg:
+        raise ConfigError(f"unknown threshold law fields {sorted(cfg)}")
+    return law
+
+
 class SeriesSystem:
     """Base class for series-scheme models."""
 
     name = "series"
-    random_size = True
-    has_exact_mean = False      # exact_mean_F_pow_nu implemented
-    has_exact_max_cdf = False   # exact_max_cdf implemented
+    kind: str | None = None     # config kind of a registered system
+    fields: dict = {}           # config field -> parser, named as in __init__
+    has_exact_mean = False      # exact_mean implemented
     calibration_kind = "exact"  # or "nu_pool" / "marginal_pool"
     u_domain = (0.0, 1.0)       # open interval the thresholds live in
 
@@ -101,7 +179,8 @@ class SeriesSystem:
         """Draws from F_n, for systems whose marginal is only samplable."""
         raise NotImplementedError(f"{self.name} has no marginal sampler")
 
-    def exact_mean_F_pow_nu(self, n: int, u, r: float = 1.0):
+    def exact_mean(self, n: int, u, r: float = 1.0):
+        """E F_n(u)^(r nu_n) in closed form, where has_exact_mean says so."""
         raise NotImplementedError
 
     def exact_max_cdf(self, n: int, u):
@@ -109,6 +188,10 @@ class SeriesSystem:
 
     def closed_form_u(self, n: int, s):
         """Threshold with E F_n(u)^nu_n = s where invertible in closed form."""
+        return None
+
+    def reference(self) -> ReferenceModel | None:
+        """The closed-form limit model of this system, where one exists."""
         return None
 
     def __repr__(self):
@@ -126,15 +209,16 @@ class ExchangeableCopulaSystem(SeriesSystem):
     of the n exponentials in the frailty representation is Exp(n).
     """
 
-    random_size = False
+    kind = "exchangeable_copula"
+    fields = {"generator": _build_generator}
     has_exact_mean = True
-    has_exact_max_cdf = True
 
-    def __init__(self, gen):
-        if not isinstance(gen, (ArchimedeanGenerator, TiltedGenerator)):
-            raise ConfigError(f"gen must be an Archimedean structure, got {type(gen).__name__}")
-        self.gen = gen
-        self.name = f"exchangeable_copula({gen.name})"
+    def __init__(self, generator):
+        if not isinstance(generator, (ArchimedeanGenerator, TiltedGenerator)):
+            raise ConfigError(
+                f"generator must be an Archimedean structure, got {type(generator).__name__}")
+        self.gen = generator
+        self.name = f"exchangeable_copula({generator.name})"
 
     def validate_n(self, n):
         super().validate_n(n)
@@ -162,20 +246,24 @@ class ExchangeableCopulaSystem(SeriesSystem):
     def marginal_cdf(self, n, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
+    def exact_mean(self, n, u, r=1.0):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** (r * n)
 
     def exact_max_cdf(self, n, u):
         return diag_cdf(self.gen, n, u)
-
-    def max_cdf_given_size(self, d, u):
-        return diag_cdf(self.gen, d, u)
 
     def max_inverse_given_size(self, d, v):
         return diag_inverse(self.gen, d, v)
 
     def closed_form_u(self, n, s):
         return np.asarray(s, dtype=float) ** (1.0 / n)
+
+    def reference(self):
+        gen = self.gen
+        if isinstance(gen, TiltedGenerator):
+            finite = math.isfinite(gen.base.mu)
+            return TiltedArchimedeanLimit(gen.base, gen.gamma) if finite else None
+        return ArchimedeanLimit(gen) if math.isfinite(gen.mu) else None
 
 
 class DuplicatedIidSystem(SeriesSystem):
@@ -185,9 +273,9 @@ class DuplicatedIidSystem(SeriesSystem):
     exactly, so the limit curve is s^(1/m).
     """
 
-    random_size = False
+    kind = "duplicated_iid"
+    fields = {"m": _integral}
     has_exact_mean = True
-    has_exact_max_cdf = True
 
     def __init__(self, m: int):
         if not isinstance(m, (int, np.integer)) or m < 2:
@@ -210,24 +298,20 @@ class DuplicatedIidSystem(SeriesSystem):
     def marginal_cdf(self, n, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
+    def exact_mean(self, n, u, r=1.0):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** (r * n)
 
     def exact_max_cdf(self, n, u):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._groups(n, self.m)
 
-    def max_cdf_given_size(self, d, u):
-        d = np.asarray(d)
-        g = -(-d // self.m)
-        return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** g
-
     def max_inverse_given_size(self, d, v):
-        d = np.asarray(d)
-        g = -(-d // self.m)
-        return np.asarray(v, dtype=float) ** (1.0 / g)
+        return np.asarray(v, dtype=float) ** (1.0 / self._groups(np.asarray(d), self.m))
 
     def closed_form_u(self, n, s):
         return np.asarray(s, dtype=float) ** (1.0 / n)
+
+    def reference(self):
+        return DuplicatedIidLimit(self.m)
 
 
 class MixtureSpikeSystem(SeriesSystem):
@@ -240,9 +324,9 @@ class MixtureSpikeSystem(SeriesSystem):
     theta_plus = 1 + gamma.
     """
 
-    random_size = False
+    kind = "mixture_spike"
+    fields = {"gamma": float}
     has_exact_mean = True
-    has_exact_max_cdf = True
 
     def __init__(self, gamma: float):
         if not gamma > 0:
@@ -266,12 +350,15 @@ class MixtureSpikeSystem(SeriesSystem):
             out = x * (1.0 + (x ** (self.gamma * n - 1.0) - 1.0) / n)
         return np.where(x == 0.0, 0.0, out)
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
+    def exact_mean(self, n, u, r=1.0):
         return self.marginal_cdf(n, u) ** (r * n)
 
     def exact_max_cdf(self, n, u):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         return u ** ((1.0 + self.gamma) * n - 1.0)
+
+    def reference(self):
+        return SpikeMixtureLimit(self.gamma)
 
 
 class GeometricThresholdSystem(SeriesSystem):
@@ -282,6 +369,10 @@ class GeometricThresholdSystem(SeriesSystem):
     limit curve 0 v (2 - 1/s) is reached as eps -> 0 and carries no
     extremal index of either kind.
     """
+
+    kind = "geometric_threshold"
+    fields = {"eps": float, "eps_exponent": float}
+    has_exact_mean = True
 
     def __init__(self, eps: float | None = None, eps_exponent: float | None = None):
         if (eps is None) == (eps_exponent is None):
@@ -296,9 +387,6 @@ class GeometricThresholdSystem(SeriesSystem):
             self.name = f"geometric_threshold(eps={self.eps:g})"
         else:
             self.name = f"geometric_threshold(eps=n^-{self.eps_exponent:g})"
-
-    has_exact_mean = True
-    has_exact_max_cdf = True
 
     def eps_at(self, n) -> float:
         if self.eps is not None:
@@ -317,7 +405,7 @@ class GeometricThresholdSystem(SeriesSystem):
     def marginal_cdf(self, n, x):
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
+    def exact_mean(self, n, u, r=1.0):
         eps = self.eps_at(n)
         t = np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** r
         return eps * t / (1.0 - (1.0 - eps) * t)
@@ -330,6 +418,9 @@ class GeometricThresholdSystem(SeriesSystem):
         eps = self.eps_at(n)
         s = np.asarray(s, dtype=float)
         return s / (eps + (1.0 - eps) * s)
+
+    def reference(self):
+        return FixedThresholdLimit()
 
 
 class RandomThresholdSystem(SeriesSystem):
@@ -347,22 +438,23 @@ class RandomThresholdSystem(SeriesSystem):
     interest and they carry no threshold).
     """
 
+    kind = "random_threshold"
+    fields = {"law": _build_zeta}
     has_exact_mean = True
-    has_exact_max_cdf = True
 
-    def __init__(self, zeta: Distribution):
+    def __init__(self, law: Distribution):
         try:
-            m = zeta.mean()
+            m = law.mean()
         except NotImplementedError as exc:
             raise ConfigError(f"threshold law needs an implemented mean: {exc}") from None
         if not math.isfinite(m) or abs(m - 1.0) > 1e-9:
             raise ConfigError(f"threshold law must have mean 1, got {m!r}")
         try:
-            self.zeta_biased = zeta.size_biased()
+            self.zeta_biased = law.size_biased()
         except (NotImplementedError, ValueError) as exc:
             raise ConfigError(f"threshold law needs a size-biased form: {exc}") from None
-        self.zeta = zeta
-        self.name = f"random_threshold({type(zeta).__name__.lower()})"
+        self.zeta = law
+        self.name = f"random_threshold({type(law).__name__.lower()})"
 
     def _draw(self, dist, n, count, rng):
         z = np.asarray(dist.sample(rng, count), dtype=float)
@@ -395,7 +487,7 @@ class RandomThresholdSystem(SeriesSystem):
         norm = float(self.zeta.cdf(n))
         return below / norm
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
+    def exact_mean(self, n, u, r=1.0):
         u_in = np.asarray(u, dtype=float)
         t = np.clip(np.atleast_1d(u_in), 0.0, 1.0) ** r
         out = np.empty_like(t)
@@ -419,6 +511,9 @@ class RandomThresholdSystem(SeriesSystem):
         out /= den
         return out.reshape(u_in.shape) if u_in.ndim else float(out[0])
 
+    def reference(self):
+        return RandomThresholdLimit(self.zeta)
+
 
 class StableSizeGumbelSystem(SeriesSystem):
     """Positive stable size nu = max(1, round(n S)) over a power-tilted structure.
@@ -430,6 +525,8 @@ class StableSizeGumbelSystem(SeriesSystem):
     while matching E F^(theta nu) holds at theta = exp(-gamma).
     """
 
+    kind = "stable_size_gumbel"
+    fields = {"beta": float, "gamma": float}
     calibration_kind = "nu_pool"
 
     def __init__(self, beta: float, gamma: float):
@@ -469,6 +566,9 @@ class StableSizeGumbelSystem(SeriesSystem):
         s = np.asarray(s, dtype=float)
         return np.exp(-((-np.log(s)) ** (1.0 / self.beta)) / n)
 
+    def reference(self):
+        return StableSizeGumbelLimit(self.beta, self.gamma)
+
 
 class BranchingHereditySystem(SeriesSystem):
     """Galton-Watson tree with inherited stable scores.
@@ -480,6 +580,9 @@ class BranchingHereditySystem(SeriesSystem):
     Offspring laws must put no mass at 0 (no extinction) and have mean > 1.
     """
 
+    kind = "branching_heredity"
+    fields = {"offspring": lambda law: {_integral(k): float(v) for k, v in dict(law).items()},
+              "gamma": float, "a": float, "particle_budget": _integral}
     calibration_kind = "nu_pool"
     u_domain = (None, None)
 
@@ -562,6 +665,9 @@ class BranchingHereditySystem(SeriesSystem):
     def sample_marginal(self, n, count, rng):
         return self._stable.sample(rng, count)
 
+    def reference(self):
+        return BranchingHeredityIndex(self.a, self.gamma, self.mu)
+
 
 class PowerLawGraphSystem(SeriesSystem):
     """Directed power-law graph with aggregated heavy-tailed activities.
@@ -573,8 +679,10 @@ class PowerLawGraphSystem(SeriesSystem):
     single-activity tail, which is what drags the index below 1.
     """
 
-    random_size = False
+    kind = "power_law_graph"
+    fields = {"beta": float, "a": float, "x_min": float}
     calibration_kind = "marginal_pool"
+    u_domain = (0.0, None)
 
     def __init__(self, beta: float, a: float = 1.0, x_min: float = 1.0):
         if beta <= 2.0:
@@ -593,16 +701,10 @@ class PowerLawGraphSystem(SeriesSystem):
         self._activity = Pareto(self.a, self.x_min)
         self.name = f"power_law_graph(beta={self.beta:g}, a={self.a:g})"
 
-    u_domain = (0.0, None)
-
     def mean_degree(self) -> float:
         from scipy.special import zeta
 
         return float(zeta(self.beta - 1.0) / zeta(self.beta))
-
-    def scale_at(self, n) -> float:
-        """Fréchet norming v(n) = x_min n^(1/a)."""
-        return self.x_min * float(n) ** (1.0 / self.a)
 
     def _degrees(self, n, rng):
         return np.minimum(rng.zipf(self.beta, n), n - 1)
@@ -679,6 +781,9 @@ class PowerLawGraphSystem(SeriesSystem):
         scale = (1.0 + self.mean_degree()) * n
         return self.x_min * (scale / (-np.log(s))) ** (1.0 / self.a)
 
+    def reference(self):
+        return GraphActivityLimit(self.beta, self.a, self.x_min)
+
 
 # ---------------------------------------------------------------------------
 # wrappers
@@ -707,38 +812,27 @@ class MonotoneTransformSystem(SeriesSystem):
     that invariance.
     """
 
-    def __init__(self, base: SeriesSystem, transform):
+    kind = "monotone_transform"
+    fields = {"base": lambda cfg: build_system(cfg),
+              "power": lambda p: PowerTransform(float(p))}
+
+    def __init__(self, base: SeriesSystem, power):
         if not isinstance(base, SeriesSystem):
             raise ConfigError(f"base must be a SeriesSystem, got {type(base).__name__}")
-        lo, hi = base.u_domain
-        if (lo, hi) != (0.0, 1.0) and isinstance(transform, PowerTransform):
+        if base.u_domain != (0.0, 1.0) and isinstance(power, PowerTransform):
             raise ConfigError("power transform needs a base with thresholds in (0, 1)")
         self.base = base
-        self.transform = transform
-        self.name = f"monotone_transform({base.name}, {transform.name})"
-
-    @property
-    def random_size(self):
-        return self.base.random_size
-
-    @property
-    def has_exact_mean(self):
-        return self.base.has_exact_mean
-
-    @property
-    def has_exact_max_cdf(self):
-        return self.base.has_exact_max_cdf
-
-    @property
-    def calibration_kind(self):
-        return self.base.calibration_kind
-
-    @property
-    def u_domain(self):
-        return self.base.u_domain
+        self.transform = power
+        self.has_exact_mean = base.has_exact_mean
+        self.calibration_kind = base.calibration_kind
+        self.u_domain = base.u_domain
+        self.name = f"monotone_transform({base.name}, {power.name})"
 
     def validate_n(self, n):
         self.base.validate_n(n)
+
+    def reference(self):
+        return self.base.reference()
 
     def sample_batch(self, n, count, rng):
         nu, m = self.base.sample_batch(n, count, rng)
@@ -753,8 +847,8 @@ class MonotoneTransformSystem(SeriesSystem):
     def sample_marginal(self, n, count, rng):
         return self.transform.apply(self.base.sample_marginal(n, count, rng))
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
-        return self.base.exact_mean_F_pow_nu(n, self.transform.invert(u), r)
+    def exact_mean(self, n, u, r=1.0):
+        return self.base.exact_mean(n, self.transform.invert(u), r)
 
     def exact_max_cdf(self, n, u):
         return self.base.exact_max_cdf(n, self.transform.invert(u))
@@ -772,6 +866,8 @@ class SizeJitterSystem(SeriesSystem):
     size-free uniform marginal.
     """
 
+    kind = "size_jitter"
+    fields = {"base": lambda cfg: build_system(cfg)}
     calibration_kind = "nu_pool"
 
     def __init__(self, base: SeriesSystem):
@@ -785,6 +881,9 @@ class SizeJitterSystem(SeriesSystem):
 
     def validate_n(self, n):
         self.base.validate_n(n)
+
+    def reference(self):
+        return self.base.reference()
 
     def sample_nu(self, n, count, rng):
         z = rng.standard_normal(count)
@@ -802,22 +901,6 @@ class SizeJitterSystem(SeriesSystem):
 
 # ---------------------------------------------------------------------------
 # module operations
-
-@dataclass
-class MeanFPower:
-    """E F_n(u)^(r nu_n): value, Monte Carlo stderr (0 when exact), exactness."""
-
-    value: float
-    stderr: float
-    exact: bool
-
-
-def sample_replicate(system: SeriesSystem, n: int, stream):
-    """One exact draw of (nu_n, M_n)."""
-    system.validate_n(n)
-    nu, m = system.sample_batch(n, 1, stream.generator)
-    return int(nu[0]), float(m[0])
-
 
 def build_calibration_pool(system: SeriesSystem, n: int, stream, size: int = 200_000):
     """Frozen pool backing Monte Carlo calibration: nu draws or marginal draws."""
@@ -869,7 +952,7 @@ class Calibrator:
             raise ConfigError(f"power r must be non-negative, got {r}")
         u = np.asarray(u, dtype=float)
         if self.exact:
-            return np.asarray(self.system.exact_mean_F_pow_nu(self.n, u, r), dtype=float)
+            return np.asarray(self.system.exact_mean(self.n, u, r), dtype=float)
         if self.kind == "marginal_pool":
             return self._edf(u) ** (r * self.n)
         f = np.asarray(self.system.marginal_cdf(self.n, u), dtype=float)
@@ -903,74 +986,15 @@ class Calibrator:
         return y
 
 
-def mean_F_pow_nu(system: SeriesSystem, n: int, u, r: float = 1.0,
-                  stream=None, pool=None, pool_size: int = 200_000) -> MeanFPower:
-    """The calibration functional E F_n(u)^(r nu_n) at a single threshold."""
-    cal = Calibrator(system, n, stream=stream, pool=pool, pool_size=pool_size)
-    value = float(cal.value([float(u)], r)[0])
-    stderr = float(cal.stderr_at([float(u)], r)[0])
-    return MeanFPower(value, stderr, cal.exact)
-
-
 # ---------------------------------------------------------------------------
-# configuration
+# registry
 
-_GEN_FAMILIES = {
-    "independence": lambda p: IndependenceGenerator(),
-    "clayton": lambda p: ClaytonGenerator(p["alpha"]),
-    "frank": lambda p: FrankGenerator(p["alpha"]),
-    "gumbel_hougaard": lambda p: GumbelHougaardGenerator(p["alpha"]),
-}
-
-
-def _build_generator(cfg: dict):
-    cfg = dict(cfg)
-    family = cfg.pop("family", None)
-    if family not in _GEN_FAMILIES:
-        raise ConfigError(f"unknown generator family {family!r}; know {sorted(_GEN_FAMILIES)}")
-    tilt = cfg.pop("tilt_gamma", None)
-    allowed = {"alpha"} if family != "independence" else set()
-    extra = set(cfg) - allowed
-    if extra:
-        raise ConfigError(f"unknown generator fields {sorted(extra)} for family {family!r}")
-    missing = allowed - set(cfg)
-    if missing:
-        raise ConfigError(f"generator family {family!r} needs fields {sorted(missing)}")
-    try:
-        gen = _GEN_FAMILIES[family](cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if tilt is not None:
-        gen = TiltedGenerator(gen, float(tilt))
-    return gen
-
-
-def _build_zeta(cfg: dict) -> Distribution:
-    cfg = dict(cfg)
-    kind = cfg.pop("kind", None)
-    try:
-        if kind == "two_point":
-            delta = float(cfg.pop("delta"))
-            if not 0.0 < delta < 1.0:
-                raise ConfigError(f"delta must lie in (0, 1), got {delta}")
-            law = TwoPoint(1.0 - delta, 1.0 + delta, 0.5)
-        elif kind == "pareto":
-            a = float(cfg.pop("a"))
-            if a <= 1.0:
-                raise ConfigError(f"pareto threshold law needs a > 1, got {a}")
-            law = Pareto(a, (a - 1.0) / a)  # x_min chosen so the mean is 1
-        elif kind == "gamma":
-            shape = float(cfg.pop("shape"))
-            law = Gamma(shape, 1.0 / shape)
-        elif kind == "degenerate":
-            law = Degenerate(1.0)
-        else:
-            raise ConfigError(f"unknown threshold law {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"threshold law {kind!r} is missing field {exc}") from None
-    if cfg:
-        raise ConfigError(f"unknown threshold law fields {sorted(cfg)}")
-    return law
+SYSTEMS: dict[str, type[SeriesSystem]] = {cls.kind: cls for cls in (
+    ExchangeableCopulaSystem, DuplicatedIidSystem, MixtureSpikeSystem,
+    GeometricThresholdSystem, RandomThresholdSystem, StableSizeGumbelSystem,
+    BranchingHereditySystem, PowerLawGraphSystem, MonotoneTransformSystem,
+    SizeJitterSystem,
+)}
 
 
 def build_system(cfg: dict) -> SeriesSystem:
@@ -979,48 +1003,20 @@ def build_system(cfg: dict) -> SeriesSystem:
         raise ConfigError(f"system config must be a mapping, got {type(cfg).__name__}")
     cfg = dict(cfg)
     kind = cfg.pop("kind", None)
-    try:
-        if kind == "exchangeable_copula":
-            sys_ = ExchangeableCopulaSystem(_build_generator(cfg.pop("generator")))
-        elif kind == "duplicated_iid":
-            sys_ = DuplicatedIidSystem(int(cfg.pop("m")))
-        elif kind == "mixture_spike":
-            sys_ = MixtureSpikeSystem(float(cfg.pop("gamma")))
-        elif kind == "geometric_threshold":
-            eps = cfg.pop("eps", None)
-            expo = cfg.pop("eps_exponent", None)
-            sys_ = GeometricThresholdSystem(
-                eps=None if eps is None else float(eps),
-                eps_exponent=None if expo is None else float(expo),
-            )
-        elif kind == "random_threshold":
-            sys_ = RandomThresholdSystem(_build_zeta(cfg.pop("law")))
-        elif kind == "stable_size_gumbel":
-            sys_ = StableSizeGumbelSystem(float(cfg.pop("beta")), float(cfg.pop("gamma")))
-        elif kind == "branching_heredity":
-            raw = cfg.pop("offspring")
-            offspring = {int(k): float(v) for k, v in raw.items()}
-            sys_ = BranchingHereditySystem(
-                offspring,
-                float(cfg.pop("gamma")),
-                float(cfg.pop("a")),
-                particle_budget=int(cfg.pop("particle_budget", 1_000_000)),
-            )
-        elif kind == "power_law_graph":
-            sys_ = PowerLawGraphSystem(
-                float(cfg.pop("beta")),
-                float(cfg.pop("a", 1.0)),
-                float(cfg.pop("x_min", 1.0)),
-            )
-        elif kind == "monotone_transform":
-            base = build_system(cfg.pop("base"))
-            sys_ = MonotoneTransformSystem(base, PowerTransform(float(cfg.pop("power"))))
-        elif kind == "size_jitter":
-            sys_ = SizeJitterSystem(build_system(cfg.pop("base")))
-        else:
-            raise ConfigError(f"unknown system kind {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"system kind {kind!r} is missing field {exc}") from None
+    cls = SYSTEMS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown system kind {kind!r}")
+    params = inspect.signature(cls).parameters
+    args = {}
+    for name, parse in cls.fields.items():
+        value = cfg.pop(name, None)  # null means "use the default"
+        if value is not None:
+            try:
+                args[name] = parse(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"system kind {kind!r} field {name!r}: {exc}") from None
+        elif params[name].default is inspect.Parameter.empty:
+            raise ConfigError(f"system kind {kind!r} is missing field {name!r}")
     if cfg:
         raise ConfigError(f"unknown system fields {sorted(cfg)} for kind {kind!r}")
-    return sys_
+    return cls(**args)

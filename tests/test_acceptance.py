@@ -35,8 +35,6 @@ from extlab.reference import (
     MaxStableLaw,
     TwoPointThresholdLimit,
     mixed_max_stable_cdf,
-    psi_reference,
-    reference_for,
 )
 from extlab.sampling import (
     Degenerate,
@@ -91,7 +89,7 @@ def test_clayton_curve_matches_closed_form():
     t0 = time.perf_counter()
     est = estimate_psi(sys_, N, replicates=REPLICATES, stream=_stream(), workers=8)
     runtime = time.perf_counter() - t0
-    ref = psi_reference(reference_for(sys_), est.s)
+    ref = sys_.reference().psi(est.s)
     dev = np.abs(est.psi_hat - np.asarray(ref))
     assert np.all(dev <= np.maximum(0.01, 3.0 * est.stderr)), dev
     assert runtime <= 60.0, f"run took {runtime:.1f}s"
@@ -103,7 +101,7 @@ def test_clayton_curve_matches_closed_form():
 def test_frank_curve_matches_closed_form():
     sys_ = ExchangeableCopulaSystem(FrankGenerator(2.0))
     est = estimate_psi(sys_, N, replicates=REPLICATES, stream=_stream())
-    ref = psi_reference(reference_for(sys_), est.s)
+    ref = sys_.reference().psi(est.s)
     dev = np.abs(est.psi_hat - np.asarray(ref))
     assert np.all(dev <= np.maximum(0.01, 3.0 * est.stderr)), dev
 
@@ -111,7 +109,7 @@ def test_frank_curve_matches_closed_form():
 def test_frank_grid_min_slope_reaches_deep_tail_bound():
     sys_ = ExchangeableCopulaSystem(FrankGenerator(2.0))
     est = estimate_psi(sys_, N, replicates=REPLICATES, stream=_stream())
-    ref = reference_for(sys_)
+    ref = sys_.reference()
     theta_minus = ref.indices()["theta_minus"]
     # on the grid: the estimated grid-min slope is the exact curve's, and
     # like every slope of the curve it stays above the infimum theta_minus
@@ -170,7 +168,7 @@ def test_spike_curve_below_diagonal(spike_estimate):
 
 def test_spike_upper_partial_index_band(spike_estimate):
     est = spike_estimate
-    ref = reference_for(MixtureSpikeSystem(1.0))
+    ref = MixtureSpikeSystem(1.0).reference()
     # on the grid: theta_plus_hat is the exact curve's grid-max slope
     # (1.5772 at the grid edge s = 0.01)
     theta_plus = partial_indices(est)[1]
@@ -327,7 +325,7 @@ def test_size_jitter_leaves_curve_in_place():
     base = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     jittered = SizeJitterSystem(base)
     est = estimate_psi(jittered, N, replicates=REPLICATES, stream=_stream())
-    ref = psi_reference(reference_for(jittered), est.s)
+    ref = jittered.reference().psi(est.s)
     dev = np.abs(est.psi_hat - np.asarray(ref))
     assert np.all(dev <= 0.02 + 3.0 * est.stderr), dev
 

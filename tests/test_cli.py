@@ -153,6 +153,16 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"format": "xml"}, "format must be csv or json"),
         ({"def2_bounds": [2.0, 1.0]}, "def2_bounds"),
         ({"seed": "abc"}, "seed must be an integer"),
+        ({"n": "abc"}, "n must be an integer"),
+        ({"n": 100.7}, "n must be an integer"),
+        ({"workers": "two"}, "workers must be an integer"),
+        ({"def2_bounds": ["a", 2]}, "def2_bounds"),
+        ({"system": {"kind": "duplicated_iid", "m": 2.7}}, "must be an integer"),
+        ({"system": {"kind": "mixture_spike", "gamma": "abc"}}, "field 'gamma'"),
+        ({"system": {"kind": "exchangeable_copula",
+                     "generator": {"family": "frank", "alpha": "x"}}}, "field 'generator'"),
+        ({"system": {"kind": "branching_heredity", "offspring": [1, 2],
+                     "gamma": 1.0, "a": 0.5}}, "field 'offspring'"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):
@@ -187,6 +197,18 @@ def test_stage_validation_is_located(tmp_path, capsys, monkeypatch):
                analyses=["psi"])
     assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 2
     assert f"{cfg}:" in capsys.readouterr().err
+
+
+def test_compare_without_reference_curve(tmp_path, capsys, monkeypatch):
+    # the branching model has a matching index but no closed-form curve
+    cfg = _cfg(tmp_path, system={"kind": "branching_heredity", "offspring": {"1": 0.5, "3": 0.5},
+                                 "gamma": 1.0, "a": 0.5}, n=6, replicates=1000)
+    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 0
+    out = capsys.readouterr().out
+    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith(("#", "s,"))]
+    assert len(rows) == 5 and all(r[4:] == ["", ""] for r in rows)
+    summary = json.loads([ln for ln in out.splitlines() if ln.startswith("# summary: ")][0][11:])
+    assert "reference" not in summary and "max_abs_z" not in summary
 
 
 def test_replicate_override_checked(tmp_path, capsys, monkeypatch):

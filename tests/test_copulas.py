@@ -218,6 +218,17 @@ def test_psi_frozen_values():
     assert np.allclose(out, s)
 
 
+@pytest.mark.parametrize("gen", [FrankGenerator(2.0), ClaytonGenerator(1.0)],
+                         ids=lambda g: g.name)
+@pytest.mark.parametrize("gamma", [None, math.log(2.0)], ids=["untilted", "tilted"])
+def test_psi_deep_tail_below_1e300(gen, gamma):
+    # subnormal s must not be clamped: psi is f(-ln s * exp(-gamma) / mu) all the way down
+    for s in (1e-305, 1e-310, 5e-324):
+        want = float(gen.f(-math.log(s) * math.exp(-(gamma or 0.0)) / gen.mu))
+        got = psi_archimedean(gen, s) if gamma is None else psi_tilted(gen, gamma, s)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
+
+
 def test_psi_tilted_frozen_values():
     # independence tilts to the pure power s^exp(-gamma)
     assert psi_tilted(IndependenceGenerator(), math.log(2.0), 0.25) == pytest.approx(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from extlab.copulas import ClaytonGenerator
-from extlab.normalizer import NormalizingCurve, SolverError, solve_curve, solve_u
+from extlab.normalizer import NormalizingCurve, SolverError, solve_curve
 from extlab.sampling import RandomStream, TwoPoint
 from extlab.systems import (
     BranchingHereditySystem,
@@ -30,28 +30,28 @@ def _stream(seed):
 # closed-form route
 
 def test_closed_form_copula():
-    pt = solve_u(ExchangeableCopulaSystem(ClaytonGenerator(1.0)), 100, 0.5)
-    assert pt.method == "closed_form"
-    assert pt.u == pytest.approx(0.5**0.01, rel=1e-12)
-    assert pt.achieved == pytest.approx(0.5, rel=1e-12)
-    assert pt.stderr == 0.0
+    curve = solve_curve(ExchangeableCopulaSystem(ClaytonGenerator(1.0)), 100, [0.5])
+    assert curve.method == "closed_form"
+    assert curve.u[0] == pytest.approx(0.5**0.01, rel=1e-12)
+    assert curve.achieved[0] == pytest.approx(0.5, rel=1e-12)
+    assert curve.stderr[0] == 0.0
 
 
 def test_closed_form_geometric():
-    pt = solve_u(GeometricThresholdSystem(eps=0.01), 1000, 0.5)
-    assert pt.u == pytest.approx(0.5 / 0.505, rel=1e-12)
-    assert pt.achieved == pytest.approx(0.5, rel=1e-12)
+    curve = solve_curve(GeometricThresholdSystem(eps=0.01), 1000, [0.5])
+    assert curve.u[0] == pytest.approx(0.5 / 0.505, rel=1e-12)
+    assert curve.achieved[0] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_closed_form_without_exact_mean_reports_pool_noise():
     sys_ = StableSizeGumbelSystem(beta=0.5, gamma=0.5)
-    bare = solve_u(sys_, 1000, 0.5)
+    bare = solve_curve(sys_, 1000, [0.5])
     assert bare.method == "closed_form"
-    assert math.isnan(bare.achieved) and math.isnan(bare.stderr)
-    seeded = solve_u(sys_, 1000, 0.5, stream=_stream(3), pool_size=50_000)
-    assert seeded.u == bare.u
-    assert math.isfinite(seeded.achieved) and seeded.stderr > 0.0
-    assert abs(seeded.achieved - 0.5) < 4.0 * seeded.stderr + 2e-3
+    assert math.isnan(bare.achieved[0]) and math.isnan(bare.stderr[0])
+    seeded = solve_curve(sys_, 1000, [0.5], stream=_stream(3), pool_size=50_000)
+    assert seeded.u[0] == bare.u[0]
+    assert math.isfinite(seeded.achieved[0]) and seeded.stderr[0] > 0.0
+    assert abs(seeded.achieved[0] - 0.5) < 4.0 * seeded.stderr[0] + 2e-3
 
 
 # ---------------------------------------------------------------------------
@@ -71,11 +71,11 @@ def test_deterministic_root_mixture_spike():
 
 
 def test_deterministic_root_random_threshold():
-    pt = solve_u(RandomThresholdSystem(TwoPoint(0.5, 1.5)), 1000, 0.8)
-    assert pt.method == "deterministic_root"
-    assert 0.997 < pt.u < 1.0
-    assert pt.achieved == pytest.approx(0.8, abs=1e-9)
-    assert pt.stderr == 0.0
+    curve = solve_curve(RandomThresholdSystem(TwoPoint(0.5, 1.5)), 1000, [0.8])
+    assert curve.method == "deterministic_root"
+    assert 0.997 < curve.u[0] < 1.0
+    assert curve.achieved[0] == pytest.approx(0.8, abs=1e-9)
+    assert curve.stderr[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +108,6 @@ class _UniformPoolSystem(SeriesSystem):
     """Deterministic size, uniform marginal known only through sampling."""
 
     name = "uniform_pool"
-    random_size = False
     calibration_kind = "marginal_pool"
 
     def sample_marginal(self, n, count, rng):
@@ -136,7 +135,7 @@ def test_shared_calibrator_matches_fresh_solve():
 def test_pool_required_when_stochastic():
     sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
     with pytest.raises(ConfigError):
-        solve_u(sys_, 6, 0.5)
+        solve_curve(sys_, 6, [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ class _FlatSystem(SeriesSystem):
     def __init__(self, level):
         self.level = level
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
+    def exact_mean(self, n, u, r=1.0):
         return np.full_like(np.asarray(u, dtype=float), self.level)
 
 
@@ -162,23 +161,23 @@ class _StepSystem(SeriesSystem):
     name = "step"
     has_exact_mean = True
 
-    def exact_mean_F_pow_nu(self, n, u, r=1.0):
+    def exact_mean(self, n, u, r=1.0):
         return np.where(np.asarray(u, dtype=float) >= 0.7, 0.9, 0.1)
 
 
 def test_no_upper_bracket():
     with pytest.raises(SolverError, match="upper bracket"):
-        solve_u(_FlatSystem(0.3), 10, 0.5)
+        solve_curve(_FlatSystem(0.3), 10, [0.5])
 
 
 def test_no_lower_bracket():
     with pytest.raises(SolverError, match="lower bracket"):
-        solve_u(_FlatSystem(0.3), 10, 0.1)
+        solve_curve(_FlatSystem(0.3), 10, [0.1])
 
 
 def test_residual_tolerance_enforced():
     with pytest.raises(SolverError, match="residual"):
-        solve_u(_StepSystem(), 10, 0.5)
+        solve_curve(_StepSystem(), 10, [0.5])
 
 
 def test_grid_validation():
@@ -196,5 +195,4 @@ def test_grid_validation():
 def test_curve_point_accessor():
     curve = solve_curve(ExchangeableCopulaSystem(ClaytonGenerator(1.0)), 10, [0.2, 0.8])
     assert isinstance(curve, NormalizingCurve)
-    pt = curve.point(1)
-    assert pt.s == 0.8 and pt.u == pytest.approx(0.8**0.1, rel=1e-12)
+    assert curve.s[1] == 0.8 and curve.u[1] == pytest.approx(0.8**0.1, rel=1e-12)

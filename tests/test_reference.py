@@ -27,8 +27,6 @@ from extlab.reference import (
     TiltedArchimedeanLimit,
     TwoPointThresholdLimit,
     mixed_max_stable_cdf,
-    psi_reference,
-    reference_for,
 )
 from extlab.sampling import (
     Degenerate,
@@ -350,41 +348,41 @@ def test_mixed_law_gamma_mixing_closed_form():
 # lookup
 
 def test_reference_lookup_direct_families():
-    assert isinstance(reference_for(ExchangeableCopulaSystem(ClaytonGenerator(1.0))),
+    assert isinstance(ExchangeableCopulaSystem(ClaytonGenerator(1.0)).reference(),
                       ArchimedeanLimit)
-    assert reference_for(ExchangeableCopulaSystem(GumbelHougaardGenerator(2.0))) is None
-    tilted = reference_for(
-        ExchangeableCopulaSystem(TiltedGenerator(FrankGenerator(2.0), gamma=0.5))
-    )
+    assert ExchangeableCopulaSystem(GumbelHougaardGenerator(2.0)).reference() is None
+    tilted = ExchangeableCopulaSystem(
+        TiltedGenerator(FrankGenerator(2.0), gamma=0.5)
+    ).reference()
     assert isinstance(tilted, TiltedArchimedeanLimit)
     assert tilted.gamma == pytest.approx(0.5)
-    assert reference_for(
-        ExchangeableCopulaSystem(TiltedGenerator(GumbelHougaardGenerator(2.0), gamma=0.5))
-    ) is None
-    assert reference_for(DuplicatedIidSystem(3)).m == 3
-    assert reference_for(MixtureSpikeSystem(2.0)).gamma == pytest.approx(2.0)
-    assert isinstance(reference_for(GeometricThresholdSystem(eps=0.1)), FixedThresholdLimit)
-    rt = reference_for(RandomThresholdSystem(TwoPoint(0.5, 1.5)))
+    assert ExchangeableCopulaSystem(
+        TiltedGenerator(GumbelHougaardGenerator(2.0), gamma=0.5)
+    ).reference() is None
+    assert DuplicatedIidSystem(3).reference().m == 3
+    assert MixtureSpikeSystem(2.0).reference().gamma == pytest.approx(2.0)
+    assert isinstance(GeometricThresholdSystem(eps=0.1).reference(), FixedThresholdLimit)
+    rt = RandomThresholdSystem(TwoPoint(0.5, 1.5)).reference()
     assert isinstance(rt, RandomThresholdLimit)
-    ss = reference_for(StableSizeGumbelSystem(beta=0.5, gamma=0.7))
+    ss = StableSizeGumbelSystem(beta=0.5, gamma=0.7).reference()
     assert ss.theta_def2 == pytest.approx(math.exp(-0.7))
-    br = reference_for(BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5))
+    br = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5).reference()
     assert br.theta_def2 == pytest.approx(2.0 / 3.0)
-    gr = reference_for(PowerLawGraphSystem(beta=3.5, a=1.0))
+    gr = PowerLawGraphSystem(beta=3.5, a=1.0).reference()
     assert isinstance(gr, GraphActivityLimit)
-    assert reference_for(SeriesSystem()) is None
+    assert SeriesSystem().reference() is None
 
 
 def test_reference_lookup_unwraps_decorators():
     base = DuplicatedIidSystem(2)
     wrapped = MonotoneTransformSystem(base, PowerTransform(2.0))
-    assert isinstance(reference_for(wrapped), DuplicatedIidLimit)
+    assert isinstance(wrapped.reference(), DuplicatedIidLimit)
     jittered = SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
-    assert isinstance(reference_for(jittered), ArchimedeanLimit)
+    assert isinstance(jittered.reference(), ArchimedeanLimit)
 
 
-def test_psi_reference_delegates():
+def test_reference_model_psi():
     m = DuplicatedIidLimit(4)
-    assert psi_reference(m, 0.5) == pytest.approx(0.5**0.25, rel=1e-12)
+    assert m.psi(0.5) == pytest.approx(0.5**0.25, rel=1e-12)
     with pytest.raises(NotImplementedError):
-        psi_reference(BranchingHeredityIndex(a=0.5, gamma=1.0, mu=2.0), 0.5)
+        BranchingHeredityIndex(a=0.5, gamma=1.0, mu=2.0).psi(0.5)

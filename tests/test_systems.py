@@ -1,13 +1,16 @@
 """System-level laws: exact formulas vs simulation, wrappers, config plumbing."""
 
+import ast
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
+from extlab import cli
 from extlab.copulas import ClaytonGenerator, IndependenceGenerator, TiltedGenerator, diag_cdf
 from extlab.sampling import (
     Degenerate,
@@ -18,6 +21,7 @@ from extlab.sampling import (
     TwoPoint,
 )
 from extlab.systems import (
+    SYSTEMS,
     BranchingHereditySystem,
     Calibrator,
     ConfigError,
@@ -32,8 +36,6 @@ from extlab.systems import (
     SizeJitterSystem,
     StableSizeGumbelSystem,
     build_system,
-    mean_F_pow_nu,
-    sample_replicate,
 )
 
 
@@ -56,7 +58,7 @@ def _empirical_max_matches_exact(system, n, probes, draws=60_000, seed=42):
 def test_copula_exact_laws():
     sys_ = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     assert float(sys_.exact_max_cdf(2, 0.5)) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert float(sys_.exact_mean_F_pow_nu(10, 0.9, r=2.0)) == pytest.approx(0.9**20, rel=1e-12)
+    assert float(sys_.exact_mean(10, 0.9, r=2.0)) == pytest.approx(0.9**20, rel=1e-12)
     assert float(sys_.closed_form_u(100, 0.5)) == pytest.approx(0.5**0.01, rel=1e-12)
 
 
@@ -101,7 +103,7 @@ def test_duplicated_iid_size_inverse_roundtrip():
     d = np.array([4, 5, 8, 9])
     v = np.array([0.3, 0.5, 0.7, 0.9])
     u = sys_.max_inverse_given_size(d, v)
-    assert np.allclose(sys_.max_cdf_given_size(d, u), v, rtol=1e-12)
+    assert np.allclose(sys_.exact_max_cdf(d, u), v, rtol=1e-12)
 
 
 def test_duplicated_iid_validates_m():
@@ -139,7 +141,7 @@ def test_geometric_threshold_construction():
 def test_geometric_threshold_exact_values():
     sys_ = GeometricThresholdSystem(eps=0.01)
     u = 0.5 / 0.505
-    assert float(sys_.exact_mean_F_pow_nu(1000, u)) == pytest.approx(0.5, rel=1e-9)
+    assert float(sys_.exact_mean(1000, u)) == pytest.approx(0.5, rel=1e-9)
     assert float(sys_.closed_form_u(1000, 0.5)) == pytest.approx(u, rel=1e-12)
     assert float(GeometricThresholdSystem(eps=0.2).exact_max_cdf(10, 0.9)) == pytest.approx(
         0.5, rel=1e-12
@@ -199,7 +201,7 @@ def test_random_threshold_exact_mean_two_point():
     want = 0.5 * sum(
         (z / n) * u / (1.0 - (1.0 - z / n) * u) for z in (0.5, 1.5)
     )
-    assert float(sys_.exact_mean_F_pow_nu(n, u)) == pytest.approx(want, rel=1e-12)
+    assert float(sys_.exact_mean(n, u)) == pytest.approx(want, rel=1e-12)
 
 
 def test_random_threshold_degenerate_collapses_to_geometric():
@@ -210,8 +212,8 @@ def test_random_threshold_degenerate_collapses_to_geometric():
         assert float(rt.exact_max_cdf(n, u)) == pytest.approx(
             float(gt.exact_max_cdf(n, u)), rel=1e-9
         )
-        assert float(rt.exact_mean_F_pow_nu(n, u)) == pytest.approx(
-            float(gt.exact_mean_F_pow_nu(n, u)), rel=1e-9
+        assert float(rt.exact_mean(n, u)) == pytest.approx(
+            float(gt.exact_mean(n, u)), rel=1e-9
         )
 
 
@@ -405,14 +407,14 @@ def test_monotone_transform_delegates_exact_laws():
     assert float(wrapped.exact_max_cdf(10, u**2)) == pytest.approx(
         float(base.exact_max_cdf(10, u)), rel=1e-12
     )
-    assert float(wrapped.exact_mean_F_pow_nu(10, u**2)) == pytest.approx(
-        float(base.exact_mean_F_pow_nu(10, u)), rel=1e-12
+    assert float(wrapped.exact_mean(10, u**2)) == pytest.approx(
+        float(base.exact_mean(10, u)), rel=1e-12
     )
     assert float(wrapped.closed_form_u(10, 0.5)) == pytest.approx(
         float(base.closed_form_u(10, 0.5)) ** 2, rel=1e-12
     )
-    assert wrapped.has_exact_mean and wrapped.has_exact_max_cdf
-    assert wrapped.random_size == base.random_size
+    assert wrapped.has_exact_mean
+    assert (wrapped.calibration_kind, wrapped.u_domain) == (base.calibration_kind, base.u_domain)
 
 
 def test_monotone_transform_rejects_unbounded_base():
@@ -446,9 +448,8 @@ def test_calibrator_exact_path():
     u = np.array([0.9, 0.99])
     assert np.allclose(cal.value(u, r=0.5), u**25, rtol=1e-12)
     assert np.all(cal.stderr_at(u) == 0.0)
-    out = mean_F_pow_nu(sys_, 50, 0.99, r=1.0)
-    assert out.exact and out.stderr == 0.0
-    assert out.value == pytest.approx(0.99**50, rel=1e-12)
+    assert cal.exact and float(cal.stderr_at([0.99])[0]) == 0.0
+    assert float(cal.value([0.99])[0]) == pytest.approx(0.99**50, rel=1e-12)
 
 
 def test_calibrator_pool_determinism():
@@ -472,7 +473,7 @@ def test_calibrator_nu_pool_matches_independent_mc():
     for u in (0.999, 0.9995):
         got = float(cal.value(np.array([u]))[0])
         se = float(cal.stderr_at(np.array([u]))[0])
-        want = float(sys_.exact_mean_F_pow_nu(n, u))
+        want = float(sys_.exact_mean(n, u))
         assert abs(got - want) < 4.0 * se
 
 
@@ -491,11 +492,12 @@ def test_calibrator_rejects_negative_power():
         cal.value(np.array([0.5]), r=-1.0)
 
 
-def test_sample_replicate_scalars():
-    nu, m = sample_replicate(GeometricThresholdSystem(eps=0.2), 10,
-                             RandomStream(seed=37, stream_id=0))
-    assert isinstance(nu, int) and isinstance(m, float)
-    assert nu >= 1 and 0.8 < m < 1.0
+def test_sample_batch_single_draw():
+    nu, m = GeometricThresholdSystem(eps=0.2).sample_batch(
+        10, 1, RandomStream(seed=37, stream_id=0).generator)
+    assert nu.dtype == np.int64 and m.dtype == np.float64
+    assert nu.shape == m.shape == (1,)
+    assert nu[0] >= 1 and 0.8 < m[0] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +532,40 @@ def test_build_system_valid(cfg):
     assert nu.shape == m.shape == (64,)
 
 
+def test_integral_float_fields_build_the_same_system():
+    a = build_system({"kind": "duplicated_iid", "m": 3})
+    b = build_system({"kind": "duplicated_iid", "m": 3.0})
+    assert a.name == b.name and np.array_equal(a.sample_batch(12, 64, _rng(39))[1],
+                                               b.sample_batch(12, 64, _rng(39))[1])
+
+
+def test_registry_is_the_one_list_of_kinds(capsys):
+    kinds = set(SYSTEMS)
+    assert {cfg["kind"] for cfg in _VALID_CONFIGS} == kinds
+    assert all(SYSTEMS[k].kind == k for k in kinds)
+    assert cli.main(["list-systems"]) == 0
+    listed = [ln.split()[0] for ln in capsys.readouterr().out.splitlines()
+              if ln and not ln[0].isspace()]
+    assert sorted(listed) == sorted(kinds)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("## Systems", 1)[1].split("\n\n")[1]
+    rows = [ln.split("`")[1] for ln in table.splitlines() if ln.startswith("| `")]
+    assert sorted(rows) == sorted(kinds)
+
+
+def test_public_names_exist():
+    import extlab
+    from extlab import copulas, estimator, normalizer, reference, sampling, systems
+
+    for module in (cli, copulas, estimator, normalizer, reference, sampling, systems):
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    tree = ast.parse(Path(extlab.__file__).read_text())
+    names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert len(names) > 40
+    assert [n for n in names if not hasattr(extlab, n)] == []
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -542,6 +578,11 @@ def test_build_system_valid(cfg):
         {"kind": "random_threshold", "law": {"kind": "two_point", "delta": 1.5}},
         {"kind": "branching_heredity", "offspring": {"0": 1.0}, "gamma": 1.0, "a": 0.5},
         "not a dict",
+        {"kind": "exchangeable_copula", "generator": {"family": "clayton", "alpha": "x"}},
+        {"kind": "stable_size_gumbel", "beta": 0.5, "gamma": "abc"},
+        {"kind": "branching_heredity", "offspring": [1, 2], "gamma": 1.0, "a": 0.5},
+        {"kind": "duplicated_iid", "m": 2.7},
+        {"kind": "size_jitter", "base": {"kind": "duplicated_iid", "m": 2.5}},
     ],
 )
 def test_build_system_invalid(cfg):

@@ -33,7 +33,6 @@ from .copulas import (
     diag_inverse,
     sample_exchangeable,
     psi_archimedean,
-    psi_tilted,
     partial_indices_archimedean,
 )
 from .systems import (

@@ -51,14 +51,7 @@ def _located(path: str, raw: str, needle: str, msg: str) -> CliError:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.10g}"
+    return "" if x is None else f"{float(x):.10g}"
 
 
 def _jsonable(x):
@@ -112,18 +105,19 @@ def _resolve_grid(cfg: dict, path: str, raw: str) -> np.ndarray:
     spec = cfg.get("s_grid")
     if spec is None:
         return DEFAULT_GRID.copy()
-    if isinstance(spec, dict):
-        extra = set(spec) - {"start", "stop", "count"}
-        if extra or set(spec) != {"start", "stop", "count"}:
-            raise _located(path, raw, '"s_grid"',
-                           "s_grid object needs exactly start/stop/count")
-        grid = np.round(np.linspace(float(spec["start"]), float(spec["stop"]),
-                                    int(spec["count"])), 10)
-    elif isinstance(spec, list):
-        grid = np.asarray(spec, dtype=float)
-    else:
+    if isinstance(spec, dict) and set(spec) != {"start", "stop", "count"}:
+        raise _located(path, raw, '"s_grid"', "s_grid object needs exactly start/stop/count")
+    if not isinstance(spec, (dict, list)):
         raise _located(path, raw, '"s_grid"', "s_grid must be a list or {start, stop, count}")
-    if grid.size == 0 or np.any(grid <= 0.0) or np.any(grid >= 1.0):
+    try:
+        if isinstance(spec, dict):
+            grid = np.round(np.linspace(float(spec["start"]), float(spec["stop"]),
+                                        _integral(spec["count"])), 10)
+        else:
+            grid = np.array([float(x) for x in spec])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise _located(path, raw, '"s_grid"', f"bad s_grid value: {exc}") from None
+    if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):
         raise _located(path, raw, '"s_grid"', "grid values must lie strictly in (0, 1)")
     if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
         raise _located(path, raw, '"s_grid"', "grid must be strictly ascending")
@@ -143,6 +137,9 @@ def _validate_config(cfg: dict, path: str, raw: str) -> None:
         raise _located(path, raw, '"replicates"',
                        f"replicates below minimum: need an integer >= 1000, got {reps!r}")
     analyses = cfg.get("analyses", ["psi", "partial_indices", "tail_indices", "compare"])
+    if not isinstance(analyses, list) or not all(isinstance(a, str) for a in analyses):
+        raise _located(path, raw, '"analyses"',
+                       f"analyses must be a list of names, got {analyses!r}")
     bad = [a for a in analyses if a not in _ANALYSES]
     if bad:
         raise _located(path, raw, f'"{bad[0]}"',
@@ -150,6 +147,9 @@ def _validate_config(cfg: dict, path: str, raw: str) -> None:
     fmt = cfg.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise _located(path, raw, '"format"', f"format must be csv or json, got {fmt!r}")
+    out = cfg.get("out")
+    if out is not None and not isinstance(out, str):
+        raise _located(path, raw, '"out"', f"out must be a file path string, got {out!r}")
     for key in ("n", "workers"):
         try:
             _integral(cfg.get(key, 0))
@@ -317,74 +317,75 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 # compare
 
+def _num(v):
+    if v is None:
+        return None
+    if isinstance(v, str):
+        return {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}.get(v)
+    return float(v)
+
+
 def _read_result(path: str) -> dict:
+    """The s, psi_hat and stderr columns and the index values of a result file."""
     try:
         raw = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"{path}: {exc}") from None
-    stripped = raw.lstrip()
-    if stripped.startswith("{"):
-        data = json.loads(raw)
-        rows = data["rows"]
-        summary = data.get("summary", {})
-    else:
-        rows, summary = [], {}
-        for line in raw.splitlines():
-            if line.startswith("# summary: "):
-                summary = json.loads(line[len("# summary: "):])
-            elif not line or line.startswith("#") or line.startswith("s,"):
-                continue
-            else:
-                parts = line.split(",")
-                keys = ("s", "u_n", "psi_hat", "stderr", "psi_ref", "z")
-                rows.append({k: (float(v) if v else None)
-                             for k, v in zip(keys, parts)})
+    try:
+        if raw.lstrip().startswith(("{", "[")):
+            data = json.loads(raw)
+            rows = data["rows"]
+            summary = data.get("summary", {})
+        else:
+            rows, summary = [], {}
+            for line in raw.splitlines():
+                if line.startswith("# summary: "):
+                    summary = json.loads(line[len("# summary: "):])
+                elif not line or line.startswith("#") or line.startswith("s,"):
+                    continue
+                else:
+                    parts = line.split(",")
+                    keys = ("s", "u_n", "psi_hat", "stderr", "psi_ref", "z")
+                    rows.append({k: (float(v) if v else None)
+                                 for k, v in zip(keys, parts)})
+        cols = {k: np.asarray([r[k] for r in rows], dtype=float)
+                for k in ("s", "psi_hat", "stderr")}
+        indices = {k: _num(v) for k, v in summary.get("indices", {}).items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CliError(f"{path}: not an extlab result file "
+                       f"({type(exc).__name__}: {exc})") from None
     if not rows:
         raise CliError(f"{path}: no result rows found")
-    return {"rows": rows, "summary": summary}
+    return {**cols, "indices": indices}
 
 
 def _cmd_compare(args) -> int:
     a = _read_result(args.file_a)
     b = _read_result(args.file_b)
-    sa = np.asarray([r["s"] for r in a["rows"]], dtype=float)
-    sb = np.asarray([r["s"] for r in b["rows"]], dtype=float)
+    sa, sb = a["s"], b["s"]
     if sa.shape != sb.shape or not np.allclose(sa, sb, rtol=0.0, atol=1e-9):
         print(f"grid mismatch: {args.file_a} has {sa.size} points, "
               f"{args.file_b} has {sb.size}", file=sys.stderr)
         return 2
 
-    pa = np.asarray([r["psi_hat"] for r in a["rows"]], dtype=float)
-    pb = np.asarray([r["psi_hat"] for r in b["rows"]], dtype=float)
-    ea = np.asarray([r["stderr"] for r in a["rows"]], dtype=float)
-    eb = np.asarray([r["stderr"] for r in b["rows"]], dtype=float)
-    dev = np.abs(pa - pb)
-    sigma = np.sqrt(ea**2 + eb**2)
+    dev = np.abs(a["psi_hat"] - b["psi_hat"])
+    sigma = np.sqrt(a["stderr"]**2 + b["stderr"]**2)
 
     report: dict = {
         "points": int(sa.size),
         "max_abs_dpsi": _jsonable(np.max(dev)),
         "argmax_s": _jsonable(sa[int(np.argmax(dev))]),
     }
-    ia = a["summary"].get("indices", {})
-    ib = b["summary"].get("indices", {})
-
-    def _num(v):
-        if v is None:
-            return None
-        if isinstance(v, str):
-            return {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}.get(v)
-        return float(v)
-
+    ia, ib = a["indices"], b["indices"]
     deltas = {}
     for key in sorted(set(ia) & set(ib)):
-        va, vb = _num(ia[key]), _num(ib[key])
+        va, vb = ia[key], ib[key]
         if va is None or vb is None:
             continue
         deltas[key] = _jsonable(va - vb)
     report["index_deltas"] = deltas
     for label, idx in (("a", ia), ("b", ib)):
-        slope, def2 = _num(idx.get("grid_mean_slope")), _num(idx.get("theta_def2"))
+        slope, def2 = idx.get("grid_mean_slope"), idx.get("theta_def2")
         if slope is not None and def2 is not None:
             report[f"def1_def2_gap_{label}"] = _jsonable(slope - def2)
 

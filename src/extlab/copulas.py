@@ -48,7 +48,6 @@ __all__ = [
     "diag_inverse",
     "sample_exchangeable",
     "psi_archimedean",
-    "psi_tilted",
     "partial_indices_archimedean",
 ]
 
@@ -78,6 +77,10 @@ class ArchimedeanGenerator:
     def x0(self) -> float:
         """Essential infimum of the frailty."""
         raise NotImplementedError
+
+    def fixed(self, d) -> "ArchimedeanGenerator":
+        """The generator at dimension d: itself, since it has no tilt."""
+        return self
 
     def __repr__(self):
         return self.name
@@ -268,7 +271,7 @@ class TiltedGenerator:
 
     Not itself a fixed generator: the effective structure at dimension d is
     ``fixed(d)``, a plain generator with exponent ``power_at(d)``.  The
-    diagonal and sampling helpers below resolve the tilt automatically.
+    diagonal and sampling helpers below call ``fixed`` on every generator.
     """
 
     def __init__(self, base: ArchimedeanGenerator, gamma: float):
@@ -295,18 +298,12 @@ class TiltedGenerator:
         return self.name
 
 
-def _at_dim(gen, d):
-    if isinstance(gen, TiltedGenerator):
-        return gen.fixed(d)
-    return gen
-
-
 # ---------------------------------------------------------------------------
 # diagonal operations
 
 def diag_cdf(gen, d, y):
     """P(max of the d exchangeable terms <= y) = f(d * phi(y))."""
-    g = _at_dim(gen, d)
+    g = gen.fixed(d)
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = g.f(np.asarray(d, dtype=float) * g.phi(y))
@@ -314,29 +311,20 @@ def diag_cdf(gen, d, y):
     return out if out.ndim else float(out)
 
 
-_BISECT_STEPS = 48  # interval width 2^-48 < 1e-14, well under the 1e-12 target
-
-
 def diag_inverse(gen, d, v):
-    """Inverse of diag_cdf in y, by vectorized bisection on [0, 1].
+    """Inverse of diag_cdf in y: f(phi(v) / d), with v = 0 -> 0 and v = 1 -> 1.
 
-    Absolute tolerance 1e-12; the diagonal is continuous and increasing in
-    y for every generator here, so plain bisection is exact bookkeeping.
+    Some inverse generators round an ulp past [0, 1] (Frank's f(0) is
+    1 +- 6e-16 for many alpha), so the result is clipped to [0, 1] and v = 1
+    is pinned to 1, as diag_cdf pins y = 1.
     """
-    g = _at_dim(gen, d)
+    g = gen.fixed(d)
     v = np.asarray(v, dtype=float)
     if np.any((v < 0.0) | (v > 1.0)):
         raise ValueError("diagonal values must lie in [0, 1]")
-    d = np.asarray(d, dtype=float)
-    lo = np.zeros(np.broadcast(v, d).shape)
-    hi = np.ones_like(lo)
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            below = g.f(d * g.phi(mid)) <= v
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    out = 0.5 * (lo + hi)
+    with np.errstate(divide="ignore", over="ignore"):  # phi(0) = inf
+        out = g.f(g.phi(v) / np.asarray(d, dtype=float))
+    out = np.where(v >= 1.0, 1.0, np.clip(out, 0.0, 1.0))
     return out if out.ndim else float(out)
 
 
@@ -347,7 +335,7 @@ def sample_exchangeable(gen, d: int, stream, size=None):
     """
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
-    g = _at_dim(gen, d)
+    g = gen.fixed(d)
     rng = stream.generator
     m = 1 if size is None else int(size)
     zeta = np.asarray(g.frailty.sample(rng, m), dtype=float)
@@ -359,35 +347,23 @@ def sample_exchangeable(gen, d: int, stream, size=None):
 # ---------------------------------------------------------------------------
 # limit curves and indices
 
-def psi_archimedean(gen, s):
-    """Limit curve f(-ln s / mu) for a finite-mean frailty."""
-    g = gen
+def psi_archimedean(gen, s, gamma: float = 0.0):
+    """Limit curve f(-ln s * exp(-gamma) / mu) for a finite-mean frailty.
+
+    gamma = 0 is the untilted curve f(-ln s / mu); a tilted generator folds
+    into its base, its own gamma adding to the given one.
+    """
     if isinstance(gen, TiltedGenerator):
-        raise ValueError("tilted structure: use psi_tilted with the base generator")
-    if not math.isfinite(g.mu):
+        gen, gamma = gen.base, gen.gamma + gamma
+    if not math.isfinite(gen.mu):
         raise ValueError(
-            f"{g.name} has infinite frailty mean; the untilted limit curve is degenerate"
+            f"{gen.name} has infinite frailty mean; the finite-mean limit curve does not apply"
         )
     s = np.asarray(s, dtype=float)
     if np.any((s < 0.0) | (s > 1.0)):
         raise ValueError("s must lie in [0, 1]")
     with np.errstate(divide="ignore"):
-        out = np.where(s == 0.0, 0.0, g.f(-np.log(s) / g.mu))
-    return out if out.ndim else float(out)
-
-
-def psi_tilted(base, gamma: float, s):
-    """Limit curve under the tilt: f(-exp(-gamma) ln s / mu)."""
-    if isinstance(base, TiltedGenerator):
-        base, gamma = base.base, base.gamma + gamma
-    if not math.isfinite(base.mu):
-        raise ValueError(f"{base.name} has infinite frailty mean")
-    s = np.asarray(s, dtype=float)
-    if np.any((s < 0.0) | (s > 1.0)):
-        raise ValueError("s must lie in [0, 1]")
-    scale = math.exp(-gamma) / base.mu
-    with np.errstate(divide="ignore"):
-        out = np.where(s == 0.0, 0.0, base.f(-np.log(s) * scale))
+        out = np.where(s == 0.0, 0.0, gen.f(-np.log(s) * math.exp(-gamma) / gen.mu))
     return out if out.ndim else float(out)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -262,17 +262,7 @@ class IndexReport:
     def2_discrepancy: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "theta_minus": self.theta_minus,
-            "theta_plus": self.theta_plus,
-            "theta0": self.theta0,
-            "theta1": self.theta1,
-            "grid_mean_slope": self.grid_mean_slope,
-            "grid_mean_slope_se": self.grid_mean_slope_se,
-            "isotonic_violation": self.isotonic_violation,
-            "theta_def2": self.theta_def2,
-            "def2_discrepancy": self.def2_discrepancy,
-        }
+        return asdict(self)
 
 
 def index_report(est: PsiEstimate, def2: Def2Fit | None = None) -> IndexReport:

@@ -107,16 +107,12 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None, tol: float = 
     closed = system.closed_form_u(n, s)
     if closed is not None:
         u = np.asarray(closed, dtype=float)
-        if system.has_exact_mean:
-            cal = calibrator or Calibrator(system, n)
-        elif calibrator is not None or pool is not None or stream is not None:
-            cal = calibrator or Calibrator(system, n, stream=stream, pool=pool, pool_size=pool_size)
-        else:
+        no_draws = calibrator is None and pool is None and stream is None
+        if no_draws and system.calibration_kind != "exact":
             nan = np.full(s.shape, math.nan)
             return NormalizingCurve(n, s, u, nan, nan, "closed_form")
-        achieved = cal.value(u)
-        stderr = cal.stderr_at(u)
-        return NormalizingCurve(n, s, u, achieved, stderr, "closed_form")
+        cal = calibrator or Calibrator(system, n, stream=stream, pool=pool, pool_size=pool_size)
+        return NormalizingCurve(n, s, u, cal.value(u), cal.stderr_at(u), "closed_form")
 
     cal = calibrator or Calibrator(system, n, stream=stream, pool=pool, pool_size=pool_size)
     value_fn = cal.value

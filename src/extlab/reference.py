@@ -21,14 +21,12 @@ from .copulas import (
     TiltedGenerator,
     partial_indices_archimedean,
     psi_archimedean,
-    psi_tilted,
 )
 from .sampling import Degenerate, Distribution, Pareto, TwoPoint
 
 __all__ = [
     "ReferenceModel",
     "ArchimedeanLimit",
-    "TiltedArchimedeanLimit",
     "DuplicatedIidLimit",
     "SpikeMixtureLimit",
     "FixedThresholdLimit",
@@ -69,49 +67,35 @@ def _check_s(s):
 
 
 class ArchimedeanLimit(ReferenceModel):
-    """Limit curve f(-ln s / mu) of an exchangeable series, finite frailty mean."""
+    """Limit curve f(-ln s * exp(-gamma) / mu) of an exchangeable series, finite frailty mean.
 
-    def __init__(self, gen: ArchimedeanGenerator):
+    gamma = 0 is the untilted curve; gamma > 0 is the limit under the power
+    tilt.  A tilted generator folds into its base, its gamma adding to the
+    given one.
+    """
+
+    def __init__(self, gen: ArchimedeanGenerator | TiltedGenerator, gamma: float = 0.0):
+        if isinstance(gen, TiltedGenerator):
+            gen, gamma = gen.base, gen.gamma + gamma
         if not math.isfinite(gen.mu):
             raise ValueError(f"{gen.name}: infinite frailty mean, no finite-mean limit curve")
-        self.gen = gen
-        self.name = f"archimedean_limit({gen.name})"
-
-    def psi(self, s):
-        return psi_archimedean(self.gen, _check_s(s))
-
-    def indices(self):
-        tm, tp = partial_indices_archimedean(self.gen)
-        return {
-            "theta_minus": tm, "theta_plus": tp,
-            # the slope attains x0/mu in the deep tail and 1 near s = 1
-            "theta0": tm, "theta1": tp,
-            "theta_def2": 1.0 if isinstance(self.gen, IndependenceGenerator) else None,
-        }
-
-
-class TiltedArchimedeanLimit(ReferenceModel):
-    """Limit curve f(-exp(-gamma) ln s / mu) under the power tilt."""
-
-    def __init__(self, base: ArchimedeanGenerator, gamma: float):
-        if isinstance(base, TiltedGenerator):
-            base, gamma = base.base, base.gamma + gamma
-        if not math.isfinite(base.mu):
-            raise ValueError(f"{base.name}: infinite frailty mean")
         if gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {gamma}")
-        self.base = base
+        self.gen = gen
         self.gamma = float(gamma)
-        self.name = f"tilted_limit({base.name}, gamma={self.gamma:g})"
+        self.name = (f"archimedean_limit({gen.name})" if self.gamma == 0.0
+                     else f"tilted_limit({gen.name}, gamma={self.gamma:g})")
 
     def psi(self, s):
-        return psi_tilted(self.base, self.gamma, _check_s(s))
+        return psi_archimedean(self.gen, _check_s(s), self.gamma)
 
     def indices(self):
-        tm, tp = partial_indices_archimedean(self.base, self.gamma)
+        tm, tp = partial_indices_archimedean(self.gen, self.gamma)
         return {
-            "theta_minus": tm, "theta_plus": tp, "theta0": tm, "theta1": tp,
-            "theta_def2": tp if isinstance(self.base, IndependenceGenerator) else None,
+            "theta_minus": tm, "theta_plus": tp,
+            # the slope attains theta_minus in the deep tail and theta_plus near s = 1
+            "theta0": tm, "theta1": tp,
+            "theta_def2": tp if isinstance(self.gen, IndependenceGenerator) else None,
         }
 
 
@@ -233,20 +217,19 @@ class RandomThresholdLimit(ReferenceModel):
         return self._mean(lambda z: np.maximum(z - t, 0.0), kink=t)
 
     def f_inv(self, s: float) -> float:
-        lo, hi = 0.0, 1.0
+        """The root t of f(t) = s; f falls strictly from f(0) = 1 towards 0."""
+        from scipy.optimize import brentq
+
+        hi = 1.0
         for _ in range(200):
             if self.f(hi) < s:
                 break
             hi *= 2.0
         else:
             raise RuntimeError("no bracket for f_inv")
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            if self.f(mid) >= s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        # rtol = 4 eps is brentq's floor: the root to float resolution
+        return brentq(lambda t: self.f(t) - s, 0.0, hi,
+                      xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
 
     def psi(self, s):
         s = _check_s(s)

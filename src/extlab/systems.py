@@ -47,7 +47,6 @@ from .reference import (
     ReferenceModel,
     SpikeMixtureLimit,
     StableSizeGumbelLimit,
-    TiltedArchimedeanLimit,
 )
 from .sampling import (
     Degenerate,
@@ -155,8 +154,7 @@ class SeriesSystem:
     name = "series"
     kind: str | None = None     # config kind of a registered system
     fields: dict = {}           # config field -> parser, named as in __init__
-    has_exact_mean = False      # exact_mean implemented
-    calibration_kind = "exact"  # or "nu_pool" / "marginal_pool"
+    calibration_kind = "exact"  # exact_mean implemented; or "nu_pool" / "marginal_pool"
     u_domain = (0.0, 1.0)       # open interval the thresholds live in
 
     def validate_n(self, n: int) -> None:
@@ -172,15 +170,15 @@ class SeriesSystem:
         return self.sample_batch(n, count, rng)[0]
 
     def marginal_cdf(self, n: int, x):
-        """Common per-term d.f. F_n."""
-        raise NotImplementedError(f"{self.name} has no closed-form marginal")
+        """Common per-term d.f. F_n; uniform on [0, 1] unless overridden."""
+        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def sample_marginal(self, n: int, count: int, rng) -> np.ndarray:
         """Draws from F_n, for systems whose marginal is only samplable."""
         raise NotImplementedError(f"{self.name} has no marginal sampler")
 
     def exact_mean(self, n: int, u, r: float = 1.0):
-        """E F_n(u)^(r nu_n) in closed form, where has_exact_mean says so."""
+        """E F_n(u)^(r nu_n) in closed form, where calibration_kind is "exact"."""
         raise NotImplementedError
 
     def exact_max_cdf(self, n: int, u):
@@ -211,7 +209,6 @@ class ExchangeableCopulaSystem(SeriesSystem):
 
     kind = "exchangeable_copula"
     fields = {"generator": _build_generator}
-    has_exact_mean = True
 
     def __init__(self, generator):
         if not isinstance(generator, (ArchimedeanGenerator, TiltedGenerator)):
@@ -230,21 +227,12 @@ class ExchangeableCopulaSystem(SeriesSystem):
             except ValueError as exc:
                 raise ConfigError(f"{self.name}: {exc}") from None
 
-    def _fixed(self, d):
-        return self.gen.fixed(d) if isinstance(self.gen, TiltedGenerator) else self.gen
-
     def sample_batch(self, n, count, rng):
-        g = self._fixed(n)
+        g = self.gen.fixed(n)
         zeta = np.asarray(g.frailty.sample(rng, count), dtype=float)
         e = rng.standard_exponential(count)
         m = g.f(e / (n * zeta))
         return np.full(count, n, dtype=np.int64), m
-
-    def sample_nu(self, n, count, rng):
-        return np.full(count, n, dtype=np.int64)
-
-    def marginal_cdf(self, n, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def exact_mean(self, n, u, r=1.0):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** (r * n)
@@ -259,11 +247,10 @@ class ExchangeableCopulaSystem(SeriesSystem):
         return np.asarray(s, dtype=float) ** (1.0 / n)
 
     def reference(self):
-        gen = self.gen
-        if isinstance(gen, TiltedGenerator):
-            finite = math.isfinite(gen.base.mu)
-            return TiltedArchimedeanLimit(gen.base, gen.gamma) if finite else None
-        return ArchimedeanLimit(gen) if math.isfinite(gen.mu) else None
+        try:
+            return ArchimedeanLimit(self.gen)
+        except ValueError:  # infinite frailty mean: no finite-mean limit curve
+            return None
 
 
 class DuplicatedIidSystem(SeriesSystem):
@@ -275,7 +262,6 @@ class DuplicatedIidSystem(SeriesSystem):
 
     kind = "duplicated_iid"
     fields = {"m": _integral}
-    has_exact_mean = True
 
     def __init__(self, m: int):
         if not isinstance(m, (int, np.integer)) or m < 2:
@@ -291,12 +277,6 @@ class DuplicatedIidSystem(SeriesSystem):
         g = self._groups(n, self.m)
         m_val = rng.random(count) ** (1.0 / g)
         return np.full(count, n, dtype=np.int64), m_val
-
-    def sample_nu(self, n, count, rng):
-        return np.full(count, n, dtype=np.int64)
-
-    def marginal_cdf(self, n, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def exact_mean(self, n, u, r=1.0):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** (r * n)
@@ -326,7 +306,6 @@ class MixtureSpikeSystem(SeriesSystem):
 
     kind = "mixture_spike"
     fields = {"gamma": float}
-    has_exact_mean = True
 
     def __init__(self, gamma: float):
         if not gamma > 0:
@@ -340,9 +319,6 @@ class MixtureSpikeSystem(SeriesSystem):
         v2 = rng.random(count)
         m = np.maximum(v1 ** (1.0 / (n - 1)), v2 ** (1.0 / (self.gamma * n)))
         return np.full(count, n, dtype=np.int64), m
-
-    def sample_nu(self, n, count, rng):
-        return np.full(count, n, dtype=np.int64)
 
     def marginal_cdf(self, n, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -372,7 +348,6 @@ class GeometricThresholdSystem(SeriesSystem):
 
     kind = "geometric_threshold"
     fields = {"eps": float, "eps_exponent": float}
-    has_exact_mean = True
 
     def __init__(self, eps: float | None = None, eps_exponent: float | None = None):
         if (eps is None) == (eps_exponent is None):
@@ -401,9 +376,6 @@ class GeometricThresholdSystem(SeriesSystem):
 
     def sample_nu(self, n, count, rng):
         return rng.geometric(self.eps_at(n), count).astype(np.int64)
-
-    def marginal_cdf(self, n, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def exact_mean(self, n, u, r=1.0):
         eps = self.eps_at(n)
@@ -440,7 +412,6 @@ class RandomThresholdSystem(SeriesSystem):
 
     kind = "random_threshold"
     fields = {"law": _build_zeta}
-    has_exact_mean = True
 
     def __init__(self, law: Distribution):
         try:
@@ -477,9 +448,6 @@ class RandomThresholdSystem(SeriesSystem):
     def sample_nu(self, n, count, rng):
         z = self._draw(self.zeta, n, count, rng)
         return rng.geometric(np.clip(z / n, 1e-300, 1.0), count).astype(np.int64)
-
-    def marginal_cdf(self, n, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def _mix(self, n, h) -> float:
         # E[h(zeta) | zeta < n]; the conditioning mass is ~1 at working sizes
@@ -558,9 +526,6 @@ class StableSizeGumbelSystem(SeriesSystem):
         v = rng.random(count)
         m = v ** (nu.astype(float) ** (-1.0 / alpha))
         return nu, m
-
-    def marginal_cdf(self, n, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
     def closed_form_u(self, n, s):
         s = np.asarray(s, dtype=float)
@@ -760,8 +725,8 @@ class PowerLawGraphSystem(SeriesSystem):
             m[i] = self._one_graph_max(n, rng)
         return np.full(count, n, dtype=np.int64), m
 
-    def sample_nu(self, n, count, rng):
-        return np.full(count, n, dtype=np.int64)
+    def marginal_cdf(self, n, x):
+        raise NotImplementedError(f"{self.name}: the aggregate marginal has no closed form")
 
     def sample_marginal(self, n, count, rng):
         # aggregate of one vertex: own activity + D iid picked activities;
@@ -823,7 +788,6 @@ class MonotoneTransformSystem(SeriesSystem):
             raise ConfigError("power transform needs a base with thresholds in (0, 1)")
         self.base = base
         self.transform = power
-        self.has_exact_mean = base.has_exact_mean
         self.calibration_kind = base.calibration_kind
         self.u_domain = base.u_domain
         self.name = f"monotone_transform({base.name}, {power.name})"
@@ -895,9 +859,6 @@ class SizeJitterSystem(SeriesSystem):
         m = self.base.max_inverse_given_size(nu, v)
         return nu, m
 
-    def marginal_cdf(self, n, x):
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
-
 
 # ---------------------------------------------------------------------------
 # module operations
@@ -929,8 +890,8 @@ class Calibrator:
         system.validate_n(n)
         self.system = system
         self.n = n
-        self.exact = system.has_exact_mean
         self.kind = system.calibration_kind
+        self.exact = self.kind == "exact"
         if self.exact:
             self.pool = None
             return

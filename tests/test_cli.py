@@ -147,6 +147,10 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"s_grid": [0.9, 0.1]}, "ascending"),
         ({"s_grid": [0.5, 1.5]}, "strictly in (0, 1)"),
         ({"s_grid": {"start": 0.1, "stop": 0.9}}, "start/stop/count"),
+        ({"s_grid": {"start": "a", "stop": 0.9, "count": 3}}, "bad s_grid value"),
+        ({"s_grid": {"start": 0.1, "stop": 0.9, "count": 2.5}}, "must be an integer"),
+        ({"out": 7}, "out must be a file path string"),
+        ({"analyses": "psi"}, "analyses must be a list"),
         ({"frobnicate": 1}, "unknown config fields"),
         ({"analyses": ["psi", "bogus"]}, "unknown analyses"),
         ({"n": None}, "missing required field"),
@@ -231,6 +235,16 @@ def test_solver_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # compare
+
+@pytest.mark.parametrize("text", ['{"rows": [', "{}", "[1,2]", "s,u_n,psi_hat\n0.5,0.9,abc\n"],
+                         ids=["truncated", "no_rows", "array", "bad_cell"])
+def test_compare_malformed_result_exits_2(tmp_path, canonical, capsys, monkeypatch, text):
+    bad = tmp_path / "bad.result"
+    bad.write_text(text)
+    assert _main("compare", str(canonical["w1"]), str(bad), monkeypatch=monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}:") and "Traceback" not in err
+
 
 def test_compare_identical_runs(canonical, capsys, monkeypatch):
     code = _main("compare", str(canonical["w1"]), str(canonical["w3"]),

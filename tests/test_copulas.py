@@ -19,7 +19,6 @@ from extlab.copulas import (
     diag_inverse,
     partial_indices_archimedean,
     psi_archimedean,
-    psi_tilted,
     sample_exchangeable,
 )
 from extlab.sampling import RandomStream
@@ -162,6 +161,18 @@ def test_diag_cdf_monotone_in_y_and_d():
     assert float(diag_cdf(gen, 20, 0.8)) < float(diag_cdf(gen, 10, 0.8))
 
 
+@pytest.mark.parametrize(
+    "gen", _GENERATORS + [TiltedGenerator(FrankGenerator(2.0), math.log(2.0))],
+    ids=lambda g: g.name,
+)
+def test_diag_inverse_exact_endpoints(gen):
+    # the closed form f(phi(v) / d) lands on the ends of [0, 1] exactly
+    for d in (3, 10, 100):
+        assert diag_inverse(gen, d, 0.0) == 0.0
+        assert diag_inverse(gen, d, 1.0) == 1.0
+        assert np.array_equal(diag_inverse(gen, d, np.array([0.0, 1.0])), [0.0, 1.0])
+
+
 def test_diag_inverse_validates_input():
     with pytest.raises(ValueError):
         diag_inverse(ClaytonGenerator(1.0), 4, 1.5)
@@ -225,33 +236,31 @@ def test_psi_deep_tail_below_1e300(gen, gamma):
     # subnormal s must not be clamped: psi is f(-ln s * exp(-gamma) / mu) all the way down
     for s in (1e-305, 1e-310, 5e-324):
         want = float(gen.f(-math.log(s) * math.exp(-(gamma or 0.0)) / gen.mu))
-        got = psi_archimedean(gen, s) if gamma is None else psi_tilted(gen, gamma, s)
+        got = psi_archimedean(gen, s) if gamma is None else psi_archimedean(gen, s, gamma)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
 
 
-def test_psi_tilted_frozen_values():
+def test_psi_archimedean_tilted_frozen_values():
     # independence tilts to the pure power s^exp(-gamma)
-    assert psi_tilted(IndependenceGenerator(), math.log(2.0), 0.25) == pytest.approx(
+    assert psi_archimedean(IndependenceGenerator(), 0.25, math.log(2.0)) == pytest.approx(
         0.5, rel=1e-12
     )
-    assert psi_tilted(FrankGenerator(2.0), math.log(2.0), 0.5) == pytest.approx(
+    assert psi_archimedean(FrankGenerator(2.0), 0.5, math.log(2.0)) == pytest.approx(
         0.747534519487085, rel=1e-12
     )
     # folding: a tilted generator plus extra gamma adds in the exponent scale
     tg = TiltedGenerator(IndependenceGenerator(), math.log(2.0))
-    assert psi_tilted(tg, math.log(2.0), 0.0625) == pytest.approx(0.5, rel=1e-9)
+    assert psi_archimedean(tg, 0.0625, math.log(2.0)) == pytest.approx(0.5, rel=1e-9)
+    assert psi_archimedean(tg, 0.25) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_psi_rejects_infinite_mean():
     with pytest.raises(ValueError):
         psi_archimedean(GumbelHougaardGenerator(2.0), 0.5)
     with pytest.raises(ValueError):
-        psi_tilted(GumbelHougaardGenerator(1.5), 0.0, 0.5)
-
-
-def test_psi_rejects_tilted_without_helper():
+        psi_archimedean(GumbelHougaardGenerator(1.5), 0.5, 0.5)
     with pytest.raises(ValueError):
-        psi_archimedean(TiltedGenerator(ClaytonGenerator(1.0), 0.5), 0.5)
+        psi_archimedean(TiltedGenerator(GumbelHougaardGenerator(1.5), 0.5), 0.5)
 
 
 @given(s=st.floats(1e-4, 1.0 - 1e-4), alpha=st.floats(0.1, 5.0))

@@ -145,7 +145,6 @@ class _FlatSystem(SeriesSystem):
     """Calibration mean pinned at a constant: brackets cannot exist."""
 
     name = "flat"
-    has_exact_mean = True
     u_domain = (None, None)
 
     def __init__(self, level):
@@ -159,7 +158,6 @@ class _StepSystem(SeriesSystem):
     """Exact mean with a jump: the root exists but the residual cannot close."""
 
     name = "step"
-    has_exact_mean = True
 
     def exact_mean(self, n, u, r=1.0):
         return np.where(np.asarray(u, dtype=float) >= 0.7, 0.9, 0.1)

@@ -24,10 +24,10 @@ from extlab.reference import (
     RandomThresholdLimit,
     SpikeMixtureLimit,
     StableSizeGumbelLimit,
-    TiltedArchimedeanLimit,
     TwoPointThresholdLimit,
     mixed_max_stable_cdf,
 )
+from extlab.estimator import DEFAULT_GRID
 from extlab.sampling import (
     Degenerate,
     Gamma,
@@ -86,29 +86,42 @@ def test_archimedean_limit_rejects_infinite_frailty_mean():
 
 def test_tilted_limit_frozen_values():
     g = math.log(2.0)
-    m = TiltedArchimedeanLimit(IndependenceGenerator(), g)
+    m = ArchimedeanLimit(IndependenceGenerator(), g)
     assert m.psi(0.25) == pytest.approx(0.5, rel=1e-12)
     idx = m.indices()
     assert idx["theta_minus"] == idx["theta_plus"] == pytest.approx(0.5)
     assert idx["theta_def2"] == pytest.approx(0.5)
-    assert TiltedArchimedeanLimit(FrankGenerator(2.0), g).psi(0.5) == pytest.approx(
+    assert ArchimedeanLimit(FrankGenerator(2.0), g).psi(0.5) == pytest.approx(
         0.747534519487085, rel=1e-12
     )
 
 
 def test_tilted_limit_folds_tilted_generator():
     inner = TiltedGenerator(IndependenceGenerator(), gamma=0.3)
-    m = TiltedArchimedeanLimit(inner, 0.4)
-    assert isinstance(m.base, IndependenceGenerator)
+    m = ArchimedeanLimit(inner, 0.4)
+    assert isinstance(m.gen, IndependenceGenerator)
     assert m.gamma == pytest.approx(0.7)
     assert m.psi(0.5) == pytest.approx(0.5 ** math.exp(-0.7), rel=1e-12)
 
 
+@pytest.mark.parametrize("gen", [IndependenceGenerator(), ClaytonGenerator(1.0),
+                                 FrankGenerator(2.0)], ids=lambda g: g.name)
+def test_tilted_generator_folds_into_gamma(gen):
+    folded = ArchimedeanLimit(TiltedGenerator(gen, 0.3), 0.4)
+    direct = ArchimedeanLimit(gen, 0.3 + 0.4)
+    assert np.array_equal(folded.psi(_S_GRID), direct.psi(_S_GRID))
+    assert folded.indices() == direct.indices()
+    assert folded.name == direct.name == f"tilted_limit({gen.name}, gamma=0.7)"
+    assert ArchimedeanLimit(gen).name == f"archimedean_limit({gen.name})"
+
+
 def test_tilted_limit_validation():
     with pytest.raises(ValueError):
-        TiltedArchimedeanLimit(GumbelHougaardGenerator(2.0), 0.5)
+        ArchimedeanLimit(GumbelHougaardGenerator(2.0), 0.5)
     with pytest.raises(ValueError):
-        TiltedArchimedeanLimit(IndependenceGenerator(), -0.1)
+        ArchimedeanLimit(TiltedGenerator(GumbelHougaardGenerator(2.0), 0.5))
+    with pytest.raises(ValueError):
+        ArchimedeanLimit(IndependenceGenerator(), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +239,14 @@ def test_pareto_threshold_against_monte_carlo():
     assert m.indices()["theta0"] == pytest.approx(2.0)
     # E 1/zeta = a / ((a+1) x_min) = 9/8 for this law
     assert m.theta1() == pytest.approx(8.0 / 9.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("zeta", [Pareto(3.0, 2.0 / 3.0), Gamma(2.0, 0.5)],
+                         ids=["pareto", "gamma"])
+def test_f_inv_round_trip(zeta):
+    m = RandomThresholdLimit(zeta)
+    for s in DEFAULT_GRID:
+        assert m.f(m.f_inv(float(s))) == pytest.approx(float(s), rel=1e-12, abs=0.0)
 
 
 def test_random_threshold_limit_needs_mean_one():
@@ -354,8 +375,9 @@ def test_reference_lookup_direct_families():
     tilted = ExchangeableCopulaSystem(
         TiltedGenerator(FrankGenerator(2.0), gamma=0.5)
     ).reference()
-    assert isinstance(tilted, TiltedArchimedeanLimit)
+    assert isinstance(tilted, ArchimedeanLimit)
     assert tilted.gamma == pytest.approx(0.5)
+    assert tilted.name == "tilted_limit(frank(alpha=2), gamma=0.5)"
     assert ExchangeableCopulaSystem(
         TiltedGenerator(GumbelHougaardGenerator(2.0), gamma=0.5)
     ).reference() is None

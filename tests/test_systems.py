@@ -413,7 +413,7 @@ def test_monotone_transform_delegates_exact_laws():
     assert float(wrapped.closed_form_u(10, 0.5)) == pytest.approx(
         float(base.closed_form_u(10, 0.5)) ** 2, rel=1e-12
     )
-    assert wrapped.has_exact_mean
+    assert wrapped.calibration_kind == "exact"
     assert (wrapped.calibration_kind, wrapped.u_domain) == (base.calibration_kind, base.u_domain)
 
 
@@ -530,6 +530,15 @@ def test_build_system_valid(cfg):
     sys_.validate_n(12)
     nu, m = sys_.sample_batch(12, 64, _rng(39))
     assert nu.shape == m.shape == (64,)
+    # the calibration kind is the one flag saying exact_mean exists
+    if sys_.calibration_kind == "exact":
+        assert math.isfinite(float(sys_.exact_mean(12, 0.5)))
+    else:
+        with pytest.raises(NotImplementedError):
+            sys_.exact_mean(12, 0.5)
+    if cfg["kind"] == "power_law_graph":
+        with pytest.raises(NotImplementedError):
+            sys_.marginal_cdf(12, 2.0)
 
 
 def test_integral_float_fields_build_the_same_system():

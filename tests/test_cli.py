@@ -147,10 +147,6 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"s_grid": [0.9, 0.1]}, "ascending"),
         ({"s_grid": [0.5, 1.5]}, "strictly in (0, 1)"),
         ({"s_grid": {"start": 0.1, "stop": 0.9}}, "start/stop/count"),
-        ({"s_grid": {"start": "a", "stop": 0.9, "count": 3}}, "bad s_grid value"),
-        ({"s_grid": {"start": 0.1, "stop": 0.9, "count": 2.5}}, "must be an integer"),
-        ({"out": 7}, "out must be a file path string"),
-        ({"analyses": "psi"}, "analyses must be a list"),
         ({"frobnicate": 1}, "unknown config fields"),
         ({"analyses": ["psi", "bogus"]}, "unknown analyses"),
         ({"n": None}, "missing required field"),
@@ -167,6 +163,10 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
                      "generator": {"family": "frank", "alpha": "x"}}}, "field 'generator'"),
         ({"system": {"kind": "branching_heredity", "offspring": [1, 2],
                      "gamma": 1.0, "a": 0.5}}, "field 'offspring'"),
+        ({"s_grid": {"start": "a", "stop": 0.9, "count": 3}}, "bad s_grid value"),
+        ({"s_grid": {"start": 0.1, "stop": 0.9, "count": 2.5}}, "must be an integer"),
+        ({"out": 7}, "out must be a file path string"),
+        ({"analyses": "psi"}, "analyses must be a list"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):

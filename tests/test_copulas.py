@@ -240,7 +240,7 @@ def test_psi_deep_tail_below_1e300(gen, gamma):
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
 
 
-def test_psi_archimedean_tilted_frozen_values():
+def test_psi_tilted_frozen_values():
     # independence tilts to the pure power s^exp(-gamma)
     assert psi_archimedean(IndependenceGenerator(), 0.25, math.log(2.0)) == pytest.approx(
         0.5, rel=1e-12

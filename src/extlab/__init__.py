@@ -32,8 +32,6 @@ from .copulas import (
     diag_cdf,
     diag_inverse,
     sample_exchangeable,
-    psi_archimedean,
-    partial_indices_archimedean,
 )
 from .systems import (
     ConfigError,

@@ -33,6 +33,9 @@ from .systems import SYSTEMS, ConfigError, _integral, build_system
 _ANALYSES = ("psi", "partial_indices", "tail_indices", "def2_fit", "compare")
 _CONFIG_KEYS = {"system", "n", "replicates", "s_grid", "seed", "workers",
                 "analyses", "format", "out", "def2_bounds"}
+# run settings a config may leave out; run flags override the config
+_DEFAULTS = {"replicates": 100_000, "workers": 0, "format": "csv",
+             "analyses": ["psi", "partial_indices", "tail_indices", "compare"]}
 _CSV_HEADER = "s,u_n,psi_hat,stderr,psi_ref,z"
 
 class CliError(Exception):
@@ -124,7 +127,8 @@ def _resolve_grid(cfg: dict, path: str, raw: str) -> np.ndarray:
     return grid
 
 
-def _validate_config(cfg: dict, path: str, raw: str) -> None:
+def _validate_config(cfg: dict, path: str, raw: str, args=None) -> dict:
+    """Check the config; each run setting is its flag, else its config field, else the default."""
     unknown = set(cfg) - _CONFIG_KEYS
     if unknown:
         key = sorted(unknown)[0]
@@ -132,30 +136,36 @@ def _validate_config(cfg: dict, path: str, raw: str) -> None:
     for key in ("system", "n"):
         if key not in cfg:
             raise CliError(f"{path}:1: config is missing required field {key!r}")
-    reps = cfg.get("replicates", 100_000)
+    flagged = {key for key in _DEFAULTS if getattr(args, key, None) is not None}
+    got = {key: getattr(args, key) if key in flagged else cfg.get(key, default)
+           for key, default in _DEFAULTS.items()}
+
+    def refuse(key: str, msg: str) -> CliError:
+        if key in flagged:
+            return CliError(f"--{key}: {msg}")
+        return _located(path, raw, f'"{key}"', msg)
+
+    reps = got["replicates"]
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1000:
-        raise _located(path, raw, '"replicates"',
-                       f"replicates below minimum: need an integer >= 1000, got {reps!r}")
-    analyses = cfg.get("analyses", ["psi", "partial_indices", "tail_indices", "compare"])
+        raise refuse("replicates",
+                     f"replicates below minimum: need an integer >= 1000, got {reps!r}")
+    analyses = got["analyses"]
     if not isinstance(analyses, list) or not all(isinstance(a, str) for a in analyses):
-        raise _located(path, raw, '"analyses"',
-                       f"analyses must be a list of names, got {analyses!r}")
+        raise refuse("analyses", f"analyses must be a list of names, got {analyses!r}")
     bad = [a for a in analyses if a not in _ANALYSES]
     if bad:
         raise _located(path, raw, f'"{bad[0]}"',
                        f"unknown analyses {bad}; know {list(_ANALYSES)}")
-    fmt = cfg.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise _located(path, raw, '"format"', f"format must be csv or json, got {fmt!r}")
+    if got["format"] not in ("csv", "json"):
+        raise refuse("format", f"format must be csv or json, got {got['format']!r}")
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
         raise _located(path, raw, '"out"', f"out must be a file path string, got {out!r}")
-    for key in ("n", "workers"):
+    for key, value in (("n", cfg["n"]), ("workers", got["workers"])):
         try:
-            _integral(cfg.get(key, 0))
+            got[key] = _integral(value)
         except (TypeError, ValueError, OverflowError):
-            raise _located(path, raw, f'"{key}"',
-                           f"{key} must be an integer, got {cfg[key]!r}") from None
+            raise refuse(key, f"{key} must be an integer, got {value!r}") from None
     bounds = cfg.get("def2_bounds")
     if bounds is not None:
         try:
@@ -166,15 +176,17 @@ def _validate_config(cfg: dict, path: str, raw: str) -> None:
         if not ok:
             raise _located(path, raw, '"def2_bounds"',
                            f"def2_bounds must be [lo, hi] with 0 < lo < hi, got {bounds!r}")
+    return got
 
 
-def _config_sha(cfg: dict, seed: int, grid: np.ndarray, analyses: list[str]) -> str:
+def _config_sha(cfg: dict, seed: int, grid: np.ndarray, replicates: int,
+                analyses: list[str]) -> str:
     # hash the science inputs only; workers / destination / format are
     # execution details and must not perturb provenance
     core = {
         "system": cfg["system"],
         "n": cfg["n"],
-        "replicates": cfg.get("replicates", 100_000),
+        "replicates": replicates,
         "s_grid": [float(x) for x in grid],
         "seed": seed,
         "analyses": list(analyses),
@@ -188,18 +200,10 @@ def _config_sha(cfg: dict, seed: int, grid: np.ndarray, analyses: list[str]) -> 
 
 def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     """Run one experiment; returns (rendered text, format, summary)."""
-    _validate_config(cfg, path, raw)
+    got = _validate_config(cfg, path, raw, args)
     seed = _resolve_seed(cfg, args, path, raw)
     grid = _resolve_grid(cfg, path, raw)
-    analyses = list(cfg.get("analyses",
-                            ["psi", "partial_indices", "tail_indices", "compare"]))
-    fmt = getattr(args, "format", None) or cfg.get("format", "csv")
-    workers = args.workers if getattr(args, "workers", None) is not None \
-        else int(cfg.get("workers", 0))
-    replicates = args.replicates if getattr(args, "replicates", None) is not None \
-        else int(cfg.get("replicates", 100_000))
-    if replicates < 1000:
-        raise CliError(f"replicates below minimum: need >= 1000, got {replicates}")
+    analyses, fmt, replicates = list(got["analyses"]), got["format"], got["replicates"]
 
     try:
         system = build_system(cfg["system"])
@@ -208,13 +212,13 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
         needle = f'"{kind}"' if kind else '"system"'
         raise _located(path, raw, needle, str(exc)) from None
 
-    n = int(cfg["n"])
+    n = got["n"]
     stream = RandomStream(seed=seed, stream_id=0)
     t0 = time.perf_counter()
     try:
         system.validate_n(n)
         est = estimate_psi(system, n, s_grid=grid, replicates=replicates,
-                           stream=stream, workers=workers)
+                           stream=stream, workers=got["workers"])
     except ConfigError as exc:
         raise _located(path, raw, '"n"', str(exc)) from None
 
@@ -227,11 +231,11 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     if "def2_fit" in analyses:
         bounds = cfg.get("def2_bounds")
         kw = {} if bounds is None else {"theta_bounds": (float(bounds[0]), float(bounds[1]))}
-        fit = def2_fit(system, n, stream=stream, estimate=est, workers=workers, **kw)
+        fit = def2_fit(system, est, stream, **kw)
     report = index_report(est, fit)
     runtime = time.perf_counter() - t0
 
-    sha = _config_sha({**cfg, "replicates": replicates}, seed, grid, analyses)
+    sha = _config_sha(cfg, seed, grid, replicates, analyses)
     rows = []
     for j, s in enumerate(est.s):
         row = {
@@ -257,14 +261,11 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
         "solver_method": est.curve.method,
         "analyses": analyses,
     }
-    rep = report.as_dict()
-    if "partial_indices" not in analyses:
-        rep.pop("theta_minus", None)
-        rep.pop("theta_plus", None)
-    if "tail_indices" not in analyses:
-        rep.pop("theta0", None)
-        rep.pop("theta1", None)
-    summary["indices"] = {k: _jsonable(v) for k, v in rep.items()}
+    # index fields of analyses that were not asked for stay out of the summary
+    hidden = {"partial_indices": ("theta_minus", "theta_plus"),
+              "tail_indices": ("theta0", "theta1")}
+    drop = {key for name, keys in hidden.items() if name not in analyses for key in keys}
+    summary["indices"] = {k: _jsonable(v) for k, v in report.as_dict().items() if k not in drop}
     if psi_ref is not None:
         zs = np.asarray([r["z"] for r in rows], dtype=float)
         summary["reference"] = ref.name
@@ -299,13 +300,25 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     return text, fmt, summary
 
 
+def _write(target, text: str) -> None:
+    try:
+        Path(target).write_text(text)
+    except OSError as exc:
+        raise CliError(f"{target}: cannot write the result: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     cfg, raw = _load_config(args.config)
-    text, fmt, summary = _execute(cfg, args.config, raw, args)
     out = args.out or cfg.get("out")
+    if isinstance(out, str) and not Path(out).parent.is_dir():
+        msg = f"the directory of {out!r} does not exist"
+        if args.out:
+            raise CliError(f"--out: {msg}")
+        raise _located(args.config, raw, '"out"', msg)
+    text, fmt, summary = _execute(cfg, args.config, raw, args)
     runtime = summary.pop("_runtime_seconds")
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
         print(f"wrote {out} ({summary['system']}, n={summary['n']}, "
               f"replicates={summary['replicates']}) in {runtime:.1f}s", file=sys.stderr)
     else:
@@ -442,7 +455,10 @@ def _cmd_sweep(args) -> int:
     if not params:
         raise CliError("sweep needs at least one --param key.path=v1,v2,...")
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"{out_dir}: cannot make the output directory: {exc}") from None
     stem = Path(args.config).stem
 
     worst = 0
@@ -452,8 +468,7 @@ def _cmd_sweep(args) -> int:
         for (key, _), value in zip(params, combo):
             _set_path(point, key, value)
             tags.append(f"{key.split('.')[-1]}-{_slug(value)}")
-        fmt = getattr(args, "format", None) or point.get("format", "csv")
-        name = f"{stem}__{'__'.join(tags)}.{fmt}"
+        name = f"{stem}__{'__'.join(tags)}"
         try:
             text, fmt, summary = _execute(point, args.config, raw, args)
         except CliError as exc:
@@ -464,8 +479,8 @@ def _cmd_sweep(args) -> int:
             print(f"{name}: solver failure: {exc}", file=sys.stderr)
             worst = max(worst, 3)
             continue
-        target = out_dir / name
-        target.write_text(text)
+        target = out_dir / f"{name}.{fmt}"
+        _write(target, text)
         runtime = summary.pop("_runtime_seconds")
         print(f"wrote {target} in {runtime:.1f}s", file=sys.stderr)
     return worst

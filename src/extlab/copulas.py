@@ -47,8 +47,6 @@ __all__ = [
     "diag_cdf",
     "diag_inverse",
     "sample_exchangeable",
-    "psi_archimedean",
-    "partial_indices_archimedean",
 ]
 
 
@@ -148,6 +146,12 @@ class FrankGenerator(ArchimedeanGenerator):
             raise ValueError(f"alpha must be positive, got {alpha}")
         self.alpha = float(alpha)
         self.name = f"frank(alpha={self.alpha:g})"
+        # expm1(-alpha) rounds towards -1 as alpha grows, and f(0) drifts off 1
+        with np.errstate(divide="ignore"):
+            f0 = float(self.f(0.0))
+        if not abs(f0 - 1.0) <= 1e-9:
+            raise ValueError(f"alpha is too large for floating point: f(0) = {f0!r}, "
+                             f"not 1 to within 1e-9, at alpha = {alpha}")
 
     def phi(self, t):
         a = self.alpha
@@ -342,41 +346,3 @@ def sample_exchangeable(gen, d: int, stream, size=None):
     e = rng.standard_exponential((m, d))
     u = g.f(e / zeta[:, None])
     return u[0] if size is None else u
-
-
-# ---------------------------------------------------------------------------
-# limit curves and indices
-
-def psi_archimedean(gen, s, gamma: float = 0.0):
-    """Limit curve f(-ln s * exp(-gamma) / mu) for a finite-mean frailty.
-
-    gamma = 0 is the untilted curve f(-ln s / mu); a tilted generator folds
-    into its base, its own gamma adding to the given one.
-    """
-    if isinstance(gen, TiltedGenerator):
-        gen, gamma = gen.base, gen.gamma + gamma
-    if not math.isfinite(gen.mu):
-        raise ValueError(
-            f"{gen.name} has infinite frailty mean; the finite-mean limit curve does not apply"
-        )
-    s = np.asarray(s, dtype=float)
-    if np.any((s < 0.0) | (s > 1.0)):
-        raise ValueError("s must lie in [0, 1]")
-    with np.errstate(divide="ignore"):
-        out = np.where(s == 0.0, 0.0, gen.f(-np.log(s) * math.exp(-gamma) / gen.mu))
-    return out if out.ndim else float(out)
-
-
-def partial_indices_archimedean(gen, gamma: float = 0.0):
-    """(theta_minus, theta_plus) of the (possibly tilted) limit curve.
-
-    theta_plus = exp(-gamma) and theta_minus = (x0 / mu) exp(-gamma); an
-    infinite frailty mean with finite x0 pushes theta_minus to zero.
-    """
-    if isinstance(gen, TiltedGenerator):
-        gen, gamma = gen.base, gen.gamma + gamma
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be non-negative, got {gamma}")
-    ratio = 0.0 if math.isinf(gen.mu) else gen.x0 / gen.mu
-    damp = math.exp(-gamma)
-    return ratio * damp, damp

@@ -72,23 +72,15 @@ def _replicate_batch(args):
 
 def estimate_psi(system: SeriesSystem, n: int, s_grid=None, replicates: int = 100_000,
                  stream: RandomStream | None = None, workers: int = 0,
-                 pool_size: int = 200_000, keep_maxima: bool = False,
-                 curve: NormalizingCurve | None = None) -> PsiEstimate:
+                 keep_maxima: bool = False) -> PsiEstimate:
     """Estimate the limit curve: solve thresholds, then count threshold hits."""
     if stream is None:
         raise ConfigError("estimate_psi needs a RandomStream")
     if not isinstance(replicates, (int, np.integer)) or replicates < _BATCHES:
         raise ConfigError(f"replicates must be an integer >= {_BATCHES}, got {replicates!r}")
-    s = None if s_grid is None else np.atleast_1d(np.asarray(s_grid, dtype=float))
-    if curve is None:
-        if s is None:
-            s = DEFAULT_GRID.copy()
-        curve = solve_curve(system, n, s, stream=stream.substream(_POOL_TAG), pool_size=pool_size)
-    elif s is None:
-        s = np.asarray(curve.s, dtype=float)
-    elif s.size != np.asarray(curve.s).size or not np.allclose(s, curve.s, atol=1e-12):
-        raise ConfigError("s_grid disagrees with the supplied curve's grid")
-    u = np.asarray(curve.u, dtype=float)
+    s = DEFAULT_GRID.copy() if s_grid is None else np.atleast_1d(np.asarray(s_grid, dtype=float))
+    thresholds = solve_curve(system, n, s, stream=stream.substream(_POOL_TAG))
+    u = np.asarray(thresholds.u, dtype=float)
 
     sizes = np.full(_BATCHES, replicates // _BATCHES, dtype=np.int64)
     sizes[: replicates % _BATCHES] += 1
@@ -114,7 +106,7 @@ def estimate_psi(system: SeriesSystem, n: int, s_grid=None, replicates: int = 10
         maxima = np.concatenate([m for _, m in results])
     return PsiEstimate(
         system_name=system.name, n=int(n), replicates=int(replicates),
-        s=s, u=u, psi_hat=psi_hat, stderr=stderr, curve=curve,
+        s=s, u=u, psi_hat=psi_hat, stderr=stderr, curve=thresholds,
         batch_counts=batch_counts, batch_sizes=sizes, maxima=maxima,
     )
 
@@ -192,34 +184,26 @@ class Def2Fit:
     calibrator: Calibrator = field(repr=False)
 
     def discrepancy_at(self, theta: float) -> float:
+        """The sup-norm gap D(theta) = max_s |psi_hat - E F(u)^(theta nu)|."""
         vals = self.calibrator.value(self.estimate.u, float(theta))
         return float(np.max(np.abs(self.estimate.psi_hat - vals)))
 
 
-def def2_fit(system: SeriesSystem, n: int, s_grid=None, replicates: int = 100_000,
-             stream: RandomStream | None = None, workers: int = 0,
-             pool_size: int = 200_000, estimate: PsiEstimate | None = None,
+def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
              theta_bounds: tuple[float, float] = (0.01, 10.0)) -> Def2Fit:
-    """Minimize the sup-norm gap D(theta) = max_s |psi_hat - E F(u)^(theta nu)|.
+    """Minimize the sup-norm gap D(theta) of the estimate at its stage n.
 
     The comparand pool is frozen on its own substream, independent of both
     the replicates and the threshold-calibration pool.  A coarse geometric
     scan brackets the minimum before golden-section refinement, so a flat
     or gently multimodal D does not trap the fit.
     """
-    if stream is None:
-        raise ConfigError("def2_fit needs a RandomStream")
     lo, hi = float(theta_bounds[0]), float(theta_bounds[1])
     if not 0.0 < lo < hi:
         raise ConfigError(f"need 0 < lo < hi in theta bounds, got {theta_bounds}")
-    if estimate is None:
-        estimate = estimate_psi(system, n, s_grid=s_grid, replicates=replicates,
-                                stream=stream, workers=workers, pool_size=pool_size)
-    cal = Calibrator(system, n, stream=stream.substream(_DEF2_TAG), pool_size=pool_size)
-    psi, u = estimate.psi_hat, estimate.u
-
-    def dis(theta: float) -> float:
-        return float(np.max(np.abs(psi - cal.value(u, theta))))
+    cal = Calibrator(system, estimate.n, stream=stream.substream(_DEF2_TAG))
+    fit = Def2Fit(math.nan, math.nan, (lo, hi), estimate, cal)
+    dis = fit.discrepancy_at
 
     thetas = np.geomspace(lo, hi, 65)
     coarse = np.array([dis(t) for t in thetas])
@@ -240,8 +224,9 @@ def def2_fit(system: SeriesSystem, n: int, s_grid=None, replicates: int = 100_00
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
             fd = dis(d)
-    theta = 0.5 * (a + b)
-    return Def2Fit(float(theta), dis(float(theta)), (lo, hi), estimate, cal)
+    fit.theta = float(0.5 * (a + b))
+    fit.discrepancy = dis(fit.theta)
+    return fit
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import Calibrator, ConfigError, SeriesSystem
+from .systems import POOL_SIZE, Calibrator, ConfigError, SeriesSystem
 
 __all__ = ["SolverError", "NormalizingCurve", "solve_curve"]
 
@@ -94,12 +94,13 @@ def _bisect(value_fn, lo, hi, s):
     return 0.5 * (lo + hi)
 
 
-def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None, tol: float = _DETERMINISTIC_TOL,
-                pool=None, pool_size: int = 200_000, calibrator: Calibrator | None = None) -> NormalizingCurve:
+def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
+                pool_size: int = POOL_SIZE) -> NormalizingCurve:
     """Calibrate thresholds for a whole s grid at stage n.
 
-    A Calibrator (or raw pool) may be passed in to share frozen draws with
-    other consumers; otherwise one is built from the stream when needed.
+    Pool-backed systems draw their frozen pool from the stream.  A closed
+    form threshold with no exact mean and no stream reports NaN for the
+    achieved values and their stderr.
     """
     s = _check_grid(s_grid)
     system.validate_n(n)
@@ -107,27 +108,24 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None, tol: float = 
     closed = system.closed_form_u(n, s)
     if closed is not None:
         u = np.asarray(closed, dtype=float)
-        no_draws = calibrator is None and pool is None and stream is None
-        if no_draws and system.calibration_kind != "exact":
+        if stream is None and system.calibration_kind != "exact":
             nan = np.full(s.shape, math.nan)
             return NormalizingCurve(n, s, u, nan, nan, "closed_form")
-        cal = calibrator or Calibrator(system, n, stream=stream, pool=pool, pool_size=pool_size)
+    cal = Calibrator(system, n, stream=stream, pool_size=pool_size)
+    if closed is not None:
         return NormalizingCurve(n, s, u, cal.value(u), cal.stderr_at(u), "closed_form")
 
-    cal = calibrator or Calibrator(system, n, stream=stream, pool=pool, pool_size=pool_size)
-    value_fn = cal.value
-    lo, hi = _initial_bracket(value_fn, system.u_domain, s)
-    u = _bisect(value_fn, lo, hi, s)
+    lo, hi = _initial_bracket(cal.value, system.u_domain, s)
+    u = _bisect(cal.value, lo, hi, s)
     achieved = cal.value(u)
     stderr = cal.stderr_at(u)
     if np.any(~np.isfinite(achieved)):
         raise SolverError("calibration mean evaluated to a non-finite value")
     if cal.exact:
         resid = float(np.max(np.abs(achieved - s)))
-        if resid > tol:
-            raise SolverError(
-                f"deterministic calibration residual {resid:.3g} exceeds tolerance {tol:.3g}"
-            )
+        if resid > _DETERMINISTIC_TOL:
+            raise SolverError(f"deterministic calibration residual {resid:.3g} exceeds "
+                              f"tolerance {_DETERMINISTIC_TOL:.3g}")
         method = "deterministic_root"
     else:
         # residual vanishes except across pool step edges; stderr is the honest figure

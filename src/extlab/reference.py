@@ -19,10 +19,8 @@ from .copulas import (
     ArchimedeanGenerator,
     IndependenceGenerator,
     TiltedGenerator,
-    partial_indices_archimedean,
-    psi_archimedean,
 )
-from .sampling import Degenerate, Distribution, Pareto, TwoPoint
+from .sampling import Degenerate, Distribution, Pareto, TwoPoint, Zipf
 
 __all__ = [
     "ReferenceModel",
@@ -87,10 +85,13 @@ class ArchimedeanLimit(ReferenceModel):
                      else f"tilted_limit({gen.name}, gamma={self.gamma:g})")
 
     def psi(self, s):
-        return psi_archimedean(self.gen, _check_s(s), self.gamma)
+        out = self.gen.f(-np.log(_check_s(s)) * math.exp(-self.gamma) / self.gen.mu)
+        return out if out.ndim else float(out)
 
     def indices(self):
-        tm, tp = partial_indices_archimedean(self.gen, self.gamma)
+        # theta_plus = exp(-gamma) and theta_minus = (x0 / mu) exp(-gamma)
+        tp = math.exp(-self.gamma)
+        tm = self.gen.x0 / self.gen.mu * tp
         return {
             "theta_minus": tm, "theta_plus": tp,
             # the slope attains theta_minus in the deep tail and theta_plus near s = 1
@@ -243,7 +244,7 @@ class RandomThresholdLimit(ReferenceModel):
     def indices(self):
         out = {"theta_minus": None, "theta_plus": None, "theta0": None,
                "theta1": self.theta1(), "theta_def2": None}
-        if isinstance(self.zeta, (TwoPoint, Degenerate)):
+        if self._atoms:
             # bounded thresholds: the curve hits zero, so the sup slope blows up
             out["theta_plus"] = math.inf
             out["theta0"] = math.inf
@@ -322,12 +323,10 @@ class GraphActivityLimit(ReferenceModel):
     def __init__(self, beta: float, a: float = 1.0, x_min: float = 1.0):
         if beta <= 2.0:
             raise ValueError(f"beta must exceed 2, got {beta}")
-        from scipy.special import zeta as _zeta
-
         self.beta = float(beta)
         self.a = float(a)
         self.x_min = float(x_min)
-        self.mean_degree = float(_zeta(beta - 1.0) / _zeta(beta))
+        self.mean_degree = Zipf(self.beta).mean()
         self.frechet_scale = 1.0 + self.mean_degree
         self.theta = 1.0 / self.frechet_scale
         self.name = f"graph_activity_limit(beta={self.beta:g}, a={self.a:g})"
@@ -337,20 +336,17 @@ class GraphActivityLimit(ReferenceModel):
 
     def max_limit_cdf(self, x):
         """Limit law of M_n / v(n), v(n) = x_min n^(1/a)."""
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where(x > 0.0, np.exp(-np.maximum(x, 1e-300) ** (-self.a)), 0.0)
-        return out if out.ndim else float(out)
+        return self._frechet_cdf(x, 1.0)
 
     def comparator_limit_cdf(self, x):
         """Limit law of the max of n independent aggregate marginals, same norming."""
+        return self._frechet_cdf(x, self.frechet_scale)
+
+    def _frechet_cdf(self, x, scale: float):
+        """exp(-scale x^-a) for x > 0, else 0."""
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            out = np.where(
-                x > 0.0,
-                np.exp(-self.frechet_scale * np.maximum(x, 1e-300) ** (-self.a)),
-                0.0,
-            )
+            out = np.where(x > 0.0, np.exp(-scale * np.maximum(x, 1e-300) ** (-self.a)), 0.0)
         return out if out.ndim else float(out)
 
     def indices(self):

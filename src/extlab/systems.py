@@ -56,6 +56,7 @@ from .sampling import (
     PositiveStable,
     SymmetricStable,
     TwoPoint,
+    Zipf,
 )
 
 __all__ = [
@@ -73,6 +74,7 @@ __all__ = [
     "MonotoneTransformSystem",
     "SizeJitterSystem",
     "Calibrator",
+    "POOL_SIZE",
     "build_calibration_pool",
     "SYSTEMS",
     "build_system",
@@ -81,6 +83,9 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid system or run configuration."""
+
+
+POOL_SIZE = 200_000  # draws in a frozen calibration pool
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +379,6 @@ class GeometricThresholdSystem(SeriesSystem):
         m = 1.0 - eps + eps * rng.random(count)
         return nu, m
 
-    def sample_nu(self, n, count, rng):
-        return rng.geometric(self.eps_at(n), count).astype(np.int64)
-
     def exact_mean(self, n, u, r=1.0):
         eps = self.eps_at(n)
         t = np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** r
@@ -444,10 +446,6 @@ class RandomThresholdSystem(SeriesSystem):
         x = 1.0 - zb / n
         m = x + (1.0 - x) * rng.random(count)
         return nu, m
-
-    def sample_nu(self, n, count, rng):
-        z = self._draw(self.zeta, n, count, rng)
-        return rng.geometric(np.clip(z / n, 1e-300, 1.0), count).astype(np.int64)
 
     def _mix(self, n, h) -> float:
         # E[h(zeta) | zeta < n]; the conditioning mass is ~1 at working sizes
@@ -579,10 +577,6 @@ class BranchingHereditySystem(SeriesSystem):
         self._stable = SymmetricStable(self.gamma)
         self.name = f"branching_heredity(a={self.a:g}, gamma={self.gamma:g}, mu={self.mu:g})"
 
-    def theta_def2(self) -> float:
-        ag = self.a**self.gamma
-        return (1.0 - ag) / (1.0 - ag / self.mu)
-
     def validate_n(self, n):
         super().validate_n(n)
         if self.mu**n > self.particle_budget:
@@ -666,11 +660,6 @@ class PowerLawGraphSystem(SeriesSystem):
         self._activity = Pareto(self.a, self.x_min)
         self.name = f"power_law_graph(beta={self.beta:g}, a={self.a:g})"
 
-    def mean_degree(self) -> float:
-        from scipy.special import zeta
-
-        return float(zeta(self.beta - 1.0) / zeta(self.beta))
-
     def _degrees(self, n, rng):
         return np.minimum(rng.zipf(self.beta, n), n - 1)
 
@@ -743,7 +732,7 @@ class PowerLawGraphSystem(SeriesSystem):
     def closed_form_u(self, n, s):
         # asymptotic tail calibration: n * (1 + EK) * (u/x_min)^(-a) = -ln s
         s = np.asarray(s, dtype=float)
-        scale = (1.0 + self.mean_degree()) * n
+        scale = (1.0 + Zipf(self.beta).mean()) * n
         return self.x_min * (scale / (-np.log(s))) ** (1.0 / self.a)
 
     def reference(self):
@@ -769,7 +758,17 @@ class PowerTransform:
         return np.asarray(y, dtype=float) ** (1.0 / self.p)
 
 
-class MonotoneTransformSystem(SeriesSystem):
+class _WrappedSystem(SeriesSystem):
+    """A system built on a base system: the base's stages and limit model."""
+
+    def validate_n(self, n):
+        self.base.validate_n(n)
+
+    def reference(self):
+        return self.base.reference()
+
+
+class MonotoneTransformSystem(_WrappedSystem):
     """Applies a strictly increasing map to every series member.
 
     Maxima commute with monotone maps, so every summary of the base system
@@ -791,12 +790,6 @@ class MonotoneTransformSystem(SeriesSystem):
         self.calibration_kind = base.calibration_kind
         self.u_domain = base.u_domain
         self.name = f"monotone_transform({base.name}, {power.name})"
-
-    def validate_n(self, n):
-        self.base.validate_n(n)
-
-    def reference(self):
-        return self.base.reference()
 
     def sample_batch(self, n, count, rng):
         nu, m = self.base.sample_batch(n, count, rng)
@@ -822,7 +815,7 @@ class MonotoneTransformSystem(SeriesSystem):
         return None if u is None else self.transform.apply(u)
 
 
-class SizeJitterSystem(SeriesSystem):
+class SizeJitterSystem(_WrappedSystem):
     """Randomizes a deterministic series size: nu = max(1, n + round(sqrt(n) Z)).
 
     nu/n -> 1 in probability, which must leave the limit curve untouched.
@@ -843,12 +836,6 @@ class SizeJitterSystem(SeriesSystem):
         self.base = base
         self.name = f"size_jitter({base.name})"
 
-    def validate_n(self, n):
-        self.base.validate_n(n)
-
-    def reference(self):
-        return self.base.reference()
-
     def sample_nu(self, n, count, rng):
         z = rng.standard_normal(count)
         return np.maximum(1, n + np.rint(math.sqrt(n) * z)).astype(np.int64)
@@ -863,17 +850,13 @@ class SizeJitterSystem(SeriesSystem):
 # ---------------------------------------------------------------------------
 # module operations
 
-def build_calibration_pool(system: SeriesSystem, n: int, stream, size: int = 200_000):
+def build_calibration_pool(system: SeriesSystem, n: int, stream, size: int = POOL_SIZE):
     """Frozen pool backing Monte Carlo calibration: nu draws or marginal draws."""
     kind = system.calibration_kind
-    if kind == "exact":
-        return None
-    rng = stream.generator
-    if kind == "nu_pool":
-        return system.sample_nu(n, size, rng)
-    if kind == "marginal_pool":
-        return system.sample_marginal(n, size, rng)
-    raise ConfigError(f"unknown calibration kind {kind!r}")
+    draw = {"nu_pool": system.sample_nu, "marginal_pool": system.sample_marginal}.get(kind)
+    if draw is None:
+        raise ConfigError(f"{system.name}: no calibration pool for calibration kind {kind!r}")
+    return draw(n, size, stream.generator)
 
 
 class Calibrator:
@@ -885,24 +868,19 @@ class Calibrator:
     Monte Carlo functional is still deterministic bookkeeping.
     """
 
-    def __init__(self, system: SeriesSystem, n: int, stream=None, pool=None,
-                 pool_size: int = 200_000):
+    def __init__(self, system: SeriesSystem, n: int, stream=None, pool_size: int = POOL_SIZE):
         system.validate_n(n)
         self.system = system
         self.n = n
         self.kind = system.calibration_kind
         self.exact = self.kind == "exact"
+        self.pool = None
         if self.exact:
-            self.pool = None
             return
-        if pool is None:
-            if stream is None:
-                raise ConfigError(f"{system.name}: calibration needs a stream or a frozen pool")
-            pool = build_calibration_pool(system, n, stream, pool_size)
-        pool = np.asarray(pool)
-        if self.kind == "marginal_pool":
-            pool = np.sort(pool.astype(float))
-        self.pool = pool
+        if stream is None:
+            raise ConfigError(f"{system.name}: calibration needs a stream")
+        pool = np.asarray(build_calibration_pool(system, n, stream, pool_size))
+        self.pool = np.sort(pool.astype(float)) if self.kind == "marginal_pool" else pool
 
     def _edf(self, u):
         # empirical marginal d.f. from the sorted pool

@@ -167,6 +167,9 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"s_grid": {"start": 0.1, "stop": 0.9, "count": 2.5}}, "must be an integer"),
         ({"out": 7}, "out must be a file path string"),
         ({"analyses": "psi"}, "analyses must be a list"),
+        ({"system": {"kind": "exchangeable_copula",
+                     "generator": {"family": "frank", "alpha": 40}}}, "too large"),
+        ({"out": "no_such_dir/x.csv"}, "does not exist"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):
@@ -175,6 +178,29 @@ def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle
     err = capsys.readouterr().err
     assert needle in err
     assert f"{cfg}:" in err  # message carries file and line
+
+
+def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "estimate_psi", boom)
+    cfg = _cfg(tmp_path)
+    out = tmp_path / "no_such_dir" / "x.csv"
+    assert _main("run", "--config", str(cfg), "--out", str(out), monkeypatch=monkeypatch) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_failed_write_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = _cfg(tmp_path, replicates=1000, n=100)
+    assert _main("run", "--config", str(cfg), "--out", str(tmp_path),
+                 monkeypatch=monkeypatch) == 2
+    assert "cannot write" in capsys.readouterr().err
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    assert _main("sweep", "--config", str(cfg), "--out-dir", str(blocker),
+                 "--param", "n=100", monkeypatch=monkeypatch) == 2
+    assert "cannot make" in capsys.readouterr().err
 
 
 def test_error_messages_carry_line_numbers(tmp_path, capsys, monkeypatch):

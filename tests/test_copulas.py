@@ -17,10 +17,9 @@ from extlab.copulas import (
     default_tilt_power,
     diag_cdf,
     diag_inverse,
-    partial_indices_archimedean,
-    psi_archimedean,
     sample_exchangeable,
 )
+from extlab.reference import ArchimedeanLimit
 from extlab.sampling import RandomStream
 
 _GENERATORS = [
@@ -79,6 +78,11 @@ def test_invalid_parameters_raise():
         ClaytonGenerator(0.0)
     with pytest.raises(ValueError):
         FrankGenerator(-1.0)
+    # past alpha ~ 20 the inverse generator no longer returns f(0) = 1
+    FrankGenerator(19.0)
+    for alpha in (20.0, 36.0, 40.0):
+        with pytest.raises(ValueError, match="too large"):
+            FrankGenerator(alpha)
     with pytest.raises(ValueError):
         GumbelHougaardGenerator(0.9)
 
@@ -216,19 +220,6 @@ def test_sampled_margins_are_uniform():
 # ---------------------------------------------------------------------------
 # limit curves
 
-def test_psi_frozen_values():
-    assert psi_archimedean(ClaytonGenerator(1.0), math.exp(-1.0)) == pytest.approx(0.5, rel=1e-12)
-    assert psi_archimedean(ClaytonGenerator(2.0), 0.3) == pytest.approx(
-        0.5416935602272823, rel=1e-12
-    )
-    assert psi_archimedean(FrankGenerator(2.0), 0.5) == pytest.approx(
-        0.5953782530894984, rel=1e-12
-    )
-    s = np.array([0.0, 0.25, 1.0])
-    out = psi_archimedean(IndependenceGenerator(), s)
-    assert np.allclose(out, s)
-
-
 @pytest.mark.parametrize("gen", [FrankGenerator(2.0), ClaytonGenerator(1.0)],
                          ids=lambda g: g.name)
 @pytest.mark.parametrize("gamma", [None, math.log(2.0)], ids=["untilted", "tilted"])
@@ -236,31 +227,32 @@ def test_psi_deep_tail_below_1e300(gen, gamma):
     # subnormal s must not be clamped: psi is f(-ln s * exp(-gamma) / mu) all the way down
     for s in (1e-305, 1e-310, 5e-324):
         want = float(gen.f(-math.log(s) * math.exp(-(gamma or 0.0)) / gen.mu))
-        got = psi_archimedean(gen, s) if gamma is None else psi_archimedean(gen, s, gamma)
+        got = ArchimedeanLimit(gen, gamma or 0.0).psi(s)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
 
 
 def test_psi_tilted_frozen_values():
     # independence tilts to the pure power s^exp(-gamma)
-    assert psi_archimedean(IndependenceGenerator(), 0.25, math.log(2.0)) == pytest.approx(
+    g = math.log(2.0)
+    assert ArchimedeanLimit(IndependenceGenerator(), g).psi(0.25) == pytest.approx(
         0.5, rel=1e-12
     )
-    assert psi_archimedean(FrankGenerator(2.0), 0.5, math.log(2.0)) == pytest.approx(
+    assert ArchimedeanLimit(FrankGenerator(2.0), g).psi(0.5) == pytest.approx(
         0.747534519487085, rel=1e-12
     )
     # folding: a tilted generator plus extra gamma adds in the exponent scale
-    tg = TiltedGenerator(IndependenceGenerator(), math.log(2.0))
-    assert psi_archimedean(tg, 0.0625, math.log(2.0)) == pytest.approx(0.5, rel=1e-9)
-    assert psi_archimedean(tg, 0.25) == pytest.approx(0.5, rel=1e-12)
+    tg = TiltedGenerator(IndependenceGenerator(), g)
+    assert ArchimedeanLimit(tg, g).psi(0.0625) == pytest.approx(0.5, rel=1e-9)
+    assert ArchimedeanLimit(tg).psi(0.25) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_psi_rejects_infinite_mean():
     with pytest.raises(ValueError):
-        psi_archimedean(GumbelHougaardGenerator(2.0), 0.5)
+        ArchimedeanLimit(GumbelHougaardGenerator(2.0))
     with pytest.raises(ValueError):
-        psi_archimedean(GumbelHougaardGenerator(1.5), 0.5, 0.5)
+        ArchimedeanLimit(GumbelHougaardGenerator(1.5), 0.5)
     with pytest.raises(ValueError):
-        psi_archimedean(TiltedGenerator(GumbelHougaardGenerator(1.5), 0.5), 0.5)
+        ArchimedeanLimit(TiltedGenerator(GumbelHougaardGenerator(1.5), 0.5))
 
 
 @given(s=st.floats(1e-4, 1.0 - 1e-4), alpha=st.floats(0.1, 5.0))
@@ -268,27 +260,29 @@ def test_psi_rejects_infinite_mean():
 def test_psi_between_jensen_bounds(s, alpha):
     # finite-mean frailty: s <= psi(s) <= s^(x0/mu)
     for gen in (ClaytonGenerator(alpha), FrankGenerator(alpha)):
-        val = float(psi_archimedean(gen, s))
+        val = float(ArchimedeanLimit(gen).psi(s))
         hi = s ** (gen.x0 / gen.mu)
         assert s - 1e-12 <= val <= hi + 1e-12
 
 
+def _partial(gen, gamma=0.0):
+    idx = ArchimedeanLimit(gen, gamma).indices()
+    return idx["theta_minus"], idx["theta_plus"]
+
+
 def test_partial_indices_values():
-    assert partial_indices_archimedean(IndependenceGenerator()) == (1.0, 1.0)
-    lo, hi = partial_indices_archimedean(ClaytonGenerator(2.0))
+    assert _partial(IndependenceGenerator()) == (1.0, 1.0)
+    lo, hi = _partial(ClaytonGenerator(2.0))
     assert (lo, hi) == (0.0, 1.0)
-    lo, hi = partial_indices_archimedean(FrankGenerator(1.0))
+    lo, hi = _partial(FrankGenerator(1.0))
     assert hi == 1.0
     assert lo == pytest.approx(1.0 / math.expm1(1.0), rel=1e-12)
-    # infinite-mean frailty drives the lower index to zero
-    lo, hi = partial_indices_archimedean(GumbelHougaardGenerator(2.0))
-    assert (lo, hi) == (0.0, 1.0)
 
 
 def test_partial_indices_tilt_scaling():
     g = math.log(2.0)
-    lo, hi = partial_indices_archimedean(TiltedGenerator(IndependenceGenerator(), g))
+    lo, hi = _partial(TiltedGenerator(IndependenceGenerator(), g))
     assert (lo, hi) == (0.5, 0.5)
-    lo, hi = partial_indices_archimedean(FrankGenerator(1.0), gamma=g)
+    lo, hi = _partial(FrankGenerator(1.0), gamma=g)
     assert hi == pytest.approx(0.5, rel=1e-12)
     assert lo == pytest.approx(0.5 / math.expm1(1.0), rel=1e-12)

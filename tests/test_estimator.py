@@ -17,7 +17,6 @@ from extlab.estimator import (
     partial_indices,
     tail_indices,
 )
-from extlab.normalizer import solve_curve
 from extlab.sampling import RandomStream
 from extlab.systems import (
     ConfigError,
@@ -74,18 +73,6 @@ def test_default_grid_and_kept_maxima():
     assert est.maxima.shape == (2000,)
     replay = np.mean(est.maxima[:, None] <= est.u[None, :], axis=0)
     assert np.allclose(replay, est.psi_hat, rtol=1e-12)
-
-
-def test_precomputed_curve_is_used():
-    sys_ = _clayton()
-    curve = solve_curve(sys_, 50, [0.4, 0.6])
-    est = estimate_psi(sys_, 50, replicates=640, stream=_stream(5), curve=curve)
-    assert est.curve is curve
-    assert np.array_equal(est.u, curve.u)
-    assert np.array_equal(est.s, curve.s)
-    with pytest.raises(ConfigError):
-        estimate_psi(sys_, 50, s_grid=[0.4, 0.5], replicates=640,
-                     stream=_stream(5), curve=curve)
 
 
 def test_estimate_validation():
@@ -172,7 +159,8 @@ def test_isotonic_fit_pools_violators():
 
 def test_def2_recovers_duplication_index():
     sys_ = DuplicatedIidSystem(2)
-    fit = def2_fit(sys_, 50, replicates=25_600, stream=_stream(8))
+    est = estimate_psi(sys_, 50, replicates=25_600, stream=_stream(8))
+    fit = def2_fit(sys_, est, _stream(8))
     assert abs(fit.theta - 0.5) < 0.02
     assert fit.discrepancy < 0.02
     assert fit.discrepancy_at(1.0) > 5.0 * fit.discrepancy
@@ -182,7 +170,7 @@ def test_def2_recovers_duplication_index():
 def test_def2_accepts_prebuilt_estimate():
     sys_ = DuplicatedIidSystem(2)
     est = estimate_psi(sys_, 50, replicates=6400, stream=_stream(9))
-    fit = def2_fit(sys_, 50, stream=_stream(9), estimate=est)
+    fit = def2_fit(sys_, est, _stream(9))
     assert fit.estimate is est
     assert abs(fit.theta - 0.5) < 0.05
 
@@ -191,18 +179,21 @@ def test_def2_fails_for_exceedance_stopping():
     # the max sits above the threshold by construction, so the curve has a
     # flat zero stretch that no power of the calibration mean can follow
     sys_ = GeometricThresholdSystem(eps=0.05)
-    fit = def2_fit(sys_, 100, replicates=25_600, stream=_stream(10))
+    est = estimate_psi(sys_, 100, replicates=25_600, stream=_stream(10))
+    fit = def2_fit(sys_, est, _stream(10))
     assert fit.discrepancy > 0.05
     assert np.min(fit.estimate.psi_hat) == 0.0
 
 
 def test_def2_validation():
+    sys_ = DuplicatedIidSystem(2)
+    est = estimate_psi(sys_, 50, replicates=640, stream=_stream(11))
+    with pytest.raises(TypeError):
+        def2_fit(sys_, est)  # the comparand pool needs a stream
     with pytest.raises(ConfigError):
-        def2_fit(DuplicatedIidSystem(2), 50, replicates=640)
+        def2_fit(sys_, est, _stream(11), theta_bounds=(0.0, 1.0))
     with pytest.raises(ConfigError):
-        def2_fit(DuplicatedIidSystem(2), 50, stream=_stream(11), theta_bounds=(0.0, 1.0))
-    with pytest.raises(ConfigError):
-        def2_fit(DuplicatedIidSystem(2), 50, stream=_stream(11), theta_bounds=(2.0, 1.0))
+        def2_fit(sys_, est, _stream(11), theta_bounds=(2.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +224,8 @@ def test_index_report_flags_nonmonotone_curve():
 
 def test_index_report_carries_def2():
     sys_ = DuplicatedIidSystem(2)
-    fit = def2_fit(sys_, 50, replicates=6400, stream=_stream(12))
+    est = estimate_psi(sys_, 50, replicates=6400, stream=_stream(12))
+    fit = def2_fit(sys_, est, _stream(12))
     rep = index_report(fit.estimate, fit)
     assert rep.theta_def2 == fit.theta
     assert rep.def2_discrepancy == fit.discrepancy

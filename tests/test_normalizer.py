@@ -10,7 +10,6 @@ from extlab.normalizer import NormalizingCurve, SolverError, solve_curve
 from extlab.sampling import RandomStream, TwoPoint
 from extlab.systems import (
     BranchingHereditySystem,
-    Calibrator,
     ConfigError,
     ExchangeableCopulaSystem,
     GeometricThresholdSystem,
@@ -122,14 +121,6 @@ def test_stochastic_root_on_step_function_pool():
     assert np.all(np.abs(curve.achieved - curve.s) < 0.01)
     assert np.all(np.abs(curve.u - curve.s**0.1) < 0.01)
     assert np.all(curve.stderr > 0.0)
-
-
-def test_shared_calibrator_matches_fresh_solve():
-    sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
-    cal = Calibrator(sys_, 6, stream=_stream(5), pool_size=50_000)
-    via_cal = solve_curve(sys_, 6, [0.5], calibrator=cal)
-    direct = solve_curve(sys_, 6, [0.5], stream=_stream(5), pool_size=50_000)
-    assert via_cal.u[0] == direct.u[0]
 
 
 def test_pool_required_when_stochastic():

@@ -35,6 +35,7 @@ from extlab.sampling import (
     PositiveStable,
     RandomStream,
     TwoPoint,
+    Zipf,
 )
 from extlab.systems import (
     BranchingHereditySystem,
@@ -289,9 +290,12 @@ def test_graph_limit_values():
 
 
 def test_graph_limit_matches_system_constant():
+    # the system's threshold formula and the limit model share the factor 1 + EK
     sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
     m = GraphActivityLimit(3.5, a=1.0)
-    assert m.mean_degree == pytest.approx(sys_.mean_degree(), rel=1e-12)
+    assert m.mean_degree == Zipf(3.5).mean()
+    assert float(sys_.closed_form_u(100, math.exp(-1.0))) == pytest.approx(
+        100.0 * m.frechet_scale, rel=1e-12)
 
 
 def test_branching_index():

@@ -265,7 +265,7 @@ def test_stable_size_validates_stage():
 
 def test_branching_index_value():
     sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
-    assert sys_.theta_def2() == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert sys_.reference().theta_def2 == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert sys_.mu == pytest.approx(2.0)
     assert sys_.b == pytest.approx(0.5)
 
@@ -337,8 +337,9 @@ def test_graph_mean_degree_against_series():
     k = np.arange(1, 20_001, dtype=float)
     num = float(np.sum(k**-2.5)) + 20_000.5 ** (-1.5) / 1.5
     den = float(np.sum(k**-3.5)) + 20_000.5 ** (-2.5) / 2.5
-    assert sys_.mean_degree() == pytest.approx(num / den, abs=1e-9)
-    assert sys_.mean_degree() == pytest.approx(
+    ek = sys_.reference().mean_degree
+    assert ek == pytest.approx(num / den, abs=1e-9)
+    assert ek == pytest.approx(
         float(scipy_zeta(2.5) / scipy_zeta(3.5)), rel=1e-12
     )
 
@@ -383,7 +384,7 @@ def test_graph_aggregates_bounded_below():
 
 def test_graph_closed_form_u():
     sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
-    ek = sys_.mean_degree()
+    ek = sys_.reference().mean_degree
     got = float(sys_.closed_form_u(100, math.exp(-1.0)))
     assert got == pytest.approx(100.0 * (1.0 + ek), rel=1e-12)
 
@@ -458,9 +459,6 @@ def test_calibrator_pool_determinism():
     b = Calibrator(sys_, 1000, stream=RandomStream(seed=31, stream_id=0), pool_size=50_000)
     u = np.array([0.995, 0.999])
     assert np.array_equal(a.value(u), b.value(u))
-    # explicit pool short-circuits sampling
-    c = Calibrator(sys_, 1000, pool=a.pool)
-    assert np.array_equal(a.value(u, r=0.7), c.value(u, r=0.7))
 
 
 def test_calibrator_nu_pool_matches_independent_mc():

@@ -84,20 +84,16 @@ def estimate_psi(system: SeriesSystem, n: int, s_grid=None, replicates: int = 10
 
     sizes = np.full(_BATCHES, replicates // _BATCHES, dtype=np.int64)
     sizes[: replicates % _BATCHES] += 1
-    jobs = [
-        (system, n, u, stream.seed, stream.stream_id, j, int(sizes[j]), keep_maxima)
-        for j in range(_BATCHES)
-        if sizes[j] > 0
-    ]
+    # replicates >= _BATCHES, so every batch is drawn and row j holds batch j
+    jobs = [(system, n, u, stream.seed, stream.stream_id, j, int(sizes[j]), keep_maxima)
+            for j in range(_BATCHES)]
     if workers and workers > 1:
         with ProcessPoolExecutor(max_workers=int(workers)) as ex:
             results = list(ex.map(_replicate_batch, jobs))
     else:
         results = [_replicate_batch(job) for job in jobs]
 
-    batch_counts = np.zeros((_BATCHES, s.size), dtype=np.int64)
-    for row, (counts, _) in enumerate(results):
-        batch_counts[row] = counts
+    batch_counts = np.array([counts for counts, _ in results])
     total = batch_counts.sum(axis=0)
     psi_hat = total / float(replicates)
     stderr = np.sqrt(psi_hat * (1.0 - psi_hat) / replicates)
@@ -134,23 +130,20 @@ def tail_indices(est: PsiEstimate) -> tuple[float, float]:
 
 
 def mean_log_slope(est: PsiEstimate) -> tuple[float, float]:
-    """Grid mean of log_s psi_hat with a batch-means standard error.
+    """Grid mean of log_s psi_hat with a delete-one-batch jackknife error.
 
-    The 64 replicate batches are iid, so the spread of per-batch grid means
-    gives a correlation-honest error bar for the overall grid mean.
+    The batches are iid, so the grid means of the pooled counts with one
+    batch left out give a correlation-honest error bar (Efron 1982), even
+    where single batches have no hit; NaN when any of them is not finite.
     """
-    slopes = _log_slopes(est)
-    mean = float(np.mean(slopes))
-    sizes = est.batch_sizes.astype(float)[:, None]
+    mean = float(np.mean(_log_slopes(est)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        batch_psi = est.batch_counts / sizes
-        batch_mean = np.mean(np.log(batch_psi) / np.log(est.s)[None, :], axis=1)
-    good = np.isfinite(batch_mean)
-    if good.sum() >= 2:
-        se = float(batch_mean[good].std(ddof=1) / math.sqrt(good.sum()))
-    else:
-        se = math.nan
-    return mean, se
+        loo_psi = ((est.batch_counts.sum(axis=0) - est.batch_counts)
+                   / (est.replicates - est.batch_sizes)[:, None])
+        loo = np.mean(np.log(loo_psi) / np.log(est.s), axis=1)
+    if not (math.isfinite(mean) and np.all(np.isfinite(loo))):
+        return mean, math.nan
+    return mean, math.sqrt((loo.size - 1) * np.var(loo))  # (B-1)/B * sum of squares
 
 
 def isotonic_fit(y) -> np.ndarray:

@@ -8,7 +8,10 @@ Three routes, picked automatically per system:
 * stochastic_root    -- bisection against a frozen-pool Monte Carlo mean,
                         which is a fixed function once the pool is drawn,
                         so the root is reproducible and the reported
-                        stderr quantifies the pool noise honestly.
+                        stderr quantifies the pool noise honestly.  A pool
+                        of series sizes is compressed once into distinct
+                        sizes and counts, so each bisection step costs
+                        distinct sizes x grid points, not pool size x grid.
 
 The functional is nondecreasing and continuous in u for every system here
 (empirical marginal pools excepted, where it is a step function), so plain

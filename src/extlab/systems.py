@@ -865,7 +865,9 @@ class Calibrator:
     Exact-mean systems evaluate in closed form; the rest go through one
     frozen pool (nu draws or marginal draws) built once and reused for
     every threshold, power, and bisection step, so root finding against a
-    Monte Carlo functional is still deterministic bookkeeping.
+    Monte Carlo functional is still deterministic bookkeeping.  The mean over
+    a nu pool is the generating function of its empirical law at F^r, so the
+    pool is compressed once into distinct sizes `nu` and their `counts`.
     """
 
     def __init__(self, system: SeriesSystem, n: int, stream=None, pool_size: int = POOL_SIZE):
@@ -881,6 +883,8 @@ class Calibrator:
             raise ConfigError(f"{system.name}: calibration needs a stream")
         pool = np.asarray(build_calibration_pool(system, n, stream, pool_size))
         self.pool = np.sort(pool.astype(float)) if self.kind == "marginal_pool" else pool
+        if self.kind == "nu_pool":  # integral counts: a constant column averages to itself
+            self.nu, self.counts = np.unique(pool.astype(float), return_counts=True)
 
     def _edf(self, u):
         # empirical marginal d.f. from the sorted pool
@@ -894,8 +898,7 @@ class Calibrator:
             return np.asarray(self.system.exact_mean(self.n, u, r), dtype=float)
         if self.kind == "marginal_pool":
             return self._edf(u) ** (r * self.n)
-        f = np.asarray(self.system.marginal_cdf(self.n, u), dtype=float)
-        return self._nu_pool_terms(f, r).mean(axis=0)
+        return self.counts @ self._nu_pool_terms(u, r) / self.pool.size
 
     def stderr_at(self, u, r: float = 1.0):
         u = np.asarray(u, dtype=float)
@@ -909,19 +912,19 @@ class Calibrator:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = rn * p ** (rn - 1.0) * se_p
             return np.where(p > 0.0, out, 0.0)
-        f = np.asarray(self.system.marginal_cdf(self.n, u), dtype=float)
-        y = self._nu_pool_terms(f, r)
-        return y.std(axis=0, ddof=1) / math.sqrt(size)
+        y = self._nu_pool_terms(u, r)
+        y -= self.counts @ y / size
+        y *= y  # the pool's std(ddof=1) / sqrt(size), in place
+        return np.sqrt(self.counts @ y / (size * (size - 1.0)))
 
-    def _nu_pool_terms(self, f, r):
-        # F^(r nu) with F = 0 or 1 handled away from log
-        nu = self.pool.astype(float)[:, None]
-        f = np.atleast_1d(f)[None, :]
+    def _nu_pool_terms(self, u, r):
+        # F^(r nu), (distinct nu) x (thresholds): F >= 1 gives 1, F <= 0 gives 0, nu = 0 gives 1
+        f = np.atleast_1d(np.asarray(self.system.marginal_cdf(self.n, u), dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.exp(r * nu * np.log(f))
-        y = np.where(f >= 1.0, 1.0, y)
-        y = np.where((f <= 0.0) & (nu > 0), 0.0, y)
-        y = np.where(nu == 0, 1.0, y)
+            y = np.multiply.outer(r * self.nu, np.where(f >= 1.0, 0.0, np.log(f)))
+        np.exp(y, out=y)
+        y[:, f <= 0.0] = 0.0
+        y[self.nu == 0] = 1.0
         return y
 
 

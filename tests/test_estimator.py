@@ -132,8 +132,10 @@ def test_mean_log_slope_batch_se():
     est = _synthetic(s, psi, batch_counts=counts, batch_sizes=sizes, replicates=200)
     mean, se = mean_log_slope(est)
     assert mean == pytest.approx(float(np.mean(np.log(psi) / np.log(s))), rel=1e-12)
-    per_batch = np.mean(np.log(counts / 50.0) / np.log(s)[None, :], axis=1)
-    assert se == pytest.approx(float(per_batch.std(ddof=1) / 2.0), rel=1e-12)
+    # delete-one-batch jackknife over the pooled counts, written as a loop
+    loo = np.array([np.mean(np.log(np.delete(counts, j, axis=0).sum(axis=0) / 150.0) / np.log(s))
+                    for j in range(4)])
+    assert se == pytest.approx(math.sqrt(3.0 / 4.0 * np.sum((loo - loo.mean()) ** 2)), rel=1e-12)
 
 
 def test_mean_log_slope_drops_empty_batches():
@@ -144,6 +146,26 @@ def test_mean_log_slope_drops_empty_batches():
                      batch_counts=counts, batch_sizes=sizes, replicates=200)
     mean, se = mean_log_slope(est)
     assert math.isfinite(mean) and math.isfinite(se)
+
+
+def test_mean_log_slope_error_with_one_replicate_per_batch():
+    # at 64 replicates most batches hold a zero count somewhere on the grid;
+    # the pooled leave-one-out means stay finite, so the error bar is not 0
+    est = estimate_psi(DuplicatedIidSystem(2), 50, replicates=64, stream=_stream(13))
+    assert np.any(est.batch_counts == 0)
+    mean, se = mean_log_slope(est)
+    assert math.isfinite(mean)
+    assert math.isfinite(se) and se > 0.0
+
+
+def test_mean_log_slope_nan_when_a_leave_one_out_mean_is_infinite():
+    s = np.array([0.5])
+    counts = np.array([[0], [0], [3], [0]], dtype=np.int64)
+    sizes = np.array([5, 5, 5, 5], dtype=np.int64)
+    est = _synthetic(s, counts.sum(axis=0) / 20.0,
+                     batch_counts=counts, batch_sizes=sizes, replicates=20)
+    mean, se = mean_log_slope(est)
+    assert math.isfinite(mean) and math.isnan(se)
 
 
 def test_isotonic_fit_pools_violators():

@@ -461,18 +461,56 @@ def test_calibrator_pool_determinism():
     assert np.array_equal(a.value(u), b.value(u))
 
 
+class _PooledThreshold(RandomThresholdSystem):
+    """A random-threshold system forced onto the nu-pool route."""
+
+    calibration_kind = "nu_pool"
+
+
 def test_calibrator_nu_pool_matches_independent_mc():
-    sys_ = RandomThresholdSystem(TwoPoint(0.5, 1.5))
+    sys_ = _PooledThreshold(TwoPoint(0.5, 1.5))
     n = 1000
-    # force the pooled path and cross-check it against the closed form
-    pool = sys_.sample_nu(n, 100_000, _rng(33))
-    cal = Calibrator.__new__(Calibrator)
-    cal.system, cal.n, cal.exact, cal.kind, cal.pool = sys_, n, False, "nu_pool", pool
+    # the pooled path cross-checked against the closed form
+    cal = Calibrator(sys_, n, stream=RandomStream(seed=33, stream_id=0), pool_size=100_000)
     for u in (0.999, 0.9995):
         got = float(cal.value(np.array([u]))[0])
         se = float(cal.stderr_at(np.array([u]))[0])
         want = float(sys_.exact_mean(n, u))
         assert abs(got - want) < 4.0 * se
+
+
+def _uncompressed_pool_mean(pool, f, r):
+    # the mean and its stderr summed over every draw, with full-size masks
+    nu = pool.astype(float)[:, None]
+    f = np.atleast_1d(f)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.exp(r * nu * np.log(f))
+    y = np.where(f >= 1.0, 1.0, y)
+    y = np.where((f <= 0.0) & (nu > 0), 0.0, y)
+    y = np.where(nu == 0, 1.0, y)
+    return y.mean(axis=0), y.std(axis=0, ddof=1) / math.sqrt(pool.size)
+
+
+@pytest.mark.parametrize("sys_, n, u", [
+    (SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0))), 10_000,
+     [-0.5, 0.0, 0.9997, 0.9999, 0.99999, 1.0, 2.0, math.nan]),
+    (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000,
+     [-0.5, 0.0, 0.999, 0.9999, 0.99999, 1.0, 2.0, math.nan]),
+    (BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5), 16,
+     [-math.inf, 0.0, 2.0, 10.0, 100.0, math.inf, math.nan]),
+], ids=["size_jitter", "stable_size", "branching"])
+def test_calibrator_compressed_pool_matches_uncompressed_sum(sys_, n, u):
+    cal = Calibrator(sys_, n, stream=RandomStream(seed=39, stream_id=0))
+    assert cal.nu.size < cal.pool.size
+    u = np.array(u)
+    f = sys_.marginal_cdf(n, u)
+    assert f[0] == 0.0 and f[-2] == 1.0 and math.isnan(f[-1])
+    for r in (0.5, 1.0, 2.0):
+        want, want_se = _uncompressed_pool_mean(cal.pool, f, r)
+        got, got_se = cal.value(u, r), cal.stderr_at(u, r)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got_se, want_se, rtol=1e-10, atol=0.0)
+        assert math.isnan(got[-1]) and math.isnan(got_se[-1])
 
 
 def test_calibrator_marginal_pool_edges():

@@ -31,7 +31,6 @@ from .copulas import (
     TiltedGenerator,
     diag_cdf,
     diag_inverse,
-    sample_exchangeable,
 )
 from .systems import (
     ConfigError,
@@ -64,6 +63,5 @@ from .estimator import (
     IndexReport,
     index_report,
 )
-from .reference import mixed_max_stable_cdf
 
 __version__ = "0.1.0"

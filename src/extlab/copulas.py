@@ -46,7 +46,6 @@ __all__ = [
     "default_tilt_power",
     "diag_cdf",
     "diag_inverse",
-    "sample_exchangeable",
 ]
 
 
@@ -330,19 +329,3 @@ def diag_inverse(gen, d, v):
         out = g.f(g.phi(v) / np.asarray(d, dtype=float))
     out = np.where(v >= 1.0, 1.0, np.clip(out, 0.0, 1.0))
     return out if out.ndim else float(out)
-
-
-def sample_exchangeable(gen, d: int, stream, size=None):
-    """Exact draw of the d exchangeable terms via the frailty: f(E_i / zeta).
-
-    Returns shape (d,) when size is None, else (size, d).
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be at least 1, got {d}")
-    g = gen.fixed(d)
-    rng = stream.generator
-    m = 1 if size is None else int(size)
-    zeta = np.asarray(g.frailty.sample(rng, m), dtype=float)
-    e = rng.standard_exponential((m, d))
-    u = g.f(e / zeta[:, None])
-    return u[0] if size is None else u

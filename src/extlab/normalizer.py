@@ -1,22 +1,17 @@
 """Threshold calibration: solve E F_n(u)^nu_n = s for the level u_n(s).
 
-Three routes, picked automatically per system:
-
-* closed_form        -- the system inverts its own calibration functional;
-* deterministic_root -- bisection against an exact (or deterministic
-                        quadrature) mean;
-* stochastic_root    -- bisection against a frozen-pool Monte Carlo mean,
-                        which is a fixed function once the pool is drawn,
-                        so the root is reproducible and the reported
-                        stderr quantifies the pool noise honestly.  A pool
-                        of series sizes is compressed once into distinct
-                        sizes and counts, so each bisection step costs
-                        distinct sizes x grid points, not pool size x grid.
-
-The functional is nondecreasing and continuous in u for every system here
-(empirical marginal pools excepted, where it is a step function), so plain
-bisection is exact bookkeeping.  Curves are solved with one shared pool
-across the whole s grid: common random numbers keep the curve monotone.
+The left side is G_n(F_n(u)), with G_n(x) = E x^nu_n the generating
+function of the series size.  A system that gives u_n(s) itself (an exact
+inverse, or an asymptotic tail threshold whose achieved values show its
+bias) takes the closed_form route.  Every other curve is one bisection of
+G_n(x) = s over x in [0, 1], which brackets every root, then u = F_n^{-1}(x).
+G_n is exact ("deterministic_root") or the mean over a frozen pool of sizes
+compressed into distinct sizes and counts ("stochastic_root"); a frozen pool
+is a fixed function, so the root is reproducible and its stderr measures the
+pool noise.  Both are continuous in x, so every root must close to 1e-9.
+Only a marginal known through draws, inverted through the edf of a frozen
+pool (a step function), is exempt.  One pool serves the whole s grid: common
+random numbers keep the curve monotone.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ __all__ = ["SolverError", "NormalizingCurve", "solve_curve"]
 
 
 class SolverError(RuntimeError):
-    """Threshold calibration failed (no bracket, or residual above tolerance)."""
+    """Threshold calibration failed (non-finite mean, or residual above tolerance)."""
 
 
 @dataclass
@@ -48,7 +43,7 @@ class NormalizingCurve:
 
 
 _ROOT_STEPS = 60          # interval shrinks by 2^-60: far below any tolerance here
-_DETERMINISTIC_TOL = 1e-9
+_RESIDUAL_TOL = 1e-9
 
 
 def _check_grid(s_grid) -> np.ndarray:
@@ -60,38 +55,12 @@ def _check_grid(s_grid) -> np.ndarray:
     return s
 
 
-def _initial_bracket(value_fn, domain, s: np.ndarray):
-    """Per-point brackets [lo, hi] with value(lo) < s < value(hi)."""
-    lo_d, hi_d = domain
-    if lo_d is not None and hi_d is not None:
-        lo = np.full(s.shape, float(lo_d))
-        hi = np.full(s.shape, float(hi_d))
-        return lo, hi
-    lo0 = 0.0 if lo_d is None else float(lo_d)
-    lo = np.full(s.shape, min(-1.0, lo0) if lo_d is None else lo0)
-    hi = np.full(s.shape, max(1.0, 2.0 * abs(lo0) + 1.0))
-    for _ in range(300):
-        need = value_fn(hi) <= s
-        if not need.any():
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    else:
-        raise SolverError("no upper bracket: the calibration mean stays below s")
-    if lo_d is None:
-        for _ in range(300):
-            need = value_fn(lo) >= s
-            if not need.any():
-                break
-            lo = np.where(need, lo * 2.0, lo)
-        else:
-            raise SolverError("no lower bracket: the calibration mean stays above s")
-    return lo, hi
-
-
-def _bisect(value_fn, lo, hi, s):
+def _bisect(fn, s):
+    """Per-point x in [0, 1] with fn(x) = s, for fn nondecreasing on [0, 1]."""
+    lo, hi = np.zeros(s.shape), np.ones(s.shape)
     for _ in range(_ROOT_STEPS):
         mid = 0.5 * (lo + hi)
-        below = value_fn(mid) <= s
+        below = fn(mid) <= s
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
@@ -102,8 +71,8 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
     """Calibrate thresholds for a whole s grid at stage n.
 
     Pool-backed systems draw their frozen pool from the stream.  A closed
-    form threshold with no exact mean and no stream reports NaN for the
-    achieved values and their stderr.
+    form threshold with a pooled calibration mean and no stream reports NaN
+    for the achieved values and their stderr.
     """
     s = _check_grid(s_grid)
     system.validate_n(n)
@@ -118,19 +87,13 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
     if closed is not None:
         return NormalizingCurve(n, s, u, cal.value(u), cal.stderr_at(u), "closed_form")
 
-    lo, hi = _initial_bracket(cal.value, system.u_domain, s)
-    u = _bisect(cal.value, lo, hi, s)
-    achieved = cal.value(u)
-    stderr = cal.stderr_at(u)
+    x = _bisect(cal.pgf, s)  # G_n(x) = s, bracketed by [0, 1]
+    u = np.asarray(cal.quantile(x), dtype=float)
+    achieved, stderr = cal.value(u), cal.stderr_at(u)
     if np.any(~np.isfinite(achieved)):
         raise SolverError("calibration mean evaluated to a non-finite value")
-    if cal.exact:
-        resid = float(np.max(np.abs(achieved - s)))
-        if resid > _DETERMINISTIC_TOL:
-            raise SolverError(f"deterministic calibration residual {resid:.3g} exceeds "
-                              f"tolerance {_DETERMINISTIC_TOL:.3g}")
-        method = "deterministic_root"
-    else:
-        # residual vanishes except across pool step edges; stderr is the honest figure
-        method = "stochastic_root"
+    resid = float(np.max(np.abs(achieved - s)))
+    if resid > _RESIDUAL_TOL and cal.kind != "marginal_pool":  # an edf step is exempt
+        raise SolverError(f"calibration residual {resid:.3g} exceeds tolerance {_RESIDUAL_TOL:.3g}")
+    method = "deterministic_root" if cal.exact else "stochastic_root"
     return NormalizingCurve(n, s, u, achieved, stderr, method)

@@ -11,7 +11,6 @@ hands out its own model through ``SeriesSystem.reference()``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .copulas import (
     IndependenceGenerator,
     TiltedGenerator,
 )
-from .sampling import Degenerate, Distribution, Pareto, TwoPoint, Zipf
+from .sampling import Degenerate, Distribution, Pareto, TwoPoint, Zipf, float_root
 
 __all__ = [
     "ReferenceModel",
@@ -29,12 +28,9 @@ __all__ = [
     "SpikeMixtureLimit",
     "FixedThresholdLimit",
     "RandomThresholdLimit",
-    "TwoPointThresholdLimit",
     "StableSizeGumbelLimit",
     "GraphActivityLimit",
     "BranchingHeredityIndex",
-    "MaxStableLaw",
-    "mixed_max_stable_cdf",
 ]
 
 
@@ -219,8 +215,6 @@ class RandomThresholdLimit(ReferenceModel):
 
     def f_inv(self, s: float) -> float:
         """The root t of f(t) = s; f falls strictly from f(0) = 1 towards 0."""
-        from scipy.optimize import brentq
-
         hi = 1.0
         for _ in range(200):
             if self.f(hi) < s:
@@ -228,9 +222,7 @@ class RandomThresholdLimit(ReferenceModel):
             hi *= 2.0
         else:
             raise RuntimeError("no bracket for f_inv")
-        # rtol = 4 eps is brentq's floor: the root to float resolution
-        return brentq(lambda t: self.f(t) - s, 0.0, hi,
-                      xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
+        return float_root(lambda t: self.f(t) - s, 0.0, hi)
 
     def psi(self, s):
         s = _check_s(s)
@@ -252,39 +244,6 @@ class RandomThresholdLimit(ReferenceModel):
         elif isinstance(self.zeta, Pareto):
             out["theta0"] = self.zeta.a - 1.0
         return out
-
-
-class TwoPointThresholdLimit(ReferenceModel):
-    """Explicit two-atom threshold curve: zeta on {1-delta, 1+delta}.
-
-    f inverts in closed form: f^{-1}(s) = (1 + sqrt(1 - 4 s (1-s) delta^2))
-    / (2 s) - 1, and the curve ends at theta1 = 1 - delta^2.
-    """
-
-    def __init__(self, delta: float):
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {delta}")
-        self.delta = float(delta)
-        self.name = f"two_point_threshold_limit(delta={self.delta:g})"
-
-    def f_inv(self, s):
-        s = np.asarray(s, dtype=float)
-        d2 = self.delta**2
-        return (1.0 + np.sqrt(1.0 - 4.0 * s * (1.0 - s) * d2)) / (2.0 * s) - 1.0
-
-    def psi(self, s):
-        s = _check_s(s)
-        t = self.f_inv(s)
-        lo, hi = 1.0 - self.delta, 1.0 + self.delta
-        out = 0.5 * (np.maximum(lo - t, 0.0) + np.maximum(hi - t, 0.0))
-        return out if out.ndim else float(out)
-
-    def indices(self):
-        t1 = 1.0 - self.delta**2
-        return {
-            "theta_minus": t1, "theta_plus": math.inf,
-            "theta0": math.inf, "theta1": t1, "theta_def2": None,
-        }
 
 
 class StableSizeGumbelLimit(ReferenceModel):
@@ -379,60 +338,3 @@ class BranchingHeredityIndex(ReferenceModel):
     def indices(self):
         return {"theta_minus": None, "theta_plus": None, "theta0": None, "theta1": None,
                 "theta_def2": self.theta_def2}
-
-
-# ---------------------------------------------------------------------------
-# mixed max-stable laws
-
-@dataclass
-class MaxStableLaw:
-    """One of the three max-stable families with affine norming."""
-
-    family: str          # "gumbel" | "frechet" | "weibull"
-    alpha: float | None = None
-    loc: float = 0.0
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in ("gumbel", "frechet", "weibull"):
-            raise ValueError(f"unknown max-stable family {self.family!r}")
-        if self.family in ("frechet", "weibull"):
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError(f"{self.family} needs a positive alpha, got {self.alpha}")
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-
-    def log_cdf(self, x):
-        z = (np.asarray(x, dtype=float) - self.loc) / self.scale
-        if self.family == "gumbel":
-            return -np.exp(-z)
-        if self.family == "frechet":
-            with np.errstate(divide="ignore", over="ignore"):
-                return np.where(z > 0.0, -np.maximum(z, 1e-300) ** (-self.alpha), -np.inf)
-        return np.where(z < 0.0, -((-np.minimum(z, 0.0)) ** self.alpha), 0.0)
-
-    def cdf(self, x):
-        return np.exp(self.log_cdf(x))
-
-
-def mixed_max_stable_cdf(law: MaxStableLaw, zeta: Distribution, theta: float, x):
-    """H(x) = E G(x)^(theta zeta): the limit law of maxima under random mixing.
-
-    Uses the frailty's Laplace transform when it has one in closed form,
-    quadrature otherwise.
-    """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    x = np.asarray(x, dtype=float)
-    u = -theta * law.log_cdf(x)  # >= 0, possibly +inf
-    try:
-        out = np.where(np.isinf(u), 0.0, zeta.laplace(np.where(np.isinf(u), 0.0, u)))
-    except NotImplementedError:
-        flat = np.atleast_1d(u)
-        vals = np.array([
-            0.0 if math.isinf(ui) else float(zeta.expect(lambda z: np.exp(-ui * z)))
-            for ui in flat
-        ])
-        out = vals.reshape(u.shape) if u.ndim else vals[0]
-    out = np.asarray(out)
-    return out if out.ndim else float(out)

@@ -93,6 +93,13 @@ _GL_P = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
+def float_root(fn, lo: float, hi: float) -> float:
+    """The root of fn on the bracket [lo, hi] to float resolution (brentq, rtol = 4 eps)."""
+    from scipy.optimize import brentq
+
+    return brentq(fn, lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
+
+
 class Distribution:
     """Base class: a sampler plus whatever analytic structure it has."""
 
@@ -285,9 +292,41 @@ class SymmetricStable(Distribution):
             from scipy.special import ndtr
 
             return ndtr(x / np.sqrt(2.0))
+        from scipy.special import gamma as gamma_fn
         from scipy.stats import levy_stable
 
-        return levy_stable.cdf(x, self.gamma, 0.0)
+        # scipy drifts in the far tails, to exactly 0 or 1 past |x| ~ 1e3 when
+        # 1 < gamma < 2.  From |x| = 20, where the two agree to ~1e-12, P(X > |x|)
+        # is Bergstrom's series (Zolotarev 1986; Nolan 2020), 12 terms of
+        # (1/pi) (-1)^(k+1) Gamma(k gamma)/k! sin(k pi gamma/2) |x|^(-k gamma).
+        g, k = self.gamma, np.arange(1.0, 13.0)
+        coef = (-1.0) ** (k + 1.0) * gamma_fn(k * g) / gamma_fn(k + 1.0) * np.sin(np.pi * g * k / 2)
+        flat = np.atleast_1d(x).ravel()
+        far = np.abs(flat) >= 20.0
+        out = np.empty(flat.shape)
+        out[~far] = levy_stable.cdf(flat[~far], g, 0.0)
+        tail = np.power.outer(np.abs(flat[far]), -k * g) @ coef / np.pi
+        out[far] = np.where(flat[far] > 0.0, 1.0 - tail, tail)
+        return out.reshape(x.shape)
+
+    def quantile(self, p):
+        """Closed form at gamma = 1 and 2; elsewhere the root of cdf(x) = p."""
+        p = np.asarray(p, dtype=float)
+        if self.gamma == 1.0:
+            return np.tan(np.pi * (p - 0.5))
+        if self.gamma == 2.0:
+            from scipy.special import ndtri
+
+            return np.sqrt(2.0) * ndtri(p)
+        return np.vectorize(self._invert_cdf, otypes=[float])(p)
+
+    def _invert_cdf(self, p: float) -> float:
+        if not 0.0 < p < 1.0:  # the ends of the support, or nan off [0, 1]
+            return {0.0: -math.inf, 1.0: math.inf}.get(p, math.nan)
+        edge = 1.0 if p > 0.5 else -1.0  # doubles on the root's side of 0 until it brackets
+        while (float(self.cdf(edge)) - p) * edge < 0.0:
+            edge *= 2.0
+        return float_root(lambda x: float(self.cdf(x)) - p, min(0.0, edge), max(0.0, edge))
 
     def probes(self):
         checks = [

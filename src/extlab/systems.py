@@ -3,10 +3,10 @@
 A system describes one triangular-array model: at stage n a series holds
 nu_n terms (possibly random) with common marginal d.f. F_n, and M_n is the
 maximum over the terms.  Each system knows how to draw (nu_n, M_n) exactly,
-and exposes the calibration functional E F_n(u)^(r nu_n) (``Calibrator``)
-either in closed form or through frozen Monte Carlo pools.  r = 1 is the
-threshold-calibration case; general r > 0 is the comparand used when
-matching against maxima of a theta-fraction of independent terms.
+and exposes the calibration functional E F_n(u)^(r nu_n) = G_n(F_n(u)^r)
+(``Calibrator``), its size pgf G_n and marginal F_n each exact or pooled.
+r = 1 is the threshold-calibration case; general r > 0 is the comparand
+used when matching against maxima of a theta-fraction of independent terms.
 
 Systems are immutable, picklable descriptions; all randomness flows through
 the generator handed to the sampling methods, so replicate batches can be
@@ -57,6 +57,7 @@ from .sampling import (
     SymmetricStable,
     TwoPoint,
     Zipf,
+    float_root,
 )
 
 __all__ = [
@@ -159,8 +160,7 @@ class SeriesSystem:
     name = "series"
     kind: str | None = None     # config kind of a registered system
     fields: dict = {}           # config field -> parser, named as in __init__
-    calibration_kind = "exact"  # exact_mean implemented; or "nu_pool" / "marginal_pool"
-    u_domain = (0.0, 1.0)       # open interval the thresholds live in
+    calibration_kind = "exact"  # size_pgf implemented; or "nu_pool" / "marginal_pool"
 
     def validate_n(self, n: int) -> None:
         if not isinstance(n, (int, np.integer)) or n < 2:
@@ -178,13 +178,19 @@ class SeriesSystem:
         """Common per-term d.f. F_n; uniform on [0, 1] unless overridden."""
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
+    def marginal_quantile(self, n: int, p):
+        """Inverse of marginal_cdf on [0, 1]; the identity for the uniform marginal."""
+        return np.asarray(p, dtype=float)
+
     def sample_marginal(self, n: int, count: int, rng) -> np.ndarray:
         """Draws from F_n, for systems whose marginal is only samplable."""
         raise NotImplementedError(f"{self.name} has no marginal sampler")
 
-    def exact_mean(self, n: int, u, r: float = 1.0):
-        """E F_n(u)^(r nu_n) in closed form, where calibration_kind is "exact"."""
-        raise NotImplementedError
+    def size_pgf(self, n: int, x, r: float = 1.0):
+        """G_n(x^r) = E x^(r nu_n); a deterministic size n unless overridden."""
+        if self.calibration_kind == "nu_pool":
+            raise NotImplementedError(f"{self.name}: the size law is known only through draws")
+        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** (r * n)
 
     def exact_max_cdf(self, n: int, u):
         raise NotImplementedError
@@ -239,9 +245,6 @@ class ExchangeableCopulaSystem(SeriesSystem):
         m = g.f(e / (n * zeta))
         return np.full(count, n, dtype=np.int64), m
 
-    def exact_mean(self, n, u, r=1.0):
-        return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** (r * n)
-
     def exact_max_cdf(self, n, u):
         return diag_cdf(self.gen, n, u)
 
@@ -282,9 +285,6 @@ class DuplicatedIidSystem(SeriesSystem):
         g = self._groups(n, self.m)
         m_val = rng.random(count) ** (1.0 / g)
         return np.full(count, n, dtype=np.int64), m_val
-
-    def exact_mean(self, n, u, r=1.0):
-        return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** (r * n)
 
     def exact_max_cdf(self, n, u):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._groups(n, self.m)
@@ -331,8 +331,11 @@ class MixtureSpikeSystem(SeriesSystem):
             out = x * (1.0 + (x ** (self.gamma * n - 1.0) - 1.0) / n)
         return np.where(x == 0.0, 0.0, out)
 
-    def exact_mean(self, n, u, r=1.0):
-        return self.marginal_cdf(n, u) ** (r * n)
+    def marginal_quantile(self, n, p):
+        def invert(pi):  # F_n(0) = 0 and F_n(1) = 1 exactly
+            return float(np.clip(pi, 0.0, 1.0)) if not 0.0 < pi < 1.0 else float_root(
+                lambda x: float(self.marginal_cdf(n, x)) - pi, 0.0, 1.0)
+        return np.vectorize(invert, otypes=[float])(p)
 
     def exact_max_cdf(self, n, u):
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
@@ -379,9 +382,9 @@ class GeometricThresholdSystem(SeriesSystem):
         m = 1.0 - eps + eps * rng.random(count)
         return nu, m
 
-    def exact_mean(self, n, u, r=1.0):
+    def size_pgf(self, n, x, r=1.0):
         eps = self.eps_at(n)
-        t = np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** r
+        t = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** r
         return eps * t / (1.0 - (1.0 - eps) * t)
 
     def exact_max_cdf(self, n, u):
@@ -453,16 +456,16 @@ class RandomThresholdSystem(SeriesSystem):
         norm = float(self.zeta.cdf(n))
         return below / norm
 
-    def exact_mean(self, n, u, r=1.0):
-        u_in = np.asarray(u, dtype=float)
-        t = np.clip(np.atleast_1d(u_in), 0.0, 1.0) ** r
+    def size_pgf(self, n, x, r=1.0):
+        x_in = np.asarray(x, dtype=float)
+        t = np.clip(np.atleast_1d(x_in), 0.0, 1.0) ** r
         out = np.empty_like(t)
         for i, ti in enumerate(t):
             def h(z, ti=ti):
                 x = 1.0 - np.asarray(z) / n
                 return (1.0 - x) * ti / (1.0 - x * ti)
             out[i] = self._mix(n, h)
-        return out.reshape(u_in.shape) if u_in.ndim else float(out[0])
+        return out.reshape(x_in.shape) if x_in.ndim else float(out[0])
 
     def exact_max_cdf(self, n, u):
         # size-biased mixture: E[zeta * clip((u-x)/(1-x))] / E[zeta]
@@ -547,7 +550,6 @@ class BranchingHereditySystem(SeriesSystem):
     fields = {"offspring": lambda law: {_integral(k): float(v) for k, v in dict(law).items()},
               "gamma": float, "a": float, "particle_budget": _integral}
     calibration_kind = "nu_pool"
-    u_domain = (None, None)
 
     def __init__(self, offspring: dict, gamma: float, a: float, particle_budget: int = 1_000_000):
         vals, probs = [], []
@@ -621,6 +623,9 @@ class BranchingHereditySystem(SeriesSystem):
     def marginal_cdf(self, n, x):
         return self._stable.cdf(x)
 
+    def marginal_quantile(self, n, p):
+        return self._stable.quantile(p)
+
     def sample_marginal(self, n, count, rng):
         return self._stable.sample(rng, count)
 
@@ -641,7 +646,6 @@ class PowerLawGraphSystem(SeriesSystem):
     kind = "power_law_graph"
     fields = {"beta": float, "a": float, "x_min": float}
     calibration_kind = "marginal_pool"
-    u_domain = (0.0, None)
 
     def __init__(self, beta: float, a: float = 1.0, x_min: float = 1.0):
         if beta <= 2.0:
@@ -717,6 +721,8 @@ class PowerLawGraphSystem(SeriesSystem):
     def marginal_cdf(self, n, x):
         raise NotImplementedError(f"{self.name}: the aggregate marginal has no closed form")
 
+    marginal_quantile = marginal_cdf
+
     def sample_marginal(self, n, count, rng):
         # aggregate of one vertex: own activity + D iid picked activities;
         # picks land on distinct vertices, so their activities are iid
@@ -783,12 +789,14 @@ class MonotoneTransformSystem(_WrappedSystem):
     def __init__(self, base: SeriesSystem, power):
         if not isinstance(base, SeriesSystem):
             raise ConfigError(f"base must be a SeriesSystem, got {type(base).__name__}")
-        if base.u_domain != (0.0, 1.0) and isinstance(power, PowerTransform):
+        # thresholds in [0, 1]: F_n(0) = 0 and F_n(1) = 1, probed at the smallest stage
+        on_unit = (base.calibration_kind != "marginal_pool"
+                   and np.array_equal(base.marginal_cdf(2, [0.0, 1.0]), [0.0, 1.0]))
+        if isinstance(power, PowerTransform) and not on_unit:
             raise ConfigError("power transform needs a base with thresholds in (0, 1)")
         self.base = base
         self.transform = power
         self.calibration_kind = base.calibration_kind
-        self.u_domain = base.u_domain
         self.name = f"monotone_transform({base.name}, {power.name})"
 
     def sample_batch(self, n, count, rng):
@@ -801,11 +809,14 @@ class MonotoneTransformSystem(_WrappedSystem):
     def marginal_cdf(self, n, x):
         return self.base.marginal_cdf(n, self.transform.invert(x))
 
+    def marginal_quantile(self, n, p):
+        return self.transform.apply(self.base.marginal_quantile(n, p))
+
     def sample_marginal(self, n, count, rng):
         return self.transform.apply(self.base.sample_marginal(n, count, rng))
 
-    def exact_mean(self, n, u, r=1.0):
-        return self.base.exact_mean(n, self.transform.invert(u), r)
+    def size_pgf(self, n, x, r=1.0):
+        return self.base.size_pgf(n, x, r)
 
     def exact_max_cdf(self, n, u):
         return self.base.exact_max_cdf(n, self.transform.invert(u))
@@ -860,14 +871,14 @@ def build_calibration_pool(system: SeriesSystem, n: int, stream, size: int = POO
 
 
 class Calibrator:
-    """Vectorized evaluator of E F_n(u)^(r nu_n) at one stage n.
+    """E F_n(u)^(r nu_n) at one stage n, as the composition pgf(F(u), r).
 
-    Exact-mean systems evaluate in closed form; the rest go through one
-    frozen pool (nu draws or marginal draws) built once and reused for
-    every threshold, power, and bisection step, so root finding against a
-    Monte Carlo functional is still deterministic bookkeeping.  The mean over
-    a nu pool is the generating function of its empirical law at F^r, so the
-    pool is compressed once into distinct sizes `nu` and their `counts`.
+    F is the system's marginal d.f., or for "marginal_pool" systems the edf
+    of a frozen pool of marginal draws.  pgf(x, r) = E x^(r nu_n) is the
+    system's size_pgf, or for "nu_pool" systems the mean over a frozen pool
+    of sizes, compressed once into distinct sizes `nu` and their `counts`.
+    Pools are built once and reused for every threshold, power and root
+    step, so a Monte Carlo functional is still a fixed function.
     """
 
     def __init__(self, system: SeriesSystem, n: int, stream=None, pool_size: int = POOL_SIZE):
@@ -886,40 +897,50 @@ class Calibrator:
         if self.kind == "nu_pool":  # integral counts: a constant column averages to itself
             self.nu, self.counts = np.unique(pool.astype(float), return_counts=True)
 
-    def _edf(self, u):
-        # empirical marginal d.f. from the sorted pool
-        return np.searchsorted(self.pool, np.asarray(u, dtype=float), side="right") / self.pool.size
+    def marginal(self, u):
+        """F_n(u): the system's marginal d.f., or the sorted pool's edf."""
+        if self.kind == "marginal_pool":
+            return np.searchsorted(self.pool, np.asarray(u), side="right") / self.pool.size
+        return self.system.marginal_cdf(self.n, u)
 
-    def value(self, u, r: float = 1.0):
+    def quantile(self, x):
+        """u with F_n(u) = x; on a pool, the smallest draw whose edf reaches x."""
+        if self.kind == "marginal_pool":
+            k = np.ceil(np.asarray(x, dtype=float) * self.pool.size).astype(np.int64)
+            return self.pool[np.clip(k - 1, 0, self.pool.size - 1)]
+        return self.system.marginal_quantile(self.n, x)
+
+    def pgf(self, x, r: float = 1.0):
+        """E x^(r nu_n) on the marginal scale x in [0, 1]."""
         if r < 0:
             raise ConfigError(f"power r must be non-negative, got {r}")
-        u = np.asarray(u, dtype=float)
-        if self.exact:
-            return np.asarray(self.system.exact_mean(self.n, u, r), dtype=float)
-        if self.kind == "marginal_pool":
-            return self._edf(u) ** (r * self.n)
-        return self.counts @ self._nu_pool_terms(u, r) / self.pool.size
+        if self.kind == "nu_pool":
+            return self.counts @ self._nu_pool_terms(x, r) / self.pool.size
+        return np.asarray(self.system.size_pgf(self.n, x, r), dtype=float)
+
+    def value(self, u, r: float = 1.0):
+        return self.pgf(self.marginal(u), r)
 
     def stderr_at(self, u, r: float = 1.0):
         u = np.asarray(u, dtype=float)
         if self.exact:
             return np.zeros_like(u)
         size = self.pool.size
+        p = self.marginal(u)
         if self.kind == "marginal_pool":
-            p = self._edf(u)
             se_p = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / size)
             rn = r * self.n
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = rn * p ** (rn - 1.0) * se_p
             return np.where(p > 0.0, out, 0.0)
-        y = self._nu_pool_terms(u, r)
+        y = self._nu_pool_terms(p, r)
         y -= self.counts @ y / size
         y *= y  # the pool's std(ddof=1) / sqrt(size), in place
         return np.sqrt(self.counts @ y / (size * (size - 1.0)))
 
-    def _nu_pool_terms(self, u, r):
-        # F^(r nu), (distinct nu) x (thresholds): F >= 1 gives 1, F <= 0 gives 0, nu = 0 gives 1
-        f = np.atleast_1d(np.asarray(self.system.marginal_cdf(self.n, u), dtype=float))
+    def _nu_pool_terms(self, x, r):
+        # x^(r nu), (distinct nu) x (points): x >= 1 gives 1, x <= 0 gives 0, nu = 0 gives 1
+        f = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
             y = np.multiply.outer(r * self.nu, np.where(f >= 1.0, 0.0, np.log(f)))
         np.exp(y, out=y)

@@ -30,12 +30,7 @@ from extlab.estimator import (
     partial_indices,
     tail_indices,
 )
-from extlab.reference import (
-    GraphActivityLimit,
-    MaxStableLaw,
-    TwoPointThresholdLimit,
-    mixed_max_stable_cdf,
-)
+from extlab.reference import GraphActivityLimit
 from extlab.sampling import (
     Degenerate,
     PositiveStable,
@@ -58,6 +53,7 @@ from extlab.systems import (
     SizeJitterSystem,
     StableSizeGumbelSystem,
 )
+from oracles import MaxStableLaw, TwoPointThresholdLimit, mixed_max_stable_cdf
 
 SEED = 7
 N = 10_000

@@ -17,10 +17,10 @@ from extlab.copulas import (
     default_tilt_power,
     diag_cdf,
     diag_inverse,
-    sample_exchangeable,
 )
 from extlab.reference import ArchimedeanLimit
 from extlab.sampling import RandomStream
+from oracles import sample_exchangeable
 
 _GENERATORS = [
     IndependenceGenerator(),

@@ -17,6 +17,7 @@ from extlab.systems import (
     PowerLawGraphSystem,
     RandomThresholdSystem,
     SeriesSystem,
+    SizeJitterSystem,
     StableSizeGumbelSystem,
 )
 
@@ -42,7 +43,7 @@ def test_closed_form_geometric():
     assert curve.achieved[0] == pytest.approx(0.5, rel=1e-12)
 
 
-def test_closed_form_without_exact_mean_reports_pool_noise():
+def test_closed_form_without_size_pgf_reports_pool_noise():
     sys_ = StableSizeGumbelSystem(beta=0.5, gamma=0.5)
     bare = solve_curve(sys_, 1000, [0.5])
     assert bare.method == "closed_form"
@@ -133,40 +134,49 @@ def test_pool_required_when_stochastic():
 # failure modes
 
 class _FlatSystem(SeriesSystem):
-    """Calibration mean pinned at a constant: brackets cannot exist."""
+    """G pinned at a constant: no x in [0, 1] reaches s."""
 
     name = "flat"
-    u_domain = (None, None)
 
     def __init__(self, level):
         self.level = level
 
-    def exact_mean(self, n, u, r=1.0):
-        return np.full_like(np.asarray(u, dtype=float), self.level)
+    def size_pgf(self, n, x, r=1.0):
+        return np.full_like(np.asarray(x, dtype=float), self.level)
 
 
 class _StepSystem(SeriesSystem):
-    """Exact mean with a jump: the root exists but the residual cannot close."""
+    """G with a jump: the root exists but the residual cannot close."""
 
     name = "step"
 
-    def exact_mean(self, n, u, r=1.0):
-        return np.where(np.asarray(u, dtype=float) >= 0.7, 0.9, 0.1)
+    def size_pgf(self, n, x, r=1.0):
+        return np.where(np.asarray(x, dtype=float) >= 0.7, 0.9, 0.1)
 
 
-def test_no_upper_bracket():
-    with pytest.raises(SolverError, match="upper bracket"):
-        solve_curve(_FlatSystem(0.3), 10, [0.5])
+class _MisplacedQuantileJitter(SizeJitterSystem):
+    """Pooled sizes with a marginal quantile that misses F^{-1}."""
 
-
-def test_no_lower_bracket():
-    with pytest.raises(SolverError, match="lower bracket"):
-        solve_curve(_FlatSystem(0.3), 10, [0.1])
+    def marginal_quantile(self, n, p):
+        return 0.5 * np.asarray(p, dtype=float)
 
 
 def test_residual_tolerance_enforced():
-    with pytest.raises(SolverError, match="residual"):
-        solve_curve(_StepSystem(), 10, [0.5])
+    # a jump in G, a flat G above and below s, and a pooled G at the wrong u
+    jitter = _MisplacedQuantileJitter(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
+    for sys_, s in ((_StepSystem(), 0.5), (_FlatSystem(0.3), 0.5), (_FlatSystem(0.3), 0.1),
+                    (jitter, 0.5)):
+        with pytest.raises(SolverError, match="residual"):
+            solve_curve(sys_, 10, [s], stream=_stream(11), pool_size=10_000)
+
+
+def test_stable_far_tail_root_closes():
+    # at gamma = 1.5 the roots sit at |u| ~ 1e3, past where scipy's cdf holds
+    sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.5, a=0.5)
+    s = [0.05, 0.5, 0.95]
+    curve = solve_curve(sys_, 14, s, stream=_stream(7))
+    assert np.max(np.abs(curve.achieved - s)) <= 1e-9
+    assert np.all(np.diff(curve.u) > 0.0) and curve.u[-1] > 1e3
 
 
 def test_grid_validation():

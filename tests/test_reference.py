@@ -20,12 +20,9 @@ from extlab.reference import (
     DuplicatedIidLimit,
     FixedThresholdLimit,
     GraphActivityLimit,
-    MaxStableLaw,
     RandomThresholdLimit,
     SpikeMixtureLimit,
     StableSizeGumbelLimit,
-    TwoPointThresholdLimit,
-    mixed_max_stable_cdf,
 )
 from extlab.estimator import DEFAULT_GRID
 from extlab.sampling import (
@@ -51,6 +48,7 @@ from extlab.systems import (
     SizeJitterSystem,
     StableSizeGumbelSystem,
 )
+from oracles import MaxStableLaw, TwoPointThresholdLimit, mixed_max_stable_cdf
 
 _S_GRID = np.linspace(0.05, 0.95, 10)
 

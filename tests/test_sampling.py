@@ -140,6 +140,34 @@ def test_symmetric_stable_cdf_matches_empirical():
         assert abs(emp - float(dist.cdf(q))) < 0.01
 
 
+def test_symmetric_stable_far_tails_follow_the_leading_term():
+    # P(X > x) ~ Gamma(gamma) sin(pi gamma / 2) / pi x^-gamma; scipy's cdf
+    # returns exactly 1 and 0 out here for 1 < gamma < 2
+    g = 1.5
+    dist = SymmetricStable(g)
+    for x in (1e4, 1e5):
+        lead = math.gamma(g) * math.sin(0.5 * math.pi * g) / math.pi * x ** -g
+        assert 1.0 - float(dist.cdf(x)) == pytest.approx(lead, rel=1e-4)
+        assert float(dist.cdf(-x)) == pytest.approx(lead, rel=1e-4)
+
+
+def test_symmetric_stable_tail_matches_scipy_where_scipy_holds():
+    dist = SymmetricStable(0.7)
+    x = np.array([-1e3, -1e4, -1e5])
+    assert np.allclose(dist.cdf(x), stats.levy_stable.cdf(x, 0.7, 0.0), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma, tol", [(1.0, 2 * np.finfo(float).eps),
+                                        (2.0, 2 * np.finfo(float).eps),
+                                        (0.7, 1e-12), (1.5, 1e-12)])
+def test_symmetric_stable_quantile_inverts_cdf(gamma, tol):
+    dist = SymmetricStable(gamma)
+    p = np.array([1e-7, 0.05, 0.5, 0.95, 1.0 - 1e-7])
+    x = dist.quantile(p)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.max(np.abs(dist.cdf(x) - p)) <= tol
+
+
 def test_zipf_normalization_against_series():
     # independent oracle: Euler-Maclaurin tail correction on the partial sum
     for beta in (2.5, 3.5):

@@ -58,7 +58,7 @@ def _empirical_max_matches_exact(system, n, probes, draws=60_000, seed=42):
 def test_copula_exact_laws():
     sys_ = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     assert float(sys_.exact_max_cdf(2, 0.5)) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert float(sys_.exact_mean(10, 0.9, r=2.0)) == pytest.approx(0.9**20, rel=1e-12)
+    assert float(sys_.size_pgf(10, 0.9, r=2.0)) == pytest.approx(0.9**20, rel=1e-12)
     assert float(sys_.closed_form_u(100, 0.5)) == pytest.approx(0.5**0.01, rel=1e-12)
 
 
@@ -127,6 +127,16 @@ def test_mixture_spike_max_simulation():
     _empirical_max_matches_exact(MixtureSpikeSystem(1.0), 10, [0.85, 0.95, 0.99])
 
 
+@pytest.mark.parametrize("gamma", [0.5, 2.0])
+def test_mixture_spike_marginal_quantile_round_trip(gamma):
+    sys_ = MixtureSpikeSystem(gamma)
+    n = 10_000
+    p = np.array([0.0, 1e-6, 0.3, 0.99, 0.9997, 0.99999, 1.0 - 1e-12, 1.0])
+    x = sys_.marginal_quantile(n, p)
+    assert x[0] == 0.0 and x[-1] == 1.0 and np.all(np.diff(x) >= 0.0)
+    assert np.max(np.abs(sys_.marginal_cdf(n, x) - p)) <= 2.0 * np.finfo(float).eps
+
+
 # ---------------------------------------------------------------------------
 # geometric threshold
 
@@ -141,7 +151,7 @@ def test_geometric_threshold_construction():
 def test_geometric_threshold_exact_values():
     sys_ = GeometricThresholdSystem(eps=0.01)
     u = 0.5 / 0.505
-    assert float(sys_.exact_mean(1000, u)) == pytest.approx(0.5, rel=1e-9)
+    assert float(sys_.size_pgf(1000, u)) == pytest.approx(0.5, rel=1e-9)
     assert float(sys_.closed_form_u(1000, 0.5)) == pytest.approx(u, rel=1e-12)
     assert float(GeometricThresholdSystem(eps=0.2).exact_max_cdf(10, 0.9)) == pytest.approx(
         0.5, rel=1e-12
@@ -195,13 +205,13 @@ def test_random_threshold_max_simulation():
                                  draws=100_000)
 
 
-def test_random_threshold_exact_mean_two_point():
+def test_random_threshold_size_pgf_two_point():
     sys_ = RandomThresholdSystem(TwoPoint(0.5, 1.5))
     n, u = 1000, 0.999
     want = 0.5 * sum(
         (z / n) * u / (1.0 - (1.0 - z / n) * u) for z in (0.5, 1.5)
     )
-    assert float(sys_.exact_mean(n, u)) == pytest.approx(want, rel=1e-12)
+    assert float(sys_.size_pgf(n, u)) == pytest.approx(want, rel=1e-12)
 
 
 def test_random_threshold_degenerate_collapses_to_geometric():
@@ -212,8 +222,8 @@ def test_random_threshold_degenerate_collapses_to_geometric():
         assert float(rt.exact_max_cdf(n, u)) == pytest.approx(
             float(gt.exact_max_cdf(n, u)), rel=1e-9
         )
-        assert float(rt.exact_mean(n, u)) == pytest.approx(
-            float(gt.exact_mean(n, u)), rel=1e-9
+        assert float(rt.size_pgf(n, u)) == pytest.approx(
+            float(gt.size_pgf(n, u)), rel=1e-9
         )
 
 
@@ -408,20 +418,23 @@ def test_monotone_transform_delegates_exact_laws():
     assert float(wrapped.exact_max_cdf(10, u**2)) == pytest.approx(
         float(base.exact_max_cdf(10, u)), rel=1e-12
     )
-    assert float(wrapped.exact_mean(10, u**2)) == pytest.approx(
-        float(base.exact_mean(10, u)), rel=1e-12
+    # the size law is untouched: G_n is the same function on the x scale
+    assert float(wrapped.size_pgf(10, u)) == pytest.approx(
+        float(base.size_pgf(10, u)), rel=1e-12
     )
+    assert float(wrapped.marginal_quantile(10, u)) == pytest.approx(u**2, rel=1e-12)
     assert float(wrapped.closed_form_u(10, 0.5)) == pytest.approx(
         float(base.closed_form_u(10, 0.5)) ** 2, rel=1e-12
     )
-    assert wrapped.calibration_kind == "exact"
-    assert (wrapped.calibration_kind, wrapped.u_domain) == (base.calibration_kind, base.u_domain)
+    assert wrapped.calibration_kind == base.calibration_kind == "exact"
 
 
 def test_monotone_transform_rejects_unbounded_base():
     graph = PowerLawGraphSystem(beta=3.5, a=1.0)
-    with pytest.raises(ConfigError):
-        MonotoneTransformSystem(graph, PowerTransform(2.0))
+    branching = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
+    for base in (graph, branching):
+        with pytest.raises(ConfigError):
+            MonotoneTransformSystem(base, PowerTransform(2.0))
 
 
 def test_size_jitter_moments_and_floor():
@@ -475,7 +488,7 @@ def test_calibrator_nu_pool_matches_independent_mc():
     for u in (0.999, 0.9995):
         got = float(cal.value(np.array([u]))[0])
         se = float(cal.stderr_at(np.array([u]))[0])
-        want = float(sys_.exact_mean(n, u))
+        want = float(sys_.size_pgf(n, u))
         assert abs(got - want) < 4.0 * se
 
 
@@ -566,15 +579,17 @@ def test_build_system_valid(cfg):
     sys_.validate_n(12)
     nu, m = sys_.sample_batch(12, 64, _rng(39))
     assert nu.shape == m.shape == (64,)
-    # the calibration kind is the one flag saying exact_mean exists
-    if sys_.calibration_kind == "exact":
-        assert math.isfinite(float(sys_.exact_mean(12, 0.5)))
+    # a size law known only through draws is the one case without size_pgf
+    if sys_.calibration_kind != "nu_pool":
+        assert math.isfinite(float(sys_.size_pgf(12, 0.5)))
     else:
         with pytest.raises(NotImplementedError):
-            sys_.exact_mean(12, 0.5)
+            sys_.size_pgf(12, 0.5)
     if cfg["kind"] == "power_law_graph":
         with pytest.raises(NotImplementedError):
             sys_.marginal_cdf(12, 2.0)
+        with pytest.raises(NotImplementedError):
+            sys_.marginal_quantile(12, 0.5)
 
 
 def test_integral_float_fields_build_the_same_system():

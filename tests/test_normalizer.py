@@ -161,11 +161,22 @@ class _MisplacedQuantileJitter(SizeJitterSystem):
         return 0.5 * np.asarray(p, dtype=float)
 
 
+def test_no_upper_bracket():
+    # G stays below s on all of [0, 1]: the root in x cannot reach s
+    with pytest.raises(SolverError, match="residual"):
+        solve_curve(_FlatSystem(0.3), 10, [0.5])
+
+
+def test_no_lower_bracket():
+    # G stays above s on all of [0, 1]: the root in x cannot reach s
+    with pytest.raises(SolverError, match="residual"):
+        solve_curve(_FlatSystem(0.3), 10, [0.1])
+
+
 def test_residual_tolerance_enforced():
-    # a jump in G, a flat G above and below s, and a pooled G at the wrong u
+    # a jump in G, and a pooled G at the wrong u
     jitter = _MisplacedQuantileJitter(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
-    for sys_, s in ((_StepSystem(), 0.5), (_FlatSystem(0.3), 0.5), (_FlatSystem(0.3), 0.1),
-                    (jitter, 0.5)):
+    for sys_, s in ((_StepSystem(), 0.5), (jitter, 0.5)):
         with pytest.raises(SolverError, match="residual"):
             solve_curve(sys_, 10, [s], stream=_stream(11), pool_size=10_000)
 

@@ -588,29 +588,40 @@ class BranchingHereditySystem(SeriesSystem):
             )
 
     def _offspring(self, rng, count):
-        cum = np.cumsum(self.offspring_probs)
-        idx = np.searchsorted(cum, rng.random(count), side="right")
-        return self.offspring_vals[np.minimum(idx, len(cum) - 1)]
+        # inversion on the cdf table, without a search: u >= cum[j] steps k from
+        # vals[j] to vals[j + 1], the clamped searchsorted(cum, u, side="right")
+        u = rng.random(count)
+        k = np.full(count, self.offspring_vals[0])
+        for step, c in zip(np.diff(self.offspring_vals), np.cumsum(self.offspring_probs)[:-1]):
+            k += step * (u >= c)
+        return k
+
+    def _max_innovation(self, k, rng):
+        """Largest of k[i] iid innovations for each i, by inversion: G^-1(U^(1/k))."""
+        from scipy.special import ndtri
+
+        q = -np.expm1(np.log(rng.random(k.size)) / k)  # 1 - U^(1/k), precise in the upper tail
+        return 1.0 / np.tan(np.pi * q) if self.gamma == 1.0 else -math.sqrt(2.0) * ndtri(q)
 
     def sample_batch(self, n, count, rng):
-        # vectorized over all live particles of all trees in the batch
+        # vectorized over all live particles of all trees in the batch; children
+        # follow their parent, so tree j's particles are one run from starts[j]
         scores = self._stable.sample(rng, count)  # stationary roots
-        owner = np.arange(count)
+        starts = np.arange(count)
         hard_cap = max(64 * self.particle_budget, 100_000_000)
-        for _ in range(n):
+        for gen in range(n):
             k = self._offspring(rng, scores.size)
-            total = int(k.sum())
+            nu = np.add.reduceat(k, starts)
+            total = int(nu.sum())
             if total > hard_cap:
                 raise ConfigError(f"{self.name}: population blew past the hard particle cap")
+            if gen == n - 1 and self.gamma in (1.0, 2.0):
+                # the last generation as one maximum per parent, where G^-1 is closed
+                scores = self.a * scores + self.b * self._max_innovation(k, rng)
+                break
             scores = self.a * np.repeat(scores, k) + self.b * self._stable.sample(rng, total)
-            owner = np.repeat(owner, k)
-        nu = np.bincount(owner, minlength=count).astype(np.int64)
-        m = np.full(count, -np.inf)
-        if scores.size:
-            # owners are sorted; segment boundaries give per-tree maxima
-            starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-            m[owner[starts]] = np.maximum.reduceat(scores, starts)
-        return nu, m
+            starts = np.cumsum(nu) - nu
+        return nu, np.maximum.reduceat(scores, starts)
 
     def sample_nu(self, n, count, rng):
         # population recursion only: multinomial split per generation
@@ -664,8 +675,20 @@ class PowerLawGraphSystem(SeriesSystem):
         self._activity = Pareto(self.a, self.x_min)
         self.name = f"power_law_graph(beta={self.beta:g}, a={self.a:g})"
 
-    def _degrees(self, n, rng):
-        return np.minimum(rng.zipf(self.beta, n), n - 1)
+    def _degree_cdf(self, n):
+        """P(D <= k) for k = 1..n-2, as 1 - zeta(beta, k+1)/zeta(beta) (Hurwitz zeta).
+
+        Taking the tail, not a sum of the head, keeps the relative precision
+        of the atom P(D = n-1) = zeta(beta, n-1)/zeta(beta).
+        """
+        from scipy.special import zeta
+
+        return 1.0 - zeta(self.beta, np.arange(2.0, n)) / zeta(self.beta)
+
+    @staticmethod
+    def _degrees(cdf, count, rng):
+        """count draws of D = min(K, n-1) by inversion on its cdf table."""
+        return 1 + np.searchsorted(cdf, rng.random(count), side="right")
 
     def _distinct_picks(self, n, d, rng):
         """src/pick arrays with per-vertex distinct picks, self excluded.
@@ -687,17 +710,18 @@ class PowerLawGraphSystem(SeriesSystem):
         src = np.repeat(np.arange(n), d_small)
         pick = rng.integers(0, n - 1, src.size)
         pick += pick >= src
+        check = np.flatnonzero(d_small[src] >= 2)  # a single pick cannot collide
         for _ in range(200):
-            order = np.lexsort((pick, src))
-            ps, ss = pick[order], src[order]
-            dup = (ss[1:] == ss[:-1]) & (ps[1:] == ps[:-1])
-            if not dup.any():
+            key = np.sort(src[check] * n + pick[check])
+            bad = np.unique(key[1:][key[1:] == key[:-1]] // n)
+            if not bad.size:
                 break
-            bad = np.unique(ss[1:][dup])
-            mask = np.isin(src, bad)
-            fresh = rng.integers(0, n - 1, int(mask.sum()))
-            fresh += fresh >= src[mask]
-            pick[mask] = fresh
+            redraw = np.zeros(n, dtype=bool)
+            redraw[bad] = True
+            check = np.flatnonzero(redraw[src])  # only redrawn groups can collide anew
+            fresh = rng.integers(0, n - 1, check.size)
+            fresh += fresh >= src[check]
+            pick[check] = fresh
         else:
             raise ConfigError(f"{self.name}: in-neighbor rejection failed to converge")
         if big.size:
@@ -705,17 +729,16 @@ class PowerLawGraphSystem(SeriesSystem):
             pick = np.concatenate([pick] + big_pick_parts)
         return src, pick
 
-    def _one_graph_max(self, n, rng) -> float:
-        d = self._degrees(n, rng)
+    def _one_graph_max(self, n, cdf, rng) -> float:
+        d = self._degrees(cdf, n, rng)
         src, pick = self._distinct_picks(n, d, rng)
         act = self._activity.sample(rng, n)
         agg = act + np.bincount(src, weights=act[pick], minlength=n)
         return float(agg.max())
 
     def sample_batch(self, n, count, rng):
-        m = np.empty(count)
-        for i in range(count):
-            m[i] = self._one_graph_max(n, rng)
+        cdf = self._degree_cdf(n)
+        m = np.array([self._one_graph_max(n, cdf, rng) for _ in range(count)])
         return np.full(count, n, dtype=np.int64), m
 
     def marginal_cdf(self, n, x):
@@ -726,7 +749,7 @@ class PowerLawGraphSystem(SeriesSystem):
     def sample_marginal(self, n, count, rng):
         # aggregate of one vertex: own activity + D iid picked activities;
         # picks land on distinct vertices, so their activities are iid
-        d = np.minimum(rng.zipf(self.beta, count), n - 1)
+        d = self._degrees(self._degree_cdf(n), count, rng)
         out = self._activity.sample(rng, count)
         total = int(d.sum())
         if total:

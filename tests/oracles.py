@@ -2,8 +2,10 @@
 
 ``TwoPointThresholdLimit`` inverts the two-atom threshold curve in closed
 form, ``mixed_max_stable_cdf`` is the limit law of maxima under random
-mixing, and ``sample_exchangeable`` draws a whole exchangeable vector
-through its frailty, where the systems draw only its maximum.
+mixing, ``sample_exchangeable`` draws a whole exchangeable vector
+through its frailty, where the systems draw only its maximum, and
+``sample_branching_full_tree`` grows every particle of a branching
+population, where the system draws its last generation as maxima.
 """
 
 import math
@@ -122,3 +124,31 @@ def sample_exchangeable(gen, d: int, stream, size=None):
     e = rng.standard_exponential((m, d))
     u = g.f(e / zeta[:, None])
     return u[0] if size is None else u
+
+
+# ---------------------------------------------------------------------------
+# branching populations
+
+def sample_branching_full_tree(system, n: int, count: int, rng):
+    """(nu_n, M_n) of ``BranchingHereditySystem`` with every particle drawn.
+
+    Each generation draws its offspring counts by a search in the cdf table,
+    repeats every score once per child, adds a fresh stable innovation to
+    each, and carries the tree of each particle along as an owner index.
+    """
+    cum = np.cumsum(system.offspring_probs)
+    scores = system._stable.sample(rng, count)  # stationary roots
+    owner = np.arange(count)
+    for _ in range(n):
+        idx = np.searchsorted(cum, rng.random(scores.size), side="right")
+        k = system.offspring_vals[np.minimum(idx, len(cum) - 1)]
+        fresh = system._stable.sample(rng, int(k.sum()))
+        scores = system.a * np.repeat(scores, k) + system.b * fresh
+        owner = np.repeat(owner, k)
+    nu = np.bincount(owner, minlength=count).astype(np.int64)
+    m = np.full(count, -np.inf)
+    if scores.size:
+        # owners are sorted; segment boundaries give per-tree maxima
+        starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        m[owner[starts]] = np.maximum.reduceat(scores, starts)
+    return nu, m

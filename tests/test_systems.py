@@ -37,6 +37,7 @@ from extlab.systems import (
     StableSizeGumbelSystem,
     build_system,
 )
+from oracles import sample_branching_full_tree
 
 
 def _rng(seed, sid=0):
@@ -339,6 +340,55 @@ def test_branching_cauchy_root_marginal():
     assert stats.kstest(x, "cauchy").pvalue > 0.01
 
 
+def _branching_max_cdf_n1(sys_, x):
+    """P(M_1 <= x) = sum_k p_k int G((x - a s)/b)^k dG(s), and its k = 1 term.
+
+    A Stieltjes midpoint sum over a sinh grid reaching |s| ~ 1e6; G between
+    grid points is interpolated from the same table.  The k = 1 term is G(x)
+    itself, since a S + b S' is again standard stable.
+    """
+    z = np.sinh(np.linspace(-14.5, 14.5, 2001))
+    gz = sys_._stable.cdf(z)
+    mid, mass = 0.5 * (z[1:] + z[:-1]), np.diff(gz)
+    h = np.interp((np.asarray(x)[:, None] - sys_.a * mid) / sys_.b, z, gz)
+    law = sum(p * (h**k) @ mass for k, p in zip(sys_.offspring_vals, sys_.offspring_probs))
+    return law, h @ mass
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0, 1.5])
+def test_branching_one_generation_exact_law(gamma):
+    # gamma 1 and 2 draw the generation as maxima, 1.5 draws every particle
+    sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=gamma, a=0.5)
+    draws = 20_000
+    nu, m = sys_.sample_batch(1, draws, _rng(60))
+    replay = _rng(60)
+    sys_._stable.sample(replay, draws)  # the roots, then one offspring count per root
+    assert np.array_equal(nu, sys_._offspring(replay, draws))
+    xs = np.sinh(np.linspace(-12.0, 12.0, 1201))
+    law, single = _branching_max_cdf_n1(sys_, xs)
+    assert np.max(np.abs(single - sys_._stable.cdf(xs))) < 1e-4  # the quadrature itself
+    assert stats.kstest(m, lambda x: np.interp(x, xs, law)).pvalue > 0.01
+
+
+def test_branching_full_path_matches_full_tree_oracle_draw_for_draw():
+    # off gamma 1 and 2 every particle is drawn, on the same uniforms as the
+    # full-tree sampler; the zero-mass entries test the table inversion
+    sys_ = BranchingHereditySystem({0: 0.0, 1: 0.2, 2: 0.5, 4: 0.0, 5: 0.3}, gamma=1.5, a=0.5)
+    nu, m = sys_.sample_batch(4, 300, _rng(61))
+    nu_o, m_o = sample_branching_full_tree(sys_, 4, 300, _rng(61))
+    assert np.array_equal(nu, nu_o)
+    assert np.array_equal(m, m_o)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_branching_maxima_last_generation_matches_full_tree_oracle(gamma):
+    sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=gamma, a=0.5)
+    nu, m = sys_.sample_batch(5, 5000, _rng(62))
+    nu_o, m_o = sample_branching_full_tree(sys_, 5, 5000, _rng(63))
+    assert stats.ks_2samp(m, m_o).pvalue > 0.01
+    assert stats.ks_2samp(nu, nu_o).pvalue > 0.01
+
+
 # ---------------------------------------------------------------------------
 # power-law graph
 
@@ -371,16 +421,52 @@ def test_graph_picks_are_distinct_and_not_self():
     sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
     rng = _rng(25)
     n = 50
-    for d_val in (3, 30):  # small-degree rejection path and permutation path
-        d = np.full(n, d_val)
+    mixed = np.tile([1, 2, 5, 8, 1], n // 5)
+    mixed[7] = 30
+    # small-degree rejection path, permutation path, and both beside d = 1
+    # groups, which skip the collision check
+    for d in (np.full(n, 3), np.full(n, 30), mixed):
         src, pick = sys_._distinct_picks(n, d, rng)
-        assert src.size == n * d_val
+        assert src.size == d.sum()
         assert np.all(pick != src)
         for v in range(n):
             grp = pick[src == v]
-            assert grp.size == d_val
-            assert np.unique(grp).size == d_val
+            assert grp.size == d[v]
+            assert np.unique(grp).size == d[v]
             assert np.all((grp >= 0) & (grp < n))
+
+
+def test_graph_picks_uniform_over_subsets():
+    # n = 5, d = 2: each vertex's pair is uniform over the C(4, 2) = 6 pairs
+    # of other vertices, collisions (one in four draws) redrawn whole
+    sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
+    n, reps = 5, 4000
+    rng = _rng(65)
+    d = np.full(n, 2)
+    counts = np.zeros((n, n, n), dtype=np.int64)  # vertex, smaller pick, larger pick
+    for _ in range(reps):
+        src, pick = sys_._distinct_picks(n, d, rng)
+        pair = pick.reshape(n, 2)
+        assert np.array_equal(src, np.repeat(np.arange(n), 2))
+        assert np.all(pair[:, 0] != pair[:, 1]) and np.all(pair != src.reshape(n, 2))
+        np.add.at(counts, (np.arange(n), pair.min(axis=1), pair.max(axis=1)), 1)
+    hit = counts[counts > 0]
+    assert hit.size == n * 6
+    assert stats.chisquare(hit).pvalue > 0.01
+
+
+@pytest.mark.parametrize("beta", [2.5, 3.5])
+def test_graph_degree_law_truncated_zeta(beta):
+    # D = min(K, n - 1): P(D = k) = k^-beta / zeta(beta) below n - 1, and the
+    # atom at n - 1 carries the tail zeta(beta, n - 1) / zeta(beta)
+    sys_ = PowerLawGraphSystem(beta=beta, a=0.4)
+    draws = 200_000
+    d = sys_._degrees(sys_._degree_cdf(5), draws, _rng(66))
+    assert d.min() >= 1 and d.max() <= 4
+    want = np.r_[np.arange(1.0, 4.0) ** -beta, scipy_zeta(beta, 4.0)] / scipy_zeta(beta)
+    got = np.bincount(d, minlength=5)[1:] / draws
+    assert np.all(np.abs(got - want) < 4.0 * np.sqrt(want * (1.0 - want) / draws)), (got, want)
+    assert np.all(sys_._degrees(sys_._degree_cdf(2), 1000, _rng(67)) == 1)
 
 
 def test_graph_aggregates_bounded_below():

@@ -45,7 +45,6 @@ from .systems import (
     PowerLawGraphSystem,
     MonotoneTransformSystem,
     SizeJitterSystem,
-    PowerTransform,
     Calibrator,
     build_calibration_pool,
     build_system,

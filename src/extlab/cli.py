@@ -170,12 +170,14 @@ def _validate_config(cfg: dict, path: str, raw: str, args=None) -> dict:
     if bounds is not None:
         try:
             ok = (isinstance(bounds, list) and len(bounds) == 2
-                  and 0.0 < float(bounds[0]) < float(bounds[1]))
-        except (TypeError, ValueError):
+                  and all(isinstance(b, (int, float)) and not isinstance(b, bool)
+                          and math.isfinite(b) for b in bounds)
+                  and 0.0 < bounds[0] < bounds[1])
+        except OverflowError:  # an integer past the float range
             ok = False
         if not ok:
-            raise _located(path, raw, '"def2_bounds"',
-                           f"def2_bounds must be [lo, hi] with 0 < lo < hi, got {bounds!r}")
+            raise _located(path, raw, '"def2_bounds"', "def2_bounds must be two finite "
+                           f"numbers [lo, hi] with 0 < lo < hi, got {bounds!r}")
     return got
 
 

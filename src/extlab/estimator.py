@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .normalizer import NormalizingCurve, solve_curve
+from .normalizer import NormalizingCurve, _bisect, solve_curve
 from .sampling import RandomStream
 from .systems import Calibrator, ConfigError, SeriesSystem
 
@@ -175,11 +175,15 @@ class Def2Fit:
     bounds: tuple[float, float]
     estimate: PsiEstimate
     calibrator: Calibrator = field(repr=False)
+    x: np.ndarray = field(repr=False)  # F_n(u) on the estimate's grid
+
+    def gaps(self, theta: float) -> np.ndarray:
+        """psi_hat - E F(u)^(theta nu) per grid point; nondecreasing in theta."""
+        return self.estimate.psi_hat - self.calibrator.pgf(self.x, float(theta))
 
     def discrepancy_at(self, theta: float) -> float:
         """The sup-norm gap D(theta) = max_s |psi_hat - E F(u)^(theta nu)|."""
-        vals = self.calibrator.value(self.estimate.u, float(theta))
-        return float(np.max(np.abs(self.estimate.psi_hat - vals)))
+        return float(np.max(np.abs(self.gaps(theta))))
 
 
 def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
@@ -187,38 +191,28 @@ def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
     """Minimize the sup-norm gap D(theta) of the estimate at its stage n.
 
     The comparand pool is frozen on its own substream, independent of both
-    the replicates and the threshold-calibration pool.  A coarse geometric
-    scan brackets the minimum before golden-section refinement, so a flat
-    or gently multimodal D does not trap the fit.
+    the replicates and the threshold-calibration pool.  E x^(theta nu) falls
+    in theta for every x in [0, 1], so with g = psi_hat - E x^(theta nu) the
+    upper gap A = max g rises, the lower gap B = -min g falls, and
+    D = max(A, B) is least exactly where A = B.  One bisection in log theta
+    finds the sign change of A - B = max g + min g; where A - B keeps one
+    sign over the bounds, D is monotone and the nearer bound is the answer.
     """
     lo, hi = float(theta_bounds[0]), float(theta_bounds[1])
-    if not 0.0 < lo < hi:
-        raise ConfigError(f"need 0 < lo < hi in theta bounds, got {theta_bounds}")
+    if not (math.isfinite(hi) and 0.0 < lo < hi):
+        raise ConfigError(f"need finite 0 < lo < hi in theta bounds, got {theta_bounds}")
     cal = Calibrator(system, estimate.n, stream=stream.substream(_DEF2_TAG))
-    fit = Def2Fit(math.nan, math.nan, (lo, hi), estimate, cal)
-    dis = fit.discrepancy_at
+    fit = Def2Fit(math.nan, math.nan, (lo, hi), estimate, cal, cal.marginal(estimate.u))
 
-    thetas = np.geomspace(lo, hi, 65)
-    coarse = np.array([dis(t) for t in thetas])
-    i = int(np.argmin(coarse))
-    a, b = thetas[max(i - 1, 0)], thetas[min(i + 1, len(thetas) - 1)]
+    def theta_at(t):  # lo at t = 0 and hi at t = 1, exactly
+        return lo ** (1.0 - t) * hi ** t
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = dis(c), dis(d)
-    for _ in range(200):
-        if b - a < 1e-6 * max(1.0, b):
-            break
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = dis(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = dis(d)
-    fit.theta = float(0.5 * (a + b))
-    fit.discrepancy = dis(fit.theta)
+    def spread(t):  # A - B, nondecreasing in t
+        g = fit.gaps(theta_at(t[0]))
+        return np.max(g) + np.min(g)
+
+    fit.theta = float(theta_at(_bisect(spread, np.zeros(1))[0]))
+    fit.discrepancy = fit.discrepancy_at(fit.theta)
     return fit
 
 

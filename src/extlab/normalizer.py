@@ -16,7 +16,6 @@ random numbers keep the curve monotone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,23 +67,12 @@ def _bisect(fn, s):
 
 def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
                 pool_size: int = POOL_SIZE) -> NormalizingCurve:
-    """Calibrate thresholds for a whole s grid at stage n.
-
-    Pool-backed systems draw their frozen pool from the stream.  A closed
-    form threshold with a pooled calibration mean and no stream reports NaN
-    for the achieved values and their stderr.
-    """
+    """Calibrate thresholds for a whole s grid at stage n; pools draw from the stream."""
     s = _check_grid(s_grid)
-    system.validate_n(n)
-
+    cal = Calibrator(system, n, stream=stream, pool_size=pool_size)
     closed = system.closed_form_u(n, s)
     if closed is not None:
         u = np.asarray(closed, dtype=float)
-        if stream is None and system.calibration_kind != "exact":
-            nan = np.full(s.shape, math.nan)
-            return NormalizingCurve(n, s, u, nan, nan, "closed_form")
-    cal = Calibrator(system, n, stream=stream, pool_size=pool_size)
-    if closed is not None:
         return NormalizingCurve(n, s, u, cal.value(u), cal.stderr_at(u), "closed_form")
 
     x = _bisect(cal.pgf, s)  # G_n(x) = s, bracketed by [0, 1]

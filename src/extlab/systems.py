@@ -71,7 +71,6 @@ __all__ = [
     "StableSizeGumbelSystem",
     "BranchingHereditySystem",
     "PowerLawGraphSystem",
-    "PowerTransform",
     "MonotoneTransformSystem",
     "SizeJitterSystem",
     "Calibrator",
@@ -99,11 +98,19 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A float field; NaN and the infinities, which JSON readers accept, are refused."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return x
+
+
 _GEN_FAMILIES = {
     "independence": lambda p: IndependenceGenerator(),
-    "clayton": lambda p: ClaytonGenerator(float(p["alpha"])),
-    "frank": lambda p: FrankGenerator(float(p["alpha"])),
-    "gumbel_hougaard": lambda p: GumbelHougaardGenerator(float(p["alpha"])),
+    "clayton": lambda p: ClaytonGenerator(_real(p["alpha"])),
+    "frank": lambda p: FrankGenerator(_real(p["alpha"])),
+    "gumbel_hougaard": lambda p: GumbelHougaardGenerator(_real(p["alpha"])),
 }
 
 
@@ -122,7 +129,7 @@ def _build_generator(cfg: dict):
         raise ConfigError(f"generator family {family!r} needs fields {sorted(missing)}")
     gen = _GEN_FAMILIES[family](cfg)
     if tilt is not None:
-        gen = TiltedGenerator(gen, float(tilt))
+        gen = TiltedGenerator(gen, _real(tilt))
     return gen
 
 
@@ -131,17 +138,17 @@ def _build_zeta(cfg: dict) -> Distribution:
     kind = cfg.pop("kind", None)
     try:
         if kind == "two_point":
-            delta = float(cfg.pop("delta"))
+            delta = _real(cfg.pop("delta"))
             if not 0.0 < delta < 1.0:
                 raise ConfigError(f"delta must lie in (0, 1), got {delta}")
             law = TwoPoint(1.0 - delta, 1.0 + delta, 0.5)
         elif kind == "pareto":
-            a = float(cfg.pop("a"))
+            a = _real(cfg.pop("a"))
             if a <= 1.0:
                 raise ConfigError(f"pareto threshold law needs a > 1, got {a}")
             law = Pareto(a, (a - 1.0) / a)  # x_min chosen so the mean is 1
         elif kind == "gamma":
-            shape = float(cfg.pop("shape"))
+            shape = _real(cfg.pop("shape"))
             law = Gamma(shape, 1.0 / shape)
         elif kind == "degenerate":
             law = Degenerate(1.0)
@@ -310,7 +317,7 @@ class MixtureSpikeSystem(SeriesSystem):
     """
 
     kind = "mixture_spike"
-    fields = {"gamma": float}
+    fields = {"gamma": _real}
 
     def __init__(self, gamma: float):
         if not gamma > 0:
@@ -355,7 +362,7 @@ class GeometricThresholdSystem(SeriesSystem):
     """
 
     kind = "geometric_threshold"
-    fields = {"eps": float, "eps_exponent": float}
+    fields = {"eps": _real, "eps_exponent": _real}
 
     def __init__(self, eps: float | None = None, eps_exponent: float | None = None):
         if (eps is None) == (eps_exponent is None):
@@ -495,7 +502,7 @@ class StableSizeGumbelSystem(SeriesSystem):
     """
 
     kind = "stable_size_gumbel"
-    fields = {"beta": float, "gamma": float}
+    fields = {"beta": _real, "gamma": _real}
     calibration_kind = "nu_pool"
 
     def __init__(self, beta: float, gamma: float):
@@ -547,8 +554,8 @@ class BranchingHereditySystem(SeriesSystem):
     """
 
     kind = "branching_heredity"
-    fields = {"offspring": lambda law: {_integral(k): float(v) for k, v in dict(law).items()},
-              "gamma": float, "a": float, "particle_budget": _integral}
+    fields = {"offspring": lambda law: {_integral(k): _real(v) for k, v in dict(law).items()},
+              "gamma": _real, "a": _real, "particle_budget": _integral}
     calibration_kind = "nu_pool"
 
     def __init__(self, offspring: dict, gamma: float, a: float, particle_budget: int = 1_000_000):
@@ -655,7 +662,7 @@ class PowerLawGraphSystem(SeriesSystem):
     """
 
     kind = "power_law_graph"
-    fields = {"beta": float, "a": float, "x_min": float}
+    fields = {"beta": _real, "a": _real, "x_min": _real}
     calibration_kind = "marginal_pool"
 
     def __init__(self, beta: float, a: float = 1.0, x_min: float = 1.0):
@@ -771,22 +778,6 @@ class PowerLawGraphSystem(SeriesSystem):
 # ---------------------------------------------------------------------------
 # wrappers
 
-class PowerTransform:
-    """g(x) = x^p on [0, 1], strictly increasing for p > 0."""
-
-    def __init__(self, p: float):
-        if not p > 0:
-            raise ConfigError(f"power must be positive, got {p}")
-        self.p = float(p)
-        self.name = f"power({self.p:g})"
-
-    def apply(self, x):
-        return np.asarray(x, dtype=float) ** self.p
-
-    def invert(self, y):
-        return np.asarray(y, dtype=float) ** (1.0 / self.p)
-
-
 class _WrappedSystem(SeriesSystem):
     """A system built on a base system: the base's stages and limit model."""
 
@@ -798,55 +789,58 @@ class _WrappedSystem(SeriesSystem):
 
 
 class MonotoneTransformSystem(_WrappedSystem):
-    """Applies a strictly increasing map to every series member.
+    """Raises every series member to a power: g(x) = x^power with power > 0.
 
-    Maxima commute with monotone maps, so every summary of the base system
-    transports through g draw by draw; this wrapper exists to test exactly
-    that invariance.
+    g is strictly increasing on [0, 1], and maxima commute with monotone
+    maps, so every summary of the base system transports through g draw by
+    draw; this wrapper exists to test exactly that invariance.
     """
 
     kind = "monotone_transform"
-    fields = {"base": lambda cfg: build_system(cfg),
-              "power": lambda p: PowerTransform(float(p))}
+    fields = {"base": lambda cfg: build_system(cfg), "power": _real}
 
-    def __init__(self, base: SeriesSystem, power):
+    def __init__(self, base: SeriesSystem, power: float):
         if not isinstance(base, SeriesSystem):
             raise ConfigError(f"base must be a SeriesSystem, got {type(base).__name__}")
+        if not power > 0:
+            raise ConfigError(f"power must be positive, got {power}")
         # thresholds in [0, 1]: F_n(0) = 0 and F_n(1) = 1, probed at the smallest stage
-        on_unit = (base.calibration_kind != "marginal_pool"
-                   and np.array_equal(base.marginal_cdf(2, [0.0, 1.0]), [0.0, 1.0]))
-        if isinstance(power, PowerTransform) and not on_unit:
+        if not (base.calibration_kind != "marginal_pool"
+                and np.array_equal(base.marginal_cdf(2, [0.0, 1.0]), [0.0, 1.0])):
             raise ConfigError("power transform needs a base with thresholds in (0, 1)")
         self.base = base
-        self.transform = power
+        self.power = float(power)
         self.calibration_kind = base.calibration_kind
-        self.name = f"monotone_transform({base.name}, {power.name})"
+        self.name = f"monotone_transform({base.name}, power({self.power:g}))"
+
+    def _apply(self, x):
+        return np.asarray(x, dtype=float) ** self.power
+
+    def _invert(self, y):
+        return np.asarray(y, dtype=float) ** (1.0 / self.power)
 
     def sample_batch(self, n, count, rng):
         nu, m = self.base.sample_batch(n, count, rng)
-        return nu, self.transform.apply(m)
+        return nu, self._apply(m)
 
     def sample_nu(self, n, count, rng):
         return self.base.sample_nu(n, count, rng)
 
     def marginal_cdf(self, n, x):
-        return self.base.marginal_cdf(n, self.transform.invert(x))
+        return self.base.marginal_cdf(n, self._invert(x))
 
     def marginal_quantile(self, n, p):
-        return self.transform.apply(self.base.marginal_quantile(n, p))
-
-    def sample_marginal(self, n, count, rng):
-        return self.transform.apply(self.base.sample_marginal(n, count, rng))
+        return self._apply(self.base.marginal_quantile(n, p))
 
     def size_pgf(self, n, x, r=1.0):
         return self.base.size_pgf(n, x, r)
 
     def exact_max_cdf(self, n, u):
-        return self.base.exact_max_cdf(n, self.transform.invert(u))
+        return self.base.exact_max_cdf(n, self._invert(u))
 
     def closed_form_u(self, n, s):
         u = self.base.closed_form_u(n, s)
-        return None if u is None else self.transform.apply(u)
+        return None if u is None else self._apply(u)
 
 
 class SizeJitterSystem(_WrappedSystem):

@@ -48,7 +48,6 @@ from extlab.systems import (
     MixtureSpikeSystem,
     MonotoneTransformSystem,
     PowerLawGraphSystem,
-    PowerTransform,
     RandomThresholdSystem,
     SizeJitterSystem,
     StableSizeGumbelSystem,
@@ -309,7 +308,7 @@ def test_graph_max_law_against_comparator_limit(graph_run):
 
 def test_monotone_transform_invariance_end_to_end():
     base = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
-    wrapped = MonotoneTransformSystem(base, PowerTransform(2.0))
+    wrapped = MonotoneTransformSystem(base, 2.0)
     kw = dict(s_grid=[0.2, 0.5, 0.8], replicates=20_000)
     est_b = estimate_psi(base, N, stream=_stream(), **kw)
     est_w = estimate_psi(wrapped, N, stream=_stream(), **kw)

@@ -1,6 +1,7 @@
 """Command-line flows: run, compare, sweep, validation exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +171,23 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"system": {"kind": "exchangeable_copula",
                      "generator": {"family": "frank", "alpha": 40}}}, "too large"),
         ({"out": "no_such_dir/x.csv"}, "does not exist"),
+        # JSON readers accept NaN and Infinity: every float field refuses them
+        ({"system": {"kind": "exchangeable_copula",
+                     "generator": {"family": "clayton", "alpha": math.nan}}}, "finite number"),
+        ({"system": {"kind": "exchangeable_copula",
+                     "generator": {"family": "clayton", "alpha": math.inf}}}, "finite number"),
+        ({"system": {"kind": "exchangeable_copula",
+                     "generator": {"family": "gumbel_hougaard", "alpha": math.nan}}},
+         "finite number"),
+        ({"system": {"kind": "exchangeable_copula",
+                     "generator": {"family": "gumbel_hougaard", "alpha": math.inf}}},
+         "finite number"),
+        ({"system": {"kind": "branching_heredity", "offspring": {"1": math.nan, "3": 0.5},
+                     "gamma": 1.0, "a": 0.5}}, "finite number"),
+        ({"system": {"kind": "mixture_spike", "gamma": math.inf}}, "finite number"),
+        ({"system": {"kind": "power_law_graph", "beta": 3.5, "x_min": math.inf}},
+         "finite number"),
+        ({"def2_bounds": [0.1, math.inf]}, "def2_bounds"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):

@@ -23,6 +23,7 @@ from extlab.systems import (
     DuplicatedIidSystem,
     ExchangeableCopulaSystem,
     GeometricThresholdSystem,
+    StableSizeGumbelSystem,
 )
 
 
@@ -216,6 +217,32 @@ def test_def2_validation():
         def2_fit(sys_, est, _stream(11), theta_bounds=(0.0, 1.0))
     with pytest.raises(ConfigError):
         def2_fit(sys_, est, _stream(11), theta_bounds=(2.0, 1.0))
+    with pytest.raises(ConfigError):
+        def2_fit(sys_, est, _stream(11), theta_bounds=(0.1, math.inf))
+
+
+@pytest.mark.parametrize("sys_,n,seed", [
+    (DuplicatedIidSystem(2), 50, 13),
+    (StableSizeGumbelSystem(0.5, 0.5), 1000, 14),
+], ids=["duplicated_iid", "stable_size"])
+def test_def2_fit_is_exact_minimax(sys_, n, seed):
+    # the upper gap A = max(psi_hat - G) rises in theta and the lower gap
+    # B = max(G - psi_hat) falls, so D = max(A, B) is least where A = B
+    est = estimate_psi(sys_, n, replicates=6400, stream=_stream(seed))
+
+    def one_sided_gaps(fit):
+        g = est.psi_hat - fit.calibrator.value(est.u, fit.theta)
+        return np.max(g), np.max(-g)
+
+    fit = def2_fit(sys_, est, _stream(seed))
+    upper, lower = one_sided_gaps(fit)
+    assert 0.2 < fit.theta < 2.0
+    assert abs(upper - lower) <= 1e-12
+    assert fit.discrepancy == pytest.approx(max(upper, lower), rel=1e-12)
+    # a crossing outside the bounds: D is monotone on them, least at the nearer bound
+    for bounds, nearer in (((0.01, 0.2), 0.2), ((2.0, 10.0), 2.0)):
+        fit = def2_fit(sys_, est, _stream(seed), theta_bounds=bounds)
+        assert fit.theta == pytest.approx(nearer, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -45,11 +45,11 @@ def test_closed_form_geometric():
 
 def test_closed_form_without_size_pgf_reports_pool_noise():
     sys_ = StableSizeGumbelSystem(beta=0.5, gamma=0.5)
-    bare = solve_curve(sys_, 1000, [0.5])
-    assert bare.method == "closed_form"
-    assert math.isnan(bare.achieved[0]) and math.isnan(bare.stderr[0])
+    with pytest.raises(ConfigError):
+        solve_curve(sys_, 1000, [0.5])  # the pooled mean needs a stream
     seeded = solve_curve(sys_, 1000, [0.5], stream=_stream(3), pool_size=50_000)
-    assert seeded.u[0] == bare.u[0]
+    assert seeded.method == "closed_form"
+    assert seeded.u[0] == sys_.closed_form_u(1000, [0.5])[0]
     assert math.isfinite(seeded.achieved[0]) and seeded.stderr[0] > 0.0
     assert abs(seeded.achieved[0] - 0.5) < 4.0 * seeded.stderr[0] + 2e-3
 

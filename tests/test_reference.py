@@ -42,7 +42,6 @@ from extlab.systems import (
     MixtureSpikeSystem,
     MonotoneTransformSystem,
     PowerLawGraphSystem,
-    PowerTransform,
     RandomThresholdSystem,
     SeriesSystem,
     SizeJitterSystem,
@@ -399,7 +398,7 @@ def test_reference_lookup_direct_families():
 
 def test_reference_lookup_unwraps_decorators():
     base = DuplicatedIidSystem(2)
-    wrapped = MonotoneTransformSystem(base, PowerTransform(2.0))
+    wrapped = MonotoneTransformSystem(base, 2.0)
     assert isinstance(wrapped.reference(), DuplicatedIidLimit)
     jittered = SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
     assert isinstance(jittered.reference(), ArchimedeanLimit)

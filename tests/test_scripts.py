@@ -1,5 +1,6 @@
 """The example scripts run end to end on small sizes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +26,34 @@ def test_script_runs(argv):
     # a zero error bar on the curve index means batches were dropped
     curve_lines = [ln for ln in proc.stdout.splitlines() if "curve index" in ln]
     assert all("+- 0.0000" not in ln for ln in curve_lines), curve_lines
+
+
+def _result(theta, psi):
+    return {"rows": [{"s": 0.1, "psi_hat": psi[0]}, {"s": 0.9, "psi_hat": psi[1]}],
+            "summary": {"indices": {"theta_def2": theta}, "system": "dup"}}
+
+
+def test_result_check_diff(tmp_path):
+    # `result_check.py run` (28 full CLI runs, ~40 s) stays out of the suite
+    old, new = tmp_path / "old", tmp_path / "new"
+    files = {
+        old: {"a.w0": _result(0.5, [0.1, 0.9]), "a.w2": _result(0.5, [0.1, 0.9]),
+              "b.w0": _result(0.4, [0.2, 0.8]), "b.w2": _result(0.4, [0.2, 0.8])},
+        new: {"a.w0": _result(0.5, [0.1, 0.9]), "a.w2": _result(0.5, [0.1, 0.9]),
+              "b.w0": _result(0.5, [0.2, 0.72]), "b.w2": _result(0.5, [0.2, 0.8])},
+    }
+    for root, results in files.items():
+        root.mkdir()
+        for name, payload in results.items():
+            (root / f"{name}.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+    proc = subprocess.run([sys.executable, str(_ROOT / "scripts" / "result_check.py"),
+                           "diff", str(old), str(new)],
+                          capture_output=True, text=True, timeout=60)
+    lines = proc.stdout.splitlines()
+    assert "a.w0.json: identical" in lines and "a.w2.json: identical" in lines
+    b0 = lines[lines.index("b.w0.json: changed") + 1:][:2]
+    assert b0 == ["    rows.psi_hat: 1 value(s), largest relative drift 0.1",
+                  "    summary.indices.theta_def2: 1 value(s), largest relative drift 0.2"]
+    assert "b.w2.json: changed" in lines
+    assert lines[-1] == f"WORKER MISMATCH in {new}: b differs between workers (0, 2)"
+    assert proc.returncode == 1

@@ -31,7 +31,6 @@ from extlab.systems import (
     MixtureSpikeSystem,
     MonotoneTransformSystem,
     PowerLawGraphSystem,
-    PowerTransform,
     RandomThresholdSystem,
     SizeJitterSystem,
     StableSizeGumbelSystem,
@@ -490,7 +489,7 @@ def test_graph_closed_form_u():
 
 def test_monotone_transform_commutes_draw_by_draw():
     base = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
-    wrapped = MonotoneTransformSystem(base, PowerTransform(2.0))
+    wrapped = MonotoneTransformSystem(base, 2.0)
     nu_b, m_b = base.sample_batch(32, 500, _rng(28))
     nu_w, m_w = wrapped.sample_batch(32, 500, _rng(28))
     assert np.array_equal(nu_b, nu_w)
@@ -499,7 +498,7 @@ def test_monotone_transform_commutes_draw_by_draw():
 
 def test_monotone_transform_delegates_exact_laws():
     base = GeometricThresholdSystem(eps=0.1)
-    wrapped = MonotoneTransformSystem(base, PowerTransform(2.0))
+    wrapped = MonotoneTransformSystem(base, 2.0)
     u = 0.95
     assert float(wrapped.exact_max_cdf(10, u**2)) == pytest.approx(
         float(base.exact_max_cdf(10, u)), rel=1e-12
@@ -520,7 +519,7 @@ def test_monotone_transform_rejects_unbounded_base():
     branching = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
     for base in (graph, branching):
         with pytest.raises(ConfigError):
-            MonotoneTransformSystem(base, PowerTransform(2.0))
+            MonotoneTransformSystem(base, 2.0)
 
 
 def test_size_jitter_moments_and_floor():
@@ -729,6 +728,10 @@ def test_public_names_exist():
         {"kind": "branching_heredity", "offspring": [1, 2], "gamma": 1.0, "a": 0.5},
         {"kind": "duplicated_iid", "m": 2.7},
         {"kind": "size_jitter", "base": {"kind": "duplicated_iid", "m": 2.5}},
+        {"kind": "monotone_transform", "base": {"kind": "duplicated_iid", "m": 2}, "power": 0},
+        {"kind": "monotone_transform", "base": {"kind": "duplicated_iid", "m": 2}, "power": -1},
+        {"kind": "monotone_transform", "base": {"kind": "duplicated_iid", "m": 2},
+         "power": math.nan},
     ],
 )
 def test_build_system_invalid(cfg):

@@ -180,58 +180,73 @@ class FixedThresholdLimit(ReferenceModel):
 class RandomThresholdLimit(ReferenceModel):
     """psi(s) = g(f^{-1}(s)) with f(t) = E zeta/(t+zeta), g(t) = E (zeta-t)+.
 
-    Atomic threshold laws evaluate the two means exactly; continuous laws
-    go through adaptive quadrature on the quantile scale with the kink of
-    (zeta - t)+ passed to the integrator, keeping the curve good to ~1e-10.
+    With a finite ``cap`` every mean is taken given zeta < cap.  The random
+    threshold system at stage n is this model at cap = n: its threshold is
+    u_n(s) = n / (n + f_n^{-1}(s)), its size pgf G_n(x) = f_n(n(1 - x)/x) and
+    its maximum law P(M_n <= u) = g_n(n(1 - u)) / m_n with m_n = E[zeta |
+    zeta < n], so its curve is g_n(t u_n) / m_n at t = f_n^{-1}(s).  Atomic
+    laws take every mean exactly.  Otherwise a mean is adaptive quadrature on
+    the quantile scale over [0, F(cap)], and g is the integral of S(z) - S(cap)
+    over [t, cap] on the z scale, which has no kink; both keep ~1e-13.
     """
 
-    def __init__(self, zeta: Distribution):
+    def __init__(self, zeta: Distribution, cap: float = math.inf):
         m = zeta.mean()
         if not math.isfinite(m) or abs(m - 1.0) > 1e-9:
             raise ValueError(f"threshold law must have mean 1, got {m}")
         self.zeta = zeta
+        self.cap = float(cap)
         self._atoms = isinstance(zeta, (TwoPoint, Degenerate))
+        # P(zeta < cap) and E[zeta | zeta < cap], which is the law's mean 1 when uncapped
+        self.mass = zeta.expect(lambda z: z < cap) if self._atoms else float(zeta.cdf(cap))
+        self.m = 1.0 if math.isinf(self.cap) else self.g(0.0)
         self.name = f"random_threshold_limit({type(zeta).__name__.lower()})"
 
-    def _mean(self, fn, kink: float | None = None) -> float:
+    def expect(self, fn) -> float:
+        """E[fn(zeta) | zeta < cap]."""
         if self._atoms:
-            return float(self.zeta.expect(fn))
+            return self.zeta.expect(lambda z: fn(z) * (z < self.cap)) / self.mass
         from scipy.integrate import quad
 
-        points = None
-        if kink is not None:
-            p = float(self.zeta.cdf(kink))
-            if 1e-12 < p < 1.0 - 1e-12:
-                points = [p]
-        val, _ = quad(lambda p: float(fn(self.zeta.quantile(p))), 0.0, 1.0,
-                      points=points, limit=300, epsabs=1e-12, epsrel=1e-12)
-        return val
+        val, _ = quad(lambda p: float(fn(self.zeta.quantile(p))), 0.0, self.mass,
+                      limit=300, epsabs=1e-12, epsrel=1e-12)
+        return val / self.mass
 
     def f(self, t: float) -> float:
-        return self._mean(lambda z: z / (t + z))
+        return 1.0 if t == 0.0 else self.expect(lambda z: z / (t + z))
 
     def g(self, t: float) -> float:
-        return self._mean(lambda z: np.maximum(z - t, 0.0), kink=t)
+        if self._atoms:
+            return self.expect(lambda z: np.maximum(z - t, 0.0))
+        if t >= self.cap:
+            return 0.0
+        from scipy.integrate import quad
+
+        # z = t + k x / (1 - x) maps [t, cap] onto [0, top], the cap = inf tail included
+        cap = self.cap
+        k, tail = 1.0 + t, float(self.zeta.sf(cap))
+        top = 1.0 if math.isinf(cap) else (cap - t) / (k + cap - t)
+        val, _ = quad(lambda x: (float(self.zeta.sf(t + k * x / (1.0 - x))) - tail)
+                      * k / (1.0 - x) ** 2, 0.0, top, limit=300, epsabs=0.0, epsrel=1e-12)
+        return val / self.mass
 
     def f_inv(self, s: float) -> float:
-        """The root t of f(t) = s; f falls strictly from f(0) = 1 towards 0."""
-        hi = 1.0
-        for _ in range(200):
-            if self.f(hi) < s:
-                break
-            hi *= 2.0
-        else:
-            raise RuntimeError("no bracket for f_inv")
+        """The root t of f(t) = s, bracketed by [0, (1-s)/s]: z/(t+z) is concave in z
+        and m <= 1, so f(t) <= 1/(1+t), with equality (up to rounding) only at one atom."""
+        hi = (1.0 - s) / s
+        if self.f(hi) >= s:
+            return hi
         return float_root(lambda t: self.f(t) - s, 0.0, hi)
 
     def psi(self, s):
         s = _check_s(s)
-        out = np.array([self.g(self.f_inv(float(si))) for si in np.atleast_1d(s)])
+        t = np.array([self.f_inv(float(si)) for si in np.atleast_1d(s)])
+        out = np.array([self.g(ti / (1.0 + ti / self.cap)) for ti in t]) / self.m
         return out if np.ndim(s) else float(out[0])
 
     def theta1(self) -> float:
         """1 / E[1/zeta]: the slope of the curve at s -> 1."""
-        return 1.0 / self._mean(lambda z: 1.0 / z)
+        return 1.0 / self.expect(lambda z: 1.0 / z)
 
     def indices(self):
         out = {"theta_minus": None, "theta_plus": None, "theta0": None,

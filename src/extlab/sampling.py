@@ -85,14 +85,6 @@ class RandomStream:
 # ---------------------------------------------------------------------------
 # distributions
 
-# Gauss-Legendre rule on (0, 1), used for expectations through the quantile
-# function.  256 nodes keeps the truncation error well below the Monte Carlo
-# noise everywhere the rule is used.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
-_GL_P = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
-
-
 def float_root(fn, lo: float, hi: float) -> float:
     """The root of fn on the bracket [lo, hi] to float resolution (brentq, rtol = 4 eps)."""
     from scipy.optimize import brentq
@@ -116,13 +108,12 @@ class Distribution:
     def cdf(self, x):
         raise NotImplementedError
 
+    def sf(self, x):
+        """P(X > x); laws with an upper tail override it to keep its relative precision."""
+        return 1.0 - self.cdf(x)
+
     def quantile(self, p):
         raise NotImplementedError
-
-    def expect(self, fn) -> float:
-        """E fn(X) by a fixed Gauss-Legendre rule through the quantile."""
-        q = self.quantile(_GL_P)
-        return float(np.sum(_GL_W * fn(q)))
 
     def size_biased(self) -> "Distribution":
         """The law reweighted by x / E x (positive support, finite mean)."""
@@ -205,6 +196,11 @@ class Gamma(Distribution):
         from scipy.special import gammainc
 
         return gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
+
+    def sf(self, x):
+        from scipy.special import gammaincc
+
+        return gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def size_biased(self):
         return Gamma(self.shape + 1.0, self.scale)
@@ -420,8 +416,10 @@ class Pareto(Distribution):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = 1.0 - (np.maximum(x, self.x_min) / self.x_min) ** (-self.a)
-        return np.where(x < self.x_min, 0.0, out)
+        return np.where(x < self.x_min, 0.0, 1.0 - self.sf(x))
+
+    def sf(self, x):
+        return (np.maximum(x, self.x_min) / self.x_min) ** (-self.a)
 
     def quantile(self, p):
         return self.x_min * (1.0 - np.asarray(p)) ** (-1.0 / self.a)
@@ -496,14 +494,8 @@ class TwoPoint(Distribution):
     def mean(self):
         return self.p_lo * self.lo + (1.0 - self.p_lo) * self.hi
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < self.lo, 0.0, np.where(x < self.hi, self.p_lo, 1.0))
-
-    def quantile(self, p):
-        return np.where(np.asarray(p) <= self.p_lo, self.lo, self.hi)
-
     def expect(self, fn):
+        """E fn(X), exact: the two atoms' weighted sum."""
         return self.p_lo * float(fn(self.lo)) + (1.0 - self.p_lo) * float(fn(self.hi))
 
     def size_biased(self):
@@ -535,13 +527,8 @@ class Degenerate(Distribution):
     def laplace(self, u):
         return np.exp(-np.asarray(u, dtype=float) * self.c)
 
-    def cdf(self, x):
-        return (np.asarray(x, dtype=float) >= self.c).astype(float)
-
-    def quantile(self, p):
-        return np.full_like(np.asarray(p, dtype=float), self.c)
-
     def expect(self, fn):
+        """E fn(X) = fn(c), exact."""
         return float(fn(self.c))
 
     def size_biased(self):

@@ -419,7 +419,8 @@ class RandomThresholdSystem(SeriesSystem):
     expectations bends the limit curve away from any single power of s
     and splits the partial indices.  Draws with zeta >= n are rejected
     and resampled (their probability is negligible at the stage sizes of
-    interest and they carry no threshold).
+    interest and they carry no threshold), so every exact mean here is the
+    limit model's, given zeta < n: ``RandomThresholdLimit`` at cap = n.
     """
 
     kind = "random_threshold"
@@ -427,15 +428,10 @@ class RandomThresholdSystem(SeriesSystem):
 
     def __init__(self, law: Distribution):
         try:
-            m = law.mean()
-        except NotImplementedError as exc:
-            raise ConfigError(f"threshold law needs an implemented mean: {exc}") from None
-        if not math.isfinite(m) or abs(m - 1.0) > 1e-9:
-            raise ConfigError(f"threshold law must have mean 1, got {m!r}")
-        try:
+            RandomThresholdLimit(law)  # refuses a law whose mean is not 1
             self.zeta_biased = law.size_biased()
         except (NotImplementedError, ValueError) as exc:
-            raise ConfigError(f"threshold law needs a size-biased form: {exc}") from None
+            raise ConfigError(f"unusable threshold law {law!r}: {exc}") from None
         self.zeta = law
         self.name = f"random_threshold({type(law).__name__.lower()})"
 
@@ -457,35 +453,26 @@ class RandomThresholdSystem(SeriesSystem):
         m = x + (1.0 - x) * rng.random(count)
         return nu, m
 
-    def _mix(self, n, h) -> float:
-        # E[h(zeta) | zeta < n]; the conditioning mass is ~1 at working sizes
-        below = self.zeta.expect(lambda z: h(z) * (z < n))
-        norm = float(self.zeta.cdf(n))
-        return below / norm
+    def _capped(self, n):
+        return RandomThresholdLimit(self.zeta, cap=n)
 
     def size_pgf(self, n, x, r=1.0):
-        x_in = np.asarray(x, dtype=float)
-        t = np.clip(np.atleast_1d(x_in), 0.0, 1.0) ** r
-        out = np.empty_like(t)
-        for i, ti in enumerate(t):
-            def h(z, ti=ti):
-                x = 1.0 - np.asarray(z) / n
-                return (1.0 - x) * ti / (1.0 - x * ti)
-            out[i] = self._mix(n, h)
-        return out.reshape(x_in.shape) if x_in.ndim else float(out[0])
+        # E[(zeta/n) t / (1 - (1 - zeta/n) t) | zeta < n] = f_n(n (1 - t) / t), t = x^r
+        t = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** r
+        with np.errstate(divide="ignore"):
+            c = n * (1.0 - t) / t
+        return np.vectorize(self._capped(n).f, otypes=[float])(c)
 
     def exact_max_cdf(self, n, u):
-        # size-biased mixture: E[zeta * clip((u-x)/(1-x))] / E[zeta]
-        # with x = 1 - zeta/n collapses to E (zeta - n(1-u))_+ / E zeta
-        u_in = np.asarray(u, dtype=float)
-        uu = np.clip(np.atleast_1d(u_in), 0.0, 1.0)
-        den = self._mix(n, lambda z: np.asarray(z, dtype=float))
-        out = np.empty_like(uu)
-        for i, ui in enumerate(uu):
-            w = n * (1.0 - ui)
-            out[i] = self._mix(n, lambda z, w=w: np.maximum(np.asarray(z) - w, 0.0))
-        out /= den
-        return out.reshape(u_in.shape) if u_in.ndim else float(out[0])
+        # size-biased mixture: E[zeta * clip((u-x)/(1-x))] / E[zeta] with
+        # x = 1 - zeta/n collapses to E (zeta - n(1-u))_+ / E zeta, given zeta < n
+        lim = self._capped(n)
+        w = n * (1.0 - np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
+        return np.vectorize(lim.g, otypes=[float])(w) / lim.m
+
+    def closed_form_u(self, n, s):
+        t = np.vectorize(self._capped(n).f_inv, otypes=[float])(s)
+        return n / (n + t)
 
     def reference(self):
         return RandomThresholdLimit(self.zeta)
@@ -607,8 +594,16 @@ class BranchingHereditySystem(SeriesSystem):
         """Largest of k[i] iid innovations for each i, by inversion: G^-1(U^(1/k))."""
         from scipy.special import ndtri
 
-        q = -np.expm1(np.log(rng.random(k.size)) / k)  # 1 - U^(1/k), precise in the upper tail
-        return 1.0 / np.tan(np.pi * q) if self.gamma == 1.0 else -math.sqrt(2.0) * ndtri(q)
+        q = rng.random(k.size)  # becomes 1 - U^(1/k) in place, precise in the upper tail
+        np.log(q, out=q)
+        q /= k
+        np.negative(np.expm1(q, out=q), out=q)
+        if self.gamma == 1.0:
+            q *= np.pi
+            return np.divide(1.0, np.tan(q, out=q), out=q)
+        ndtri(q, out=q)
+        q *= -math.sqrt(2.0)
+        return q
 
     def sample_batch(self, n, count, rng):
         # vectorized over all live particles of all trees in the batch; children

@@ -87,8 +87,9 @@ class MaxStableLaw:
 def mixed_max_stable_cdf(law: MaxStableLaw, zeta: Distribution, theta: float, x):
     """H(x) = E G(x)^(theta zeta): the limit law of maxima under random mixing.
 
-    Uses the frailty's Laplace transform when it has one in closed form,
-    quadrature otherwise.
+    Uses the frailty's Laplace transform when it has one in closed form;
+    otherwise the frailty must be a law with an exact ``expect`` (the atomic
+    ``TwoPoint`` and ``Degenerate``).
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")

@@ -21,6 +21,8 @@ from extlab.systems import (
     StableSizeGumbelSystem,
 )
 
+from oracles import TwoPointThresholdLimit
+
 
 def _stream(seed):
     return RandomStream(seed=seed, stream_id=0)
@@ -41,6 +43,18 @@ def test_closed_form_geometric():
     curve = solve_curve(GeometricThresholdSystem(eps=0.01), 1000, [0.5])
     assert curve.u[0] == pytest.approx(0.5 / 0.505, rel=1e-12)
     assert curve.achieved[0] == pytest.approx(0.5, rel=1e-12)
+
+
+def test_closed_form_random_threshold():
+    # both atoms lie below n, so f_n = f and u = n / (n + f^{-1}(s)) in closed form
+    n, s = 1000, np.array([0.05, 0.5, 0.8, 0.95])
+    curve = solve_curve(RandomThresholdSystem(TwoPoint(0.5, 1.5)), n, s)
+    assert curve.method == "closed_form"
+    want = n / (n + TwoPointThresholdLimit(0.5).f_inv(s))
+    assert np.allclose(curve.u, want, rtol=1e-15, atol=0.0)
+    assert np.allclose(curve.achieved, s, rtol=1e-12, atol=0.0)
+    bisected = solve_curve(_BisectedThreshold(TwoPoint(0.5, 1.5)), n, s)
+    assert np.allclose(bisected.u, curve.u, rtol=1e-12, atol=0.0)
 
 
 def test_closed_form_without_size_pgf_reports_pool_noise():
@@ -70,8 +84,15 @@ def test_deterministic_root_mixture_spike():
     assert marg**n == pytest.approx(0.5, abs=1e-9)
 
 
+class _BisectedThreshold(RandomThresholdSystem):
+    """A random-threshold system without its closed-form threshold."""
+
+    def closed_form_u(self, n, s):
+        return None
+
+
 def test_deterministic_root_random_threshold():
-    curve = solve_curve(RandomThresholdSystem(TwoPoint(0.5, 1.5)), 1000, [0.8])
+    curve = solve_curve(_BisectedThreshold(TwoPoint(0.5, 1.5)), 1000, [0.8])
     assert curve.method == "deterministic_root"
     assert 0.997 < curve.u[0] < 1.0
     assert curve.achieved[0] == pytest.approx(0.8, abs=1e-9)

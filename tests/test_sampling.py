@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
+from extlab.reference import RandomThresholdLimit
 from extlab.sampling import (
     Degenerate,
     Distribution,
@@ -184,11 +185,13 @@ def test_two_point_expect_is_exact():
 
 
 def test_quantile_expect_agrees_with_closed_form():
-    # the generic quadrature path should reproduce an exact Laplace transform
+    # the threshold means' quantile-scale quadrature reproduces an exact Laplace
+    # transform and E 1/X = a / ((a+1) x_min) on mean-one laws
     g = Gamma(2.0, 0.5)
-    assert g.expect(lambda x: np.exp(-x)) == pytest.approx(g.laplace(1.0), abs=1e-7)
-    p = Pareto(3.0, 1.0)
-    assert p.expect(lambda x: 1.0 / x) == pytest.approx(0.75, abs=1e-6)
+    assert RandomThresholdLimit(g).expect(lambda x: np.exp(-x)) == pytest.approx(
+        g.laplace(1.0), rel=1e-12)
+    p = Pareto(3.0, 2.0 / 3.0)
+    assert RandomThresholdLimit(p).expect(lambda x: 1.0 / x) == pytest.approx(9.0 / 8.0, rel=1e-12)
 
 
 @given(st.floats(0.01, 0.99))
@@ -221,7 +224,7 @@ def test_size_biased_matches_reweighted_expectation():
     # E h(X~) = E[X h(X)] / E[X] for any h; check with h = exp(-x)
     for dist in (TwoPoint(0.5, 1.5), Gamma(2.0, 0.5), Pareto(3.0, 2.0 / 3.0)):
         mean = dist.mean()
-        want = dist.expect(lambda x: x * np.exp(-x)) / mean
+        want = RandomThresholdLimit(dist).expect(lambda x: x * np.exp(-x)) / mean
         x = dist.size_biased().sample(RandomStream(seed=31, stream_id=2).generator, 400_000)
         h = np.exp(-x)
         se = float(h.std(ddof=1)) / math.sqrt(h.size)

@@ -12,8 +12,12 @@ from scipy.special import zeta as scipy_zeta
 
 from extlab import cli
 from extlab.copulas import ClaytonGenerator, IndependenceGenerator, TiltedGenerator, diag_cdf
+from extlab.estimator import DEFAULT_GRID
+from extlab.normalizer import solve_curve
+from extlab.reference import RandomThresholdLimit
 from extlab.sampling import (
     Degenerate,
+    Gamma,
     Pareto,
     PositiveStable,
     RandomStream,
@@ -225,6 +229,54 @@ def test_random_threshold_degenerate_collapses_to_geometric():
         assert float(rt.size_pgf(n, u)) == pytest.approx(
             float(gt.size_pgf(n, u)), rel=1e-9
         )
+
+
+def _z_scale_means(sf, n, c, w):
+    """G_n = E[zeta/(c+zeta) | zeta < n] and E[(zeta-w)+ | zeta < n] / E[zeta | zeta < n].
+
+    Both integrate the survival function on the z scale, split at fixed
+    breakpoints: E[h(zeta); zeta < n] = int_0^n h'(z) (S(z) - S(n)) dz for
+    h(0) = 0, and E[(zeta-w)+; zeta < n] = int_w^n (S(z) - S(n)) dz.
+    """
+    from scipy.integrate import quad
+
+    tail = sf(n)
+
+    def integral(fn, lo, marks):
+        cuts = sorted({lo, n, *(x for x in marks if lo < x < n)})
+        return sum(quad(fn, a, b, limit=400, epsabs=0.0, epsrel=1e-13)[0]
+                   for a, b in zip(cuts, cuts[1:]))
+
+    marks = [2.0 / 3.0, 1.0, 3.0, 10.0, 30.0, 100.0, 1000.0]
+    pgf = integral(lambda z: c / (c + z) ** 2 * (sf(z) - tail), 0.0, marks + [c, 10.0 * c])
+    excess = integral(lambda z: sf(z) - tail, w, marks + [w + 1.0])
+    mean = integral(lambda z: sf(z) - tail, 0.0, marks)
+    return pgf / (1.0 - tail), excess / mean
+
+
+@pytest.mark.parametrize("law, sf", [
+    (Pareto(3.0, 2.0 / 3.0), lambda z: (max(z, 2.0 / 3.0) * 1.5) ** -3.0),
+    (Gamma(2.0, 0.5), lambda z: math.exp(-2.0 * z) * (1.0 + 2.0 * z)),
+], ids=["pareto", "gamma"])
+def test_random_threshold_means_match_z_scale_oracle(law, sf):
+    sys_ = RandomThresholdSystem(law)
+    n = 10_000
+    u_grid = solve_curve(sys_, n, DEFAULT_GRID).u
+    # the grid's thresholds, plus fixed ones on both sides of the Pareto floor 2/3
+    u = np.concatenate([u_grid, 1.0 - np.array([0.05, 0.5, 2.0 / 3.0, 0.9, 3.0, 25.0]) / n])
+    assert np.any(n * (1.0 - u_grid) > 2.0 / 3.0)
+    pgf, cdf = sys_.size_pgf(n, u), sys_.exact_max_cdf(n, u)
+    for k, uk in enumerate(u):
+        want_pgf, want_cdf = _z_scale_means(sf, n, n * (1.0 - uk) / uk, n * (1.0 - uk))
+        assert pgf[k] == pytest.approx(want_pgf, rel=1e-10, abs=0.0), (uk, "size_pgf")
+        assert cdf[k] == pytest.approx(want_cdf, rel=1e-10, abs=0.0), (uk, "exact_max_cdf")
+    # u near 1 holds n (1 - u) to ~1e-16 n / c relative, 2e-11 at c = 0.05
+    assert np.allclose(pgf[:u_grid.size], DEFAULT_GRID, rtol=1e-11, atol=0.0)
+    psi_n = RandomThresholdLimit(law, cap=n).psi(DEFAULT_GRID)  # the capped model's own curve
+    assert np.allclose(psi_n, cdf[:u_grid.size], rtol=1e-10, atol=0.0)
+    ends = sys_.size_pgf(n, np.array([0.0, 1.0]))
+    assert ends[0] == 0.0 and ends[1] == 1.0
+    assert float(sys_.exact_max_cdf(n, 1.0)) == 1.0
 
 
 def test_random_threshold_pareto_variant_runs():

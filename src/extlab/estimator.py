@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .normalizer import NormalizingCurve, _bisect, solve_curve
+from .normalizer import NormalizingCurve, _root, solve_curve
 from .sampling import RandomStream
 from .systems import Calibrator, ConfigError, SeriesSystem
 
@@ -194,9 +194,11 @@ def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
     the replicates and the threshold-calibration pool.  E x^(theta nu) falls
     in theta for every x in [0, 1], so with g = psi_hat - E x^(theta nu) the
     upper gap A = max g rises, the lower gap B = -min g falls, and
-    D = max(A, B) is least exactly where A = B.  One bisection in log theta
-    finds the sign change of A - B = max g + min g; where A - B keeps one
-    sign over the bounds, D is monotone and the nearer bound is the answer.
+    D = max(A, B) is least exactly where A = B.  One bracketed root in log
+    theta (`normalizer._root`, on the plain scale) finds the sign change of
+    A - B = max g + min g to the same adjacent doubles as bisection; where
+    A - B keeps one sign over the bounds, D is monotone and the nearer bound
+    is the answer.
     """
     lo, hi = float(theta_bounds[0]), float(theta_bounds[1])
     if not (math.isfinite(hi) and 0.0 < lo < hi):
@@ -209,9 +211,9 @@ def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
 
     def spread(t):  # A - B, nondecreasing in t
         g = fit.gaps(theta_at(t[0]))
-        return np.max(g) + np.min(g)
+        return np.array([np.max(g) + np.min(g)])
 
-    fit.theta = float(theta_at(_bisect(spread, np.zeros(1))[0]))
+    fit.theta = float(theta_at(_root(spread, np.zeros(1))[0]))
     fit.discrepancy = fit.discrepancy_at(fit.theta)
     return fit
 

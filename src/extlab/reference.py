@@ -209,7 +209,7 @@ class RandomThresholdLimit(ReferenceModel):
         from scipy.integrate import quad
 
         val, _ = quad(lambda p: float(fn(self.zeta.quantile(p))), 0.0, self.mass,
-                      limit=300, epsabs=1e-12, epsrel=1e-12)
+                      limit=300, epsabs=0.0, epsrel=1e-12)
         return val / self.mass
 
     def f(self, t: float) -> float:

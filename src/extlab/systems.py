@@ -689,8 +689,17 @@ class PowerLawGraphSystem(SeriesSystem):
 
     @staticmethod
     def _degrees(cdf, count, rng):
-        """count draws of D = min(K, n-1) by inversion on its cdf table."""
-        return 1 + np.searchsorted(cdf, rng.random(count), side="right")
+        """count draws of D = min(K, n-1) by inversion on its cdf table.
+
+        Most draws fall in the first cell (89% at beta = 3.5), which one
+        comparison settles; only the rest search the table.
+        """
+        u = rng.random(count)
+        d = np.ones(count, dtype=np.intp)
+        if cdf.size:
+            rest = u >= cdf[0]
+            d[rest] = 2 + np.searchsorted(cdf[1:], u[rest], side="right")
+        return d
 
     def _distinct_picks(self, n, d, rng):
         """src/pick arrays with per-vertex distinct picks, self excluded.

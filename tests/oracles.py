@@ -3,9 +3,11 @@
 ``TwoPointThresholdLimit`` inverts the two-atom threshold curve in closed
 form, ``mixed_max_stable_cdf`` is the limit law of maxima under random
 mixing, ``sample_exchangeable`` draws a whole exchangeable vector
-through its frailty, where the systems draw only its maximum, and
+through its frailty, where the systems draw only its maximum,
 ``sample_branching_full_tree`` grows every particle of a branching
-population, where the system draws its last generation as maxima.
+population, where the system draws its last generation as maxima, and
+``bisect_root`` is the plain 60-step bisection that the bracketed
+superlinear root finder must reproduce.
 """
 
 import math
@@ -153,3 +155,22 @@ def sample_branching_full_tree(system, n: int, count: int, rng):
         starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
         m[owner[starts]] = np.maximum.reduceat(scores, starts)
     return nu, m
+
+
+# ---------------------------------------------------------------------------
+# root finding
+
+def bisect_root(fn, s, steps: int = 60):
+    """Per-point x in [0, 1] with fn(x) = s by `steps` plain halvings of [0, 1].
+
+    fn(lo) <= s < fn(hi) throughout (NaN counts as above), taking
+    fn(0) <= s < fn(1) as given; returns the midpoint of the last bracket.
+    """
+    s = np.asarray(s, dtype=float)
+    lo, hi = np.zeros(s.shape), np.ones(s.shape)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = fn(mid) <= s
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)

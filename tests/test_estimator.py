@@ -18,7 +18,10 @@ from extlab.estimator import (
     tail_indices,
 )
 from extlab.sampling import RandomStream
+
+from oracles import bisect_root
 from extlab.systems import (
+    Calibrator,
     ConfigError,
     DuplicatedIidSystem,
     ExchangeableCopulaSystem,
@@ -234,15 +237,42 @@ def test_def2_fit_is_exact_minimax(sys_, n, seed):
         g = est.psi_hat - fit.calibrator.value(est.u, fit.theta)
         return np.max(g), np.max(-g)
 
+    def bisected_theta(fit):  # 60 halvings of A - B in log theta
+        lo, hi = fit.bounds
+
+        def spread(t):
+            g = fit.gaps(lo ** (1.0 - t[0]) * hi ** t[0])
+            return np.array([np.max(g) + np.min(g)])
+
+        t = bisect_root(spread, np.zeros(1))[0]
+        return lo ** (1.0 - t) * hi ** t
+
     fit = def2_fit(sys_, est, _stream(seed))
     upper, lower = one_sided_gaps(fit)
     assert 0.2 < fit.theta < 2.0
     assert abs(upper - lower) <= 1e-12
     assert fit.discrepancy == pytest.approx(max(upper, lower), rel=1e-12)
+    assert fit.theta == bisected_theta(fit)  # the same adjacent doubles in t
     # a crossing outside the bounds: D is monotone on them, least at the nearer bound
     for bounds, nearer in (((0.01, 0.2), 0.2), ((2.0, 10.0), 2.0)):
         fit = def2_fit(sys_, est, _stream(seed), theta_bounds=bounds)
         assert fit.theta == pytest.approx(nearer, rel=1e-12)
+        assert fit.theta == nearer  # bisection's t of 2^-61 or 1 gives the bound exactly
+
+
+def test_def2_fit_pgf_calls(monkeypatch):
+    # the calibration benchmark's stable_size experiment at seed 1: 61 calls
+    # with 60 halvings, the fit's own discrepancy included
+    sys_ = StableSizeGumbelSystem(0.5, math.log(2.0))
+    stream = _stream(1)
+    est = estimate_psi(sys_, 10_000, s_grid=np.linspace(0.05, 0.95, 7),
+                       replicates=50_000, stream=stream)
+    calls = []
+    pgf = Calibrator.pgf
+    monkeypatch.setattr(Calibrator, "pgf",
+                        lambda self, x, r=1.0: calls.append(r) or pgf(self, x, r))
+    def2_fit(sys_, est, stream)
+    assert len(calls) <= 24
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from extlab.copulas import ClaytonGenerator
-from extlab.normalizer import NormalizingCurve, SolverError, solve_curve
+from extlab.normalizer import NormalizingCurve, SolverError, _Gumbel, _Plain, _root, solve_curve
 from extlab.sampling import RandomStream, TwoPoint
 from extlab.systems import (
     BranchingHereditySystem,
+    Calibrator,
     ConfigError,
+    DuplicatedIidSystem,
     ExchangeableCopulaSystem,
     GeometricThresholdSystem,
     MixtureSpikeSystem,
@@ -21,7 +23,7 @@ from extlab.systems import (
     StableSizeGumbelSystem,
 )
 
-from oracles import TwoPointThresholdLimit
+from oracles import TwoPointThresholdLimit, bisect_root
 
 
 def _stream(seed):
@@ -149,6 +151,92 @@ def test_pool_required_when_stochastic():
     sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
     with pytest.raises(ConfigError):
         solve_curve(sys_, 6, [0.5])
+
+
+# ---------------------------------------------------------------------------
+# the bracketed root against plain bisection
+
+_GRID7 = np.linspace(0.05, 0.95, 7)
+
+
+def _samplers_branching():
+    return BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
+
+
+def _one_point_per_call(fn):
+    # a pooled pgf is a BLAS product whose last bit can depend on how many
+    # points share the call; one point per call makes it one fixed function
+    return lambda x: np.array([fn(np.array([v]))[0] for v in x])
+
+
+@pytest.mark.parametrize("sys_,n", [
+    (_samplers_branching(), 16),
+    (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000),
+], ids=["branching_heredity", "stable_size_gumbel"])
+def test_root_matches_bisection_on_pool_pgf(sys_, n):
+    fn = _one_point_per_call(Calibrator(sys_, n, stream=_stream(1), pool_size=50_000).pgf)
+    assert np.array_equal(_root(fn, _GRID7, _Gumbel), bisect_root(fn, _GRID7))
+
+
+@pytest.mark.parametrize("count", [7, 19])
+def test_root_matches_bisection_on_exact_pgf(count):
+    s = np.linspace(0.05, 0.95, count)
+    for sys_, n in ((MixtureSpikeSystem(0.5), 10_000), (GeometricThresholdSystem(eps=0.01), 1000)):
+        fn = Calibrator(sys_, n).pgf
+        assert np.array_equal(_root(fn, s, _Gumbel), bisect_root(fn, s))
+
+
+def test_small_root_within_two_pow_minus_60():
+    # below 2^-8 the bracket may stop at width 2^-60 on other doubles
+    fn = Calibrator(SizeJitterSystem(DuplicatedIidSystem(2)), 4, stream=_stream(1)).pgf
+    got, want = _root(fn, np.array([1e-6]), _Gumbel), bisect_root(fn, np.array([1e-6]))
+    assert want[0] < 2.0**-8
+    assert abs(got[0] - want[0]) <= 2.0**-60
+
+
+_BREAKS = (0.6180339887498949, 0.5, 2.0**-8, 1.0 - 2.0**-50, 1e-100)
+
+
+def _adversarial(kind, p):
+    """Nondecreasing fns on [0, 1] that break at p; s = 0.5 sits on the plateau."""
+    q = p + 0.5 * (1.0 - p)
+    return {
+        "step": lambda x: np.where(x < p, 0.0, 1.0),
+        "plateau": lambda x: np.where(x < p, 0.5 * x / p, np.where(
+            x <= q, 0.5, 0.5 + 0.5 * (x - q) / (1.0 - q))),
+        "jump": lambda x: np.where(x < p, 0.2 * x, 0.6 + 0.4 * x),
+        "nan_above": lambda x: np.where(x <= p, 0.5 * x / p, np.nan),
+    }[kind]
+
+
+@pytest.mark.parametrize("scale", [_Plain, _Gumbel], ids=["plain", "gumbel"])
+@pytest.mark.parametrize("kind", ["step", "plateau", "jump", "nan_above"])
+def test_root_on_adversarial_fns(kind, scale):
+    s = np.array([1e-300, 1e-6, 0.1, 0.5, 0.7, 1.0 - 1e-12])
+    for p in _BREAKS:
+        fn = _adversarial(kind, p)
+        calls = []
+
+        def counted(x, fn=fn, calls=calls):
+            calls.append(x.size)
+            return fn(x)
+
+        got, want = _root(counted, s, scale), bisect_root(fn, s)
+        assert np.all(np.abs(got - want) <= 2.0**-60), (p, got, want)
+        assert np.array_equal(got[want >= 2.0**-8], want[want >= 2.0**-8])
+        # every point sees at most the two end values and 61 steps
+        assert len(calls) <= 63
+
+
+def test_solve_curve_pgf_points(monkeypatch):
+    # the samplers benchmark's branching pool; 60 halvings took 7 x 60 points
+    points = []
+    pgf = Calibrator.pgf
+    monkeypatch.setattr(Calibrator, "pgf",
+                        lambda self, x, r=1.0: points.append(np.size(x)) or pgf(self, x, r))
+    curve = solve_curve(_samplers_branching(), 16, _GRID7, stream=_stream(1))
+    assert curve.method == "stochastic_root"
+    assert sum(points) <= 210
 
 
 # ---------------------------------------------------------------------------

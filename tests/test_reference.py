@@ -247,6 +247,29 @@ def test_f_inv_round_trip(zeta):
         assert m.f(m.f_inv(float(s))) == pytest.approx(float(s), rel=1e-12, abs=0.0)
 
 
+def _f_gamma2(t):
+    # Gamma(2, 1/2): f(t) = sum_k (-1)^k E zeta^(k+1) / t^(k+1), E zeta^j = (j+1)!/2^j;
+    # the terms fall by ~k/2t, so twelve of them are exact to rounding for t >= 1e4
+    return sum((-1) ** k * math.factorial(k + 2) / (2.0 ** (k + 1) * t ** (k + 1))
+               for k in range(12))
+
+
+def _f_pareto3(t):
+    # Pareto(3, 2/3): 3 x^3 * int_x^inf dz / (z^3 (t + z)) by partial fractions
+    x = 2.0 / 3.0
+    return 3.0 * x**3 * (0.5 / (t * x**2) - 1.0 / (t**2 * x) + math.log1p(t / x) / t**3)
+
+
+@pytest.mark.parametrize("zeta,f_exact", [(Gamma(2.0, 0.5), _f_gamma2),
+                                          (Pareto(3.0, 2.0 / 3.0), _f_pareto3)],
+                         ids=["gamma", "pareto"])
+def test_f_keeps_relative_precision_in_the_tail(zeta, f_exact):
+    # f ~ 1/t here, far below an absolute quadrature tolerance of 1e-12
+    m = RandomThresholdLimit(zeta)
+    for t in (1e4, 1e6):
+        assert m.f(t) == pytest.approx(f_exact(t), rel=1e-11, abs=0.0)
+
+
 def test_random_threshold_limit_needs_mean_one():
     with pytest.raises(ValueError):
         RandomThresholdLimit(Pareto(3.0, 1.0))

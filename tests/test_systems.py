@@ -520,6 +520,44 @@ def test_graph_degree_law_truncated_zeta(beta):
     assert np.all(sys_._degrees(sys_._degree_cdf(2), 1000, _rng(67)) == 1)
 
 
+class _GivenUniforms:
+    """An rng whose uniforms are fixed in advance."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, count):
+        assert count == self.u.size
+        return self.u
+
+
+class _SearchedDegrees(PowerLawGraphSystem):
+    """The graph with its degrees drawn by one search over the whole table."""
+
+    @staticmethod
+    def _degrees(cdf, count, rng):
+        return 1 + np.searchsorted(cdf, rng.random(count), side="right")
+
+
+def test_graph_degrees_match_plain_inversion():
+    # splitting off the first cell must give the searchsorted(side="right")
+    # degree, ties at the table's own values included
+    sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
+    for n in (2, 3, 10_000):
+        cdf = sys_._degree_cdf(n)
+        u = np.r_[_rng(68).random(1_000_000), cdf, np.nextafter(cdf, 0.0),
+                  np.nextafter(cdf, 1.0), 0.0]
+        got = sys_._degrees(cdf, u.size, _GivenUniforms(u))
+        want = _SearchedDegrees._degrees(cdf, u.size, _GivenUniforms(u))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    # and the draws built on them keep their bytes
+    plain = _SearchedDegrees(beta=3.5, a=1.0)
+    for a, b in ((sys_.sample_batch(500, 20, _rng(69)), plain.sample_batch(500, 20, _rng(69))),
+                 ((sys_.sample_marginal(500, 5000, _rng(70)),),
+                  (plain.sample_marginal(500, 5000, _rng(70)),))):
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
 def test_graph_aggregates_bounded_below():
     sys_ = PowerLawGraphSystem(beta=3.5, a=1.0, x_min=2.0)
     x = sys_.sample_marginal(200, 5000, _rng(26))

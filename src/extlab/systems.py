@@ -217,12 +217,22 @@ class SeriesSystem:
 # ---------------------------------------------------------------------------
 # exchangeable copula series
 
-class ExchangeableCopulaSystem(SeriesSystem):
+class _InvertedMaxSystem(SeriesSystem):
+    """Deterministic size n with a closed-form inverse of the max d.f.
+
+    Each replicate costs one uniform V: M_n = max_inverse_given_size(n, V),
+    the exact inversion draw.
+    """
+
+    def sample_batch(self, n, count, rng):
+        return np.full(count, n, dtype=np.int64), self.max_inverse_given_size(n, rng.random(count))
+
+
+class ExchangeableCopulaSystem(_InvertedMaxSystem):
     """Deterministic size n, uniform marginals, Archimedean dependence.
 
-    The max has the exact d.f. f(n phi(u)); sampling goes through the
-    frailty: M = f(E / (n zeta)) with one exponential E, since the minimum
-    of the n exponentials in the frailty representation is Exp(n).
+    The max has the exact d.f. f(n phi(u)), and sampling inverts that
+    diagonal in closed form: M = f(phi(V) / n) for one uniform V.
     """
 
     kind = "exchangeable_copula"
@@ -245,13 +255,6 @@ class ExchangeableCopulaSystem(SeriesSystem):
             except ValueError as exc:
                 raise ConfigError(f"{self.name}: {exc}") from None
 
-    def sample_batch(self, n, count, rng):
-        g = self.gen.fixed(n)
-        zeta = np.asarray(g.frailty.sample(rng, count), dtype=float)
-        e = rng.standard_exponential(count)
-        m = g.f(e / (n * zeta))
-        return np.full(count, n, dtype=np.int64), m
-
     def exact_max_cdf(self, n, u):
         return diag_cdf(self.gen, n, u)
 
@@ -268,7 +271,7 @@ class ExchangeableCopulaSystem(SeriesSystem):
             return None
 
 
-class DuplicatedIidSystem(SeriesSystem):
+class DuplicatedIidSystem(_InvertedMaxSystem):
     """Series of n terms built from ceil(n/m) iid uniforms, each repeated m times.
 
     The classical clustered-maxima sanity model: P(M_n <= u) = u^ceil(n/m)
@@ -287,11 +290,6 @@ class DuplicatedIidSystem(SeriesSystem):
     @staticmethod
     def _groups(n, m):
         return -(-n // m)
-
-    def sample_batch(self, n, count, rng):
-        g = self._groups(n, self.m)
-        m_val = rng.random(count) ** (1.0 / g)
-        return np.full(count, n, dtype=np.int64), m_val
 
     def exact_max_cdf(self, n, u):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._groups(n, self.m)
@@ -860,7 +858,7 @@ class SizeJitterSystem(_WrappedSystem):
     calibration_kind = "nu_pool"
 
     def __init__(self, base: SeriesSystem):
-        if not isinstance(base, (ExchangeableCopulaSystem, DuplicatedIidSystem)):
+        if not isinstance(base, _InvertedMaxSystem):
             raise ConfigError(
                 "size jitter needs a deterministic-size base with a conditional "
                 f"max inverse (exchangeable copula or duplicated iid), got {base!r}"

@@ -3,7 +3,8 @@
 ``TwoPointThresholdLimit`` inverts the two-atom threshold curve in closed
 form, ``mixed_max_stable_cdf`` is the limit law of maxima under random
 mixing, ``sample_exchangeable`` draws a whole exchangeable vector
-through its frailty, where the systems draw only its maximum,
+through its frailty, ``sample_copula_max`` draws its maximum through the
+frailty, where the systems invert the diagonal d.f. of the maximum,
 ``sample_branching_full_tree`` grows every particle of a branching
 population, where the system draws its last generation as maxima, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
@@ -127,6 +128,18 @@ def sample_exchangeable(gen, d: int, stream, size=None):
     e = rng.standard_exponential((m, d))
     u = g.f(e / zeta[:, None])
     return u[0] if size is None else u
+
+
+def sample_copula_max(gen, n: int, count: int, rng):
+    """count maxima of n exchangeable terms via the frailty: M = f(E / (n zeta)).
+
+    The minimum of the n exponentials in the frailty representation is
+    Exp(n), so one exponential E and one frailty draw zeta give the maximum.
+    """
+    g = gen.fixed(n)
+    zeta = np.asarray(g.frailty.sample(rng, count), dtype=float)
+    e = rng.standard_exponential(count)
+    return g.f(e / (n * zeta))
 
 
 # ---------------------------------------------------------------------------

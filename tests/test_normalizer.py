@@ -1,13 +1,15 @@
 """Threshold calibration: routes, residual control, failure modes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning
 
 from extlab.copulas import ClaytonGenerator
 from extlab.normalizer import NormalizingCurve, SolverError, _Gumbel, _Plain, _root, solve_curve
-from extlab.sampling import RandomStream, TwoPoint
+from extlab.sampling import Gamma, RandomStream, TwoPoint
 from extlab.systems import (
     BranchingHereditySystem,
     Calibrator,
@@ -99,6 +101,18 @@ def test_deterministic_root_random_threshold():
     assert 0.997 < curve.u[0] < 1.0
     assert curve.achieved[0] == pytest.approx(0.8, abs=1e-9)
     assert curve.stderr[0] == 0.0
+
+
+@pytest.mark.parametrize("law, n, s", [
+    (Gamma(20.0, 0.05), 3, [0.2, 0.5, 0.8]),
+    (Gamma(2.0, 0.5), 100, [1e-6, 1.0 - 1e-6]),
+])
+def test_random_threshold_quadrature_warns_only_above_tolerance(law, n, s):
+    # quad cannot certify 1e-12 here, but its own error estimate is far below 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        curve = solve_curve(RandomThresholdSystem(law), n, s)
+    assert np.max(np.abs(curve.achieved - np.asarray(s))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

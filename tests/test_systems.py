@@ -11,7 +11,14 @@ from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
 from extlab import cli
-from extlab.copulas import ClaytonGenerator, IndependenceGenerator, TiltedGenerator, diag_cdf
+from extlab.copulas import (
+    ClaytonGenerator,
+    FrankGenerator,
+    GumbelHougaardGenerator,
+    IndependenceGenerator,
+    TiltedGenerator,
+    diag_cdf,
+)
 from extlab.estimator import DEFAULT_GRID
 from extlab.normalizer import solve_curve
 from extlab.reference import RandomThresholdLimit
@@ -40,7 +47,7 @@ from extlab.systems import (
     StableSizeGumbelSystem,
     build_system,
 )
-from oracles import sample_branching_full_tree
+from oracles import sample_branching_full_tree, sample_copula_max
 
 
 def _rng(seed, sid=0):
@@ -90,8 +97,47 @@ def test_tilted_copula_validates_stage():
     sys_.validate_n(8)
 
 
+_COPULA_GENERATORS = [
+    ClaytonGenerator(1.0),
+    FrankGenerator(2.0),
+    GumbelHougaardGenerator(2.0),
+    TiltedGenerator(FrankGenerator(2.0), gamma=math.log(2.0)),
+    TiltedGenerator(IndependenceGenerator(), gamma=math.log(2.0)),
+]
+
+
+@pytest.mark.parametrize("n", [3, 256, 10_000])
+@pytest.mark.parametrize("gen", _COPULA_GENERATORS, ids=lambda g: g.name)
+def test_copula_max_inversion_matches_frailty_oracle(gen, n):
+    # the system inverts the diagonal; the oracle goes through the frailty
+    sys_ = ExchangeableCopulaSystem(gen)
+    _, m = sys_.sample_batch(n, 20_000, _rng(71, 0))
+    m_o = sample_copula_max(gen, n, 20_000, _rng(71, 1))
+    assert stats.ks_2samp(m, m_o).pvalue > 1e-3
+    for draws in (m, m_o):
+        assert stats.kstest(draws, lambda u: diag_cdf(gen, n, u)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("sys_", [ExchangeableCopulaSystem(g) for g in _COPULA_GENERATORS]
+                         + [ExchangeableCopulaSystem(IndependenceGenerator()),
+                            DuplicatedIidSystem(3)], ids=repr)
+def test_deterministic_size_max_draws_one_uniform_per_replicate(sys_):
+    rng, ref = _rng(5), _rng(5)
+    sys_.sample_batch(256, 1000, rng)
+    ref.random(1000)
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)  # holds arrays
+
+
 # ---------------------------------------------------------------------------
 # duplicated iid
+
+@pytest.mark.parametrize("n", [2, 11, 10_000])
+@pytest.mark.parametrize("m", [2, 3])
+def test_duplicated_iid_draws_are_power_of_one_uniform(m, n):
+    _, got = DuplicatedIidSystem(m).sample_batch(n, 5000, _rng(9))
+    want = _rng(9).random(5000) ** (1.0 / math.ceil(n / m))
+    assert got.tobytes() == want.tobytes()
+
 
 def test_duplicated_iid_group_count():
     sys_ = DuplicatedIidSystem(2)

@@ -10,15 +10,10 @@ against closed-form limit models.
 
 from .sampling import (
     RandomStream,
-    Uniform01,
-    Exponential,
     Gamma,
     PositiveStable,
     SymmetricStable,
-    Logarithmic,
-    Zipf,
     Pareto,
-    Geometric1,
     TwoPoint,
     Degenerate,
     validate_sampler,

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import DEFAULT_GRID, def2_fit, estimate_psi, index_report
+from .estimator import DEFAULT_GRID, _refuse_def2, def2_fit, estimate_psi, index_report
 from .normalizer import SolverError
 from .sampling import RandomStream
 from .systems import SYSTEMS, ConfigError, _integral, build_system
@@ -86,21 +86,24 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 
 def _resolve_seed(cfg: dict, args, path: str, raw: str) -> int:
+    """The seed from --seed, else the config, else EXTLAB_SEED; a bad one names its source."""
+    env = os.environ.get("EXTLAB_SEED")
     if getattr(args, "seed", None) is not None:
-        seed = args.seed
+        seed, source = args.seed, "--seed"
     elif cfg.get("seed") is not None:
-        seed = cfg["seed"]
-    elif os.environ.get("EXTLAB_SEED"):
+        line = _line_of(raw, '"seed"')
+        seed, source = cfg["seed"], f"{path}:{line}"
+    elif env:
         try:
-            seed = int(os.environ["EXTLAB_SEED"])
+            seed = int(env)
         except ValueError:
-            raise CliError(f"EXTLAB_SEED must be an integer, got "
-                           f"{os.environ['EXTLAB_SEED']!r}") from None
+            seed = env
+        source = "EXTLAB_SEED"
     else:
         raise CliError(f"{path}:1: no seed: set \"seed\" in the config, pass "
                        f"--seed, or export EXTLAB_SEED")
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise _located(path, raw, '"seed"', f"seed must be an integer in [0, 2^64), got {seed!r}")
+        raise CliError(f"{source}: seed must be an integer in [0, 2^64), got {seed!r}")
     return seed
 
 
@@ -166,6 +169,8 @@ def _validate_config(cfg: dict, path: str, raw: str, args=None) -> dict:
             got[key] = _integral(value)
         except (TypeError, ValueError, OverflowError):
             raise refuse(key, f"{key} must be an integer, got {value!r}") from None
+    if got["workers"] < 0:
+        raise refuse("workers", f"workers must be 0 or more, got {got['workers']}")
     bounds = cfg.get("def2_bounds")
     if bounds is not None:
         try:
@@ -213,6 +218,11 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
         kind = cfg["system"].get("kind") if isinstance(cfg["system"], dict) else None
         needle = f'"{kind}"' if kind else '"system"'
         raise _located(path, raw, needle, str(exc)) from None
+    if "def2_fit" in analyses:
+        try:
+            _refuse_def2(system)
+        except ConfigError as exc:
+            raise _located(path, raw, '"def2_fit"', str(exc)) from None
 
     n = got["n"]
     stream = RandomStream(seed=seed, stream_id=0)

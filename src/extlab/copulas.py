@@ -2,12 +2,12 @@
 
 A generator ``phi`` maps (0, 1] onto [0, infinity) with phi(1) = 0, and its
 inverse ``f`` is the Laplace transform of a positive *frailty* variable
-``zeta``.  The copula diagonal of a d-variate exchangeable vector with this
-structure is f(d * phi(y)), and the vector itself can be sampled exactly as
-U_i = f(E_i / zeta) with iid standard exponentials E_i.
-
-Two frailty summaries drive all the limit behaviour downstream: the mean
-``mu`` (possibly infinite) and the essential infimum ``x0``.
+``zeta`` (Marshall & Olkin 1988).  The copula diagonal of a d-variate
+exchangeable vector with this structure is f(d * phi(y)).  The frailty is
+analytic only here: its mean ``mu`` (possibly infinite) and its essential
+infimum ``x0`` drive all the limit behaviour downstream, and nothing in the
+library draws it.  Maxima are sampled by inverting the diagonal,
+``diag_inverse``, one uniform per maximum.
 
 ``TiltedGenerator`` raises a base generator to a size-dependent power
 beta_n > 1.  The tilted structure at dimension d is again Archimedean with
@@ -27,14 +27,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .sampling import (
-    Degenerate,
-    Distribution,
-    Gamma,
-    Logarithmic,
-    PositiveStable,
-)
 
 __all__ = [
     "ArchimedeanGenerator",
@@ -59,10 +51,6 @@ class ArchimedeanGenerator:
 
     def f(self, u):
         """Inverse generator; equals the Laplace transform of the frailty."""
-        raise NotImplementedError
-
-    @property
-    def frailty(self) -> Distribution:
         raise NotImplementedError
 
     @property
@@ -96,10 +84,6 @@ class IndependenceGenerator(ArchimedeanGenerator):
         return np.exp(-np.asarray(u, dtype=float))
 
     @property
-    def frailty(self):
-        return Degenerate(1.0)
-
-    @property
     def mu(self):
         return 1.0
 
@@ -123,10 +107,6 @@ class ClaytonGenerator(ArchimedeanGenerator):
 
     def f(self, u):
         return (1.0 + np.asarray(u, dtype=float)) ** (-1.0 / self.alpha)
-
-    @property
-    def frailty(self):
-        return Gamma(1.0 / self.alpha, 1.0)
 
     @property
     def mu(self):
@@ -164,10 +144,6 @@ class FrankGenerator(ArchimedeanGenerator):
         return -np.log1p(np.expm1(-a) * np.exp(-u)) / a
 
     @property
-    def frailty(self):
-        return Logarithmic(-math.expm1(-self.alpha))
-
-    @property
     def mu(self):
         # mean of the logarithmic-series frailty
         return math.expm1(self.alpha) / self.alpha
@@ -182,8 +158,7 @@ class GumbelHougaardGenerator(ArchimedeanGenerator):
 
     alpha = 1 degenerates to independence.  For alpha > 1 the frailty mean
     is infinite, so the finite-mean closed form for the limit curve does
-    not apply; the structure is still fully samplable and has an exact
-    diagonal.
+    not apply; the structure still has an exact diagonal.
     """
 
     def __init__(self, alpha: float):
@@ -198,12 +173,6 @@ class GumbelHougaardGenerator(ArchimedeanGenerator):
 
     def f(self, u):
         return np.exp(-np.asarray(u, dtype=float) ** (1.0 / self.alpha))
-
-    @property
-    def frailty(self):
-        if self.alpha == 1.0:
-            return Degenerate(1.0)
-        return PositiveStable(1.0 / self.alpha)
 
     @property
     def mu(self):
@@ -227,20 +196,6 @@ def default_tilt_power(n, gamma: float):
     return logn / (logn - gamma)
 
 
-class _TiltedFrailty(Distribution):
-    """Frailty of a tilted generator: S * zeta^beta, S positive stable(1/beta)."""
-
-    def __init__(self, base: Distribution, beta: float):
-        self.base = base
-        self.beta = float(beta)
-        self._stable = PositiveStable(1.0 / self.beta)
-
-    def sample(self, rng, size=None):
-        s = self._stable.sample(rng, size)
-        z = np.asarray(self.base.sample(rng, size), dtype=float)
-        return s * z**self.beta
-
-
 class _FixedTilt(ArchimedeanGenerator):
     """A tilted generator pinned at one dimension: phi_base^beta."""
 
@@ -254,10 +209,6 @@ class _FixedTilt(ArchimedeanGenerator):
 
     def f(self, u):
         return self.base.f(np.asarray(u, dtype=float) ** (1.0 / self.beta))
-
-    @property
-    def frailty(self):
-        return _TiltedFrailty(self.base.frailty, self.beta)
 
     @property
     def mu(self):
@@ -274,7 +225,7 @@ class TiltedGenerator:
 
     Not itself a fixed generator: the effective structure at dimension d is
     ``fixed(d)``, a plain generator with exponent ``power_at(d)``.  The
-    diagonal and sampling helpers below call ``fixed`` on every generator.
+    diagonal helpers below call ``fixed`` on every generator.
     """
 
     def __init__(self, base: ArchimedeanGenerator, gamma: float):

@@ -88,7 +88,8 @@ def estimate_psi(system: SeriesSystem, n: int, s_grid=None, replicates: int = 10
     jobs = [(system, n, u, stream.seed, stream.stream_id, j, int(sizes[j]), keep_maxima)
             for j in range(_BATCHES)]
     if workers and workers > 1:
-        with ProcessPoolExecutor(max_workers=int(workers)) as ex:
+        # a worker past the 64th would hold no batch, yet fork starts every one up front
+        with ProcessPoolExecutor(max_workers=min(int(workers), _BATCHES)) as ex:
             results = list(ex.map(_replicate_batch, jobs))
     else:
         results = [_replicate_batch(job) for job in jobs]
@@ -186,6 +187,18 @@ class Def2Fit:
         return float(np.max(np.abs(self.gaps(theta))))
 
 
+def _refuse_def2(system: SeriesSystem) -> None:
+    """def2_fit needs F_n in closed form; raises ConfigError on a marginal-pool system.
+
+    On a marginal pool F_n(u) is the edf of a fresh pool, which holds only
+    about POOL_SIZE * (-ln s) / n draws past each threshold, so the fitted
+    theta follows the pool's seed.
+    """
+    if system.calibration_kind == "marginal_pool":
+        raise ConfigError(f"{system.name}: def2_fit needs a closed-form marginal d.f., "
+                          f"and this system knows it only through a pool of draws")
+
+
 def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
              theta_bounds: tuple[float, float] = (0.01, 10.0)) -> Def2Fit:
     """Minimize the sup-norm gap D(theta) of the estimate at its stage n.
@@ -200,6 +213,7 @@ def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
     A - B keeps one sign over the bounds, D is monotone and the nearer bound
     is the answer.
     """
+    _refuse_def2(system)
     lo, hi = float(theta_bounds[0]), float(theta_bounds[1])
     if not (math.isfinite(hi) and 0.0 < lo < hi):
         raise ConfigError(f"need finite 0 < lo < hi in theta bounds, got {theta_bounds}")

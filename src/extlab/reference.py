@@ -20,7 +20,7 @@ from .copulas import (
     IndependenceGenerator,
     TiltedGenerator,
 )
-from .sampling import Degenerate, Distribution, Pareto, TwoPoint, Zipf, float_root
+from .sampling import Degenerate, Distribution, Pareto, TwoPoint, float_root
 
 __all__ = [
     "ReferenceModel",
@@ -312,7 +312,9 @@ class GraphActivityLimit(ReferenceModel):
         self.beta = float(beta)
         self.a = float(a)
         self.x_min = float(x_min)
-        self.mean_degree = Zipf(self.beta).mean()
+        from scipy.special import zeta
+
+        self.mean_degree = float(zeta(self.beta - 1.0) / zeta(self.beta))
         self.frechet_scale = 1.0 + self.mean_degree
         self.theta = 1.0 / self.frechet_scale
         self.name = f"graph_activity_limit(beta={self.beta:g}, a={self.a:g})"

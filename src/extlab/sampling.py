@@ -128,54 +128,6 @@ class Distribution:
         return f"{type(self).__name__}({fields})"
 
 
-class Uniform01(Distribution):
-    def sample(self, rng, size=None):
-        return rng.random(size)
-
-    def mean(self):
-        return 0.5
-
-    def cdf(self, x):
-        return np.clip(x, 0.0, 1.0)
-
-    def quantile(self, p):
-        return np.asarray(p, dtype=float)
-
-    def probes(self):
-        return [
-            ("mean", lambda x: x, 0.5),
-            ("P(X<=1/4)", lambda x: (x <= 0.25).astype(float), 0.25),
-        ]
-
-
-class Exponential(Distribution):
-    def __init__(self, rate: float = 1.0):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = float(rate)
-
-    def sample(self, rng, size=None):
-        return rng.standard_exponential(size) / self.rate
-
-    def mean(self):
-        return 1.0 / self.rate
-
-    def laplace(self, u):
-        return self.rate / (self.rate + u)
-
-    def cdf(self, x):
-        return -np.expm1(-self.rate * np.maximum(x, 0.0))
-
-    def quantile(self, p):
-        return -np.log1p(-np.asarray(p)) / self.rate
-
-    def probes(self):
-        return [
-            ("mean", lambda x: x, 1.0 / self.rate),
-            ("laplace(1)", lambda x: np.exp(-x), self.laplace(1.0)),
-        ]
-
-
 class Gamma(Distribution):
     def __init__(self, shape: float, scale: float = 1.0):
         if shape <= 0 or scale <= 0:
@@ -333,70 +285,6 @@ class SymmetricStable(Distribution):
         return checks
 
 
-class Logarithmic(Distribution):
-    """Logarithmic series law on {1, 2, ...}: P(X=k) = -p^k / (k ln(1-p))."""
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {p}")
-        self.p = float(p)
-
-    def sample(self, rng, size=None):
-        return rng.logseries(self.p, size)
-
-    def mean(self):
-        return -self.p / ((1.0 - self.p) * math.log1p(-self.p))
-
-    def pgf(self, t):
-        """E t^X = ln(1 - pt) / ln(1 - p)."""
-        return np.log1p(-self.p * np.asarray(t)) / math.log1p(-self.p)
-
-    def probes(self):
-        return [
-            ("mean", lambda x: x, self.mean()),
-            (
-                "P(X=1)",
-                lambda x: (x == 1).astype(float),
-                -self.p / math.log1p(-self.p),
-            ),
-            ("E 0.5^X", lambda x: 0.5**x, float(self.pgf(0.5))),
-        ]
-
-
-class Zipf(Distribution):
-    """Zeta law on {1, 2, ...}: P(X=k) proportional to k^(-beta), beta > 1."""
-
-    def __init__(self, beta: float):
-        if beta <= 1.0:
-            raise ValueError(f"beta must exceed 1, got {beta}")
-        self.beta = float(beta)
-
-    def sample(self, rng, size=None):
-        return rng.zipf(self.beta, size)
-
-    def mean(self):
-        if self.beta <= 2.0:
-            return math.inf
-        from scipy.special import zeta
-
-        return float(zeta(self.beta - 1.0) / zeta(self.beta))
-
-    def pmf(self, k):
-        from scipy.special import zeta
-
-        return np.asarray(k, dtype=float) ** (-self.beta) / float(zeta(self.beta))
-
-    def probes(self):
-        checks = [
-            ("P(X=1)", lambda x: (x == 1).astype(float), float(self.pmf(1))),
-            ("P(X=2)", lambda x: (x == 2).astype(float), float(self.pmf(2))),
-        ]
-        if self.beta > 3.0:
-            # sample-sd standard errors need a finite variance
-            checks.append(("mean", lambda x: x, self.mean()))
-        return checks
-
-
 class Pareto(Distribution):
     """Pareto law: P(X > x) = (x / x_min)^(-a) for x >= x_min."""
 
@@ -446,33 +334,6 @@ class Pareto(Distribution):
         if self.a > 2.0:
             checks.append(("mean", lambda x: x, self.mean()))
         return checks
-
-
-class Geometric1(Distribution):
-    """Geometric law on {1, 2, ...} with success probability eps."""
-
-    def __init__(self, eps: float):
-        if not 0.0 < eps <= 1.0:
-            raise ValueError(f"eps must lie in (0, 1], got {eps}")
-        self.eps = float(eps)
-
-    def sample(self, rng, size=None):
-        return rng.geometric(self.eps, size)
-
-    def mean(self):
-        return 1.0 / self.eps
-
-    def pgf(self, t):
-        """E t^X = eps t / (1 - (1 - eps) t)."""
-        t = np.asarray(t, dtype=float)
-        return self.eps * t / (1.0 - (1.0 - self.eps) * t)
-
-    def probes(self):
-        return [
-            ("mean", lambda x: x, self.mean()),
-            ("P(X=1)", lambda x: (x == 1).astype(float), self.eps),
-            ("E 0.5^X", lambda x: 0.5**x, float(self.pgf(0.5))),
-        ]
 
 
 class TwoPoint(Distribution):

@@ -56,7 +56,6 @@ from .sampling import (
     PositiveStable,
     SymmetricStable,
     TwoPoint,
-    Zipf,
     float_root,
 )
 
@@ -92,8 +91,8 @@ POOL_SIZE = 200_000  # draws in a frozen calibration pool
 # config field parsers: JSON value -> constructor argument
 
 def _integral(value) -> int:
-    """An integer field; integral floats pass, fractional ones are refused."""
-    if isinstance(value, float) and not value.is_integer():
+    """An integer field; integral floats pass, fractional ones and booleans are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
     return int(value)
 
@@ -218,14 +217,17 @@ class SeriesSystem:
 # exchangeable copula series
 
 class _InvertedMaxSystem(SeriesSystem):
-    """Deterministic size n with a closed-form inverse of the max d.f.
+    """Deterministic size n, uniform marginals, a closed-form inverse of the max d.f.
 
     Each replicate costs one uniform V: M_n = max_inverse_given_size(n, V),
-    the exact inversion draw.
+    the exact inversion draw.  E F_n(u)^n = u^n inverts to u = s^(1/n).
     """
 
     def sample_batch(self, n, count, rng):
         return np.full(count, n, dtype=np.int64), self.max_inverse_given_size(n, rng.random(count))
+
+    def closed_form_u(self, n, s):
+        return np.asarray(s, dtype=float) ** (1.0 / n)
 
 
 class ExchangeableCopulaSystem(_InvertedMaxSystem):
@@ -261,9 +263,6 @@ class ExchangeableCopulaSystem(_InvertedMaxSystem):
     def max_inverse_given_size(self, d, v):
         return diag_inverse(self.gen, d, v)
 
-    def closed_form_u(self, n, s):
-        return np.asarray(s, dtype=float) ** (1.0 / n)
-
     def reference(self):
         try:
             return ArchimedeanLimit(self.gen)
@@ -296,9 +295,6 @@ class DuplicatedIidSystem(_InvertedMaxSystem):
 
     def max_inverse_given_size(self, d, v):
         return np.asarray(v, dtype=float) ** (1.0 / self._groups(np.asarray(d), self.m))
-
-    def closed_form_u(self, n, s):
-        return np.asarray(s, dtype=float) ** (1.0 / n)
 
     def reference(self):
         return DuplicatedIidLimit(self.m)
@@ -770,7 +766,7 @@ class PowerLawGraphSystem(SeriesSystem):
     def closed_form_u(self, n, s):
         # asymptotic tail calibration: n * (1 + EK) * (u/x_min)^(-a) = -ln s
         s = np.asarray(s, dtype=float)
-        scale = (1.0 + Zipf(self.beta).mean()) * n
+        scale = self.reference().frechet_scale * n
         return self.x_min * (scale / (-np.log(s))) ** (1.0 / self.a)
 
     def reference(self):

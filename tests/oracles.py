@@ -2,8 +2,9 @@
 
 ``TwoPointThresholdLimit`` inverts the two-atom threshold curve in closed
 form, ``mixed_max_stable_cdf`` is the limit law of maxima under random
-mixing, ``sample_exchangeable`` draws a whole exchangeable vector
-through its frailty, ``sample_copula_max`` draws its maximum through the
+mixing, ``sample_frailty`` draws the Marshall-Olkin frailty of an
+Archimedean generator, ``sample_exchangeable`` draws a whole exchangeable
+vector through its frailty, ``sample_copula_max`` draws its maximum through the
 frailty, where the systems invert the diagonal d.f. of the maximum,
 ``sample_branching_full_tree`` grows every particle of a branching
 population, where the system draws its last generation as maxima, and
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from extlab.copulas import ClaytonGenerator, FrankGenerator, GumbelHougaardGenerator, _FixedTilt
 from extlab.reference import ReferenceModel, _check_s
-from extlab.sampling import Distribution
+from extlab.sampling import Distribution, PositiveStable
 
 
 class TwoPointThresholdLimit(ReferenceModel):
@@ -114,6 +116,27 @@ def mixed_max_stable_cdf(law: MaxStableLaw, zeta: Distribution, theta: float, x)
 # ---------------------------------------------------------------------------
 # exchangeable vectors
 
+def sample_frailty(gen, rng, size: int) -> np.ndarray:
+    """size draws of the frailty zeta of a fixed generator: E exp(-u zeta) = f(u).
+
+    Clayton: Gamma(1/alpha, 1); Frank: logarithmic series with
+    p = 1 - exp(-alpha); Gumbel-Hougaard with alpha > 1: positive
+    stable(1/alpha); independence and Gumbel-Hougaard at alpha = 1: the
+    constant 1.  A tilt phi_base^beta has frailty S * zeta_base^beta with
+    S positive stable(1/beta), drawn first.
+    """
+    if isinstance(gen, _FixedTilt):
+        s = PositiveStable(1.0 / float(gen.beta)).sample(rng, size)
+        return s * np.asarray(sample_frailty(gen.base, rng, size), dtype=float) ** float(gen.beta)
+    if isinstance(gen, ClaytonGenerator):
+        return rng.gamma(1.0 / gen.alpha, 1.0, size)
+    if isinstance(gen, FrankGenerator):
+        return rng.logseries(-math.expm1(-gen.alpha), size)
+    if isinstance(gen, GumbelHougaardGenerator) and gen.alpha > 1.0:
+        return PositiveStable(1.0 / gen.alpha).sample(rng, size)
+    return np.ones(size)
+
+
 def sample_exchangeable(gen, d: int, stream, size=None):
     """Exact draw of the d exchangeable terms via the frailty: f(E_i / zeta).
 
@@ -124,7 +147,7 @@ def sample_exchangeable(gen, d: int, stream, size=None):
     g = gen.fixed(d)
     rng = stream.generator
     m = 1 if size is None else int(size)
-    zeta = np.asarray(g.frailty.sample(rng, m), dtype=float)
+    zeta = np.asarray(sample_frailty(g, rng, m), dtype=float)
     e = rng.standard_exponential((m, d))
     u = g.f(e / zeta[:, None])
     return u[0] if size is None else u
@@ -137,7 +160,7 @@ def sample_copula_max(gen, n: int, count: int, rng):
     Exp(n), so one exponential E and one frailty draw zeta give the maximum.
     """
     g = gen.fixed(n)
-    zeta = np.asarray(g.frailty.sample(rng, count), dtype=float)
+    zeta = np.asarray(sample_frailty(g, rng, count), dtype=float)
     e = rng.standard_exponential(count)
     return g.f(e / (n * zeta))
 

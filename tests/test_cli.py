@@ -188,6 +188,9 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"system": {"kind": "power_law_graph", "beta": 3.5, "x_min": math.inf}},
          "finite number"),
         ({"def2_bounds": [0.1, math.inf]}, "def2_bounds"),
+        ({"seed": -1}, "seed must be an integer"),
+        ({"workers": -5}, "workers must be 0 or more"),
+        ({"workers": True}, "workers must be an integer"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):
@@ -196,6 +199,40 @@ def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle
     err = capsys.readouterr().err
     assert needle in err
     assert f"{cfg}:" in err  # message carries file and line
+
+
+@pytest.mark.parametrize(
+    "argv,env_seed,needle",
+    [
+        (("--seed", "-1"), None, "--seed: seed must be an integer"),
+        (("--workers", "-5"), None, "--workers: workers must be 0 or more"),
+        ((), "-4", "EXTLAB_SEED: seed must be an integer"),
+        ((), "not-a-number", "EXTLAB_SEED: seed must be an integer"),
+    ],
+)
+def test_invalid_flags_and_environment_exit_2(tmp_path, capsys, monkeypatch,
+                                              argv, env_seed, needle):
+    # the message names the flag or variable, not the config's (valid) "seed" line
+    cfg = _cfg(tmp_path, seed=None if env_seed else 3)
+    assert _main("run", "--config", str(cfg), *argv,
+                 monkeypatch=monkeypatch, env_seed=env_seed) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(needle)
+    assert str(cfg) not in err
+
+
+def test_def2_refusal_is_located_before_work(tmp_path, capsys, monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "estimate_psi", boom)
+    cfg = _cfg(tmp_path, system={"kind": "power_law_graph", "beta": 3.5},
+               analyses=["psi", "def2_fit"])
+    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 2
+    lineno = next(i + 1 for i, ln in enumerate(cfg.read_text().splitlines())
+                  if '"def2_fit"' in ln)
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cfg}:{lineno}: ") and "def2_fit needs a closed-form marginal" in err
 
 
 def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from extlab.copulas import (
 )
 from extlab.reference import ArchimedeanLimit
 from extlab.sampling import RandomStream
-from oracles import sample_exchangeable
+from oracles import sample_exchangeable, sample_frailty
 
 _GENERATORS = [
     IndependenceGenerator(),
@@ -53,7 +53,7 @@ def test_frailty_mean_matches_mu():
     # mu is documented as the frailty mean; check by simulation where finite
     for gen in (ClaytonGenerator(0.8), FrankGenerator(2.0), IndependenceGenerator()):
         z = np.asarray(
-            gen.frailty.sample(RandomStream(seed=3, stream_id=1).generator, 300_000),
+            sample_frailty(gen, RandomStream(seed=3, stream_id=1).generator, 300_000),
             dtype=float,
         )
         se = z.std(ddof=1) / math.sqrt(z.size)
@@ -64,13 +64,27 @@ def test_frailty_laplace_is_f():
     # the inverse generator doubles as the frailty Laplace transform
     for gen in (ClaytonGenerator(1.5), FrankGenerator(3.0), GumbelHougaardGenerator(2.0)):
         z = np.asarray(
-            gen.frailty.sample(RandomStream(seed=4, stream_id=1).generator, 300_000),
+            sample_frailty(gen, RandomStream(seed=4, stream_id=1).generator, 300_000),
             dtype=float,
         )
         for u in (0.3, 1.0, 2.5):
             y = np.exp(-u * z)
             se = y.std(ddof=1) / math.sqrt(y.size)
             assert abs(y.mean() - float(gen.f(u))) < 4.0 * se + 1e-9
+
+
+def test_tilted_frailty_laplace_is_f():
+    # the tilt's frailty S * zeta^beta has the pinned inverse generator as Laplace transform
+    for base in (FrankGenerator(2.0), IndependenceGenerator()):
+        g = TiltedGenerator(base, gamma=math.log(2.0)).fixed(64)
+        z = np.asarray(
+            sample_frailty(g, RandomStream(seed=5, stream_id=1).generator, 300_000),
+            dtype=float,
+        )
+        for u in (0.3, 1.0, 2.5):
+            y = np.exp(-u * z)
+            se = y.std(ddof=1) / math.sqrt(y.size)
+            assert abs(y.mean() - float(g.f(u))) < 4.0 * se + 1e-9
 
 
 def test_invalid_parameters_raise():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from extlab import estimator
 from extlab.copulas import ClaytonGenerator
 from extlab.estimator import (
     DEFAULT_GRID,
@@ -26,6 +27,7 @@ from extlab.systems import (
     DuplicatedIidSystem,
     ExchangeableCopulaSystem,
     GeometricThresholdSystem,
+    PowerLawGraphSystem,
     StableSizeGumbelSystem,
 )
 
@@ -59,6 +61,33 @@ def test_worker_count_is_invisible():
     assert np.array_equal(serial.psi_hat, three.psi_hat)
     assert np.array_equal(serial.batch_counts, two.batch_counts)
     assert np.array_equal(serial.batch_counts, three.batch_counts)
+
+
+def test_process_pool_is_capped_at_the_batch_count(monkeypatch):
+    # a fake executor records max_workers and maps in this process; no worker starts
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(estimator, "ProcessPoolExecutor", FakePool)
+    kw = dict(s_grid=[0.3, 0.7], replicates=1280, stream=_stream(2))
+    serial = estimate_psi(_clayton(), 50, workers=0, **kw)
+    for workers, cap in ((3, 3), (64, 64), (100_000, 64)):
+        pooled = estimate_psi(_clayton(), 50, workers=workers, **kw)
+        assert asked[-1] == cap
+        assert np.array_equal(pooled.batch_counts, serial.batch_counts)
+    assert len(asked) == 3
 
 
 def test_batch_layout_and_stderr():
@@ -222,6 +251,18 @@ def test_def2_validation():
         def2_fit(sys_, est, _stream(11), theta_bounds=(2.0, 1.0))
     with pytest.raises(ConfigError):
         def2_fit(sys_, est, _stream(11), theta_bounds=(0.1, math.inf))
+
+
+def test_def2_refuses_a_marginal_pool_before_drawing_it(monkeypatch):
+    # the power-law graph knows F_n only through a pool of draws
+    def boom(*a, **k):
+        raise AssertionError("the comparand pool was drawn")
+
+    sys_ = PowerLawGraphSystem(3.5)
+    est = estimate_psi(sys_, 100, s_grid=[0.5], replicates=64, stream=_stream(1))
+    monkeypatch.setattr(estimator, "Calibrator", boom)
+    with pytest.raises(ConfigError, match="def2_fit needs a closed-form marginal"):
+        def2_fit(sys_, est, _stream(1))
 
 
 @pytest.mark.parametrize("sys_,n,seed", [

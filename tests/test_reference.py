@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import zeta as scipy_zeta
 
 from extlab.copulas import (
     ClaytonGenerator,
@@ -32,7 +33,6 @@ from extlab.sampling import (
     PositiveStable,
     RandomStream,
     TwoPoint,
-    Zipf,
 )
 from extlab.systems import (
     BranchingHereditySystem,
@@ -313,7 +313,7 @@ def test_graph_limit_matches_system_constant():
     # the system's threshold formula and the limit model share the factor 1 + EK
     sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
     m = GraphActivityLimit(3.5, a=1.0)
-    assert m.mean_degree == Zipf(3.5).mean()
+    assert m.mean_degree == float(scipy_zeta(2.5) / scipy_zeta(3.5))
     assert float(sys_.closed_form_u(100, math.exp(-1.0))) == pytest.approx(
         100.0 * m.frechet_scale, rel=1e-12)
 

@@ -73,6 +73,15 @@ def test_copula_exact_laws():
     assert float(sys_.closed_form_u(100, 0.5)) == pytest.approx(0.5**0.01, rel=1e-12)
 
 
+@pytest.mark.parametrize("sys_", [ExchangeableCopulaSystem(FrankGenerator(2.0)),
+                                  DuplicatedIidSystem(3)], ids=repr)
+def test_inverted_max_closed_form_u_solves_uniform_marginal(sys_):
+    # uniform marginals: F_n(u)^n = u^n = s, one formula for both systems
+    s = np.array([0.05, 0.5, 0.95])
+    for n in (1, 7, 1000):
+        assert np.allclose(sys_.closed_form_u(n, s) ** n, s, rtol=1e-12, atol=0.0)
+
+
 def test_copula_max_simulation_matches_diagonal():
     sys_ = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     _empirical_max_matches_exact(sys_, 64, [0.9, 0.97, 0.995])

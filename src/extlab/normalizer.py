@@ -160,9 +160,7 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
         u = np.asarray(closed, dtype=float)
         return NormalizingCurve(n, s, u, cal.value(u), cal.stderr_at(u), "closed_form")
 
-    # G_n(x) = s, bracketed by [0, 1].  A pooled G_n is a BLAS product whose last
-    # bit can depend on how many points share a call, so a root may end one
-    # double away from where a full-grid bisection ends
+    # G_n(x) = s, bracketed by [0, 1]
     x = _root(cal.pgf, s, _Gumbel)
     u = np.asarray(cal.quantile(x), dtype=float)
     achieved, stderr = cal.value(u), cal.stderr_at(u)

@@ -196,6 +196,18 @@ def _quad(fn, a: float, b: float) -> float:
     return val
 
 
+def _cap_excess(c: float, big_l: float) -> float:
+    """h(L) = expm1(c L)/c + expm1(-L).  Its two terms cancel to first order at
+    small L, where it takes the series sum_{k>=2} [c^(k-1) + (-1)^k] L^k / k!."""
+    if max(1.0, c) * big_l >= 0.5:
+        return math.expm1(c * big_l) / c + math.expm1(-big_l)
+    total, term = 0.0, big_l
+    for k in range(2, 20):  # the first term left out is below 1e-23 of the sum
+        term *= big_l / k
+        total += (c ** (k - 1) + (-1.0) ** k) * term
+    return total
+
+
 class RandomThresholdLimit(ReferenceModel):
     """psi(s) = g(f^{-1}(s)) with f(t) = E zeta/(t+zeta), g(t) = E (zeta-t)+.
 
@@ -203,10 +215,17 @@ class RandomThresholdLimit(ReferenceModel):
     threshold system at stage n is this model at cap = n: its threshold is
     u_n(s) = n / (n + f_n^{-1}(s)), its size pgf G_n(x) = f_n(n(1 - x)/x) and
     its maximum law P(M_n <= u) = g_n(n(1 - u)) / m_n with m_n = E[zeta |
-    zeta < n], so its curve is g_n(t u_n) / m_n at t = f_n^{-1}(s).  Atomic
-    laws take every mean exactly.  Otherwise a mean is adaptive quadrature on
-    the quantile scale over [0, F(cap)], and g is the integral of S(z) - S(cap)
-    over [t, cap] on the z scale, which has no kink; both keep ~1e-13.
+    zeta < n], so its curve is g_n(t u_n) / m_n at t = f_n^{-1}(s).
+
+    The law fixes one of three routes for f, g, m and theta1:
+    - atomic laws sum their atoms exactly;
+    - Pareto(a, x_m) takes closed forms.  w = x_m/zeta has density a w^(a-1)
+      on [w0, 1], w0 = x_m/cap, so f is Euler's integral (DLMF 15.6.1):
+      f(t) = [H(t/x_m) - w0^a H(t/cap)] / mass, H(y) = 2F1(1, a; a+1; -y).
+      g integrates S(z) - S(cap) over [max(t, x_m), cap] in closed form;
+    - any other law takes adaptive quadrature: f on the quantile scale over
+      [0, F(cap)], g as the integral of S(z) - S(cap) over [t, cap] on the z
+      scale, which has no kink; both keep ~1e-13.
     """
 
     def __init__(self, zeta: Distribution, cap: float = math.inf):
@@ -215,31 +234,56 @@ class RandomThresholdLimit(ReferenceModel):
             raise ValueError(f"threshold law must have mean 1, got {m}")
         self.zeta = zeta
         self.cap = float(cap)
-        self._atoms = isinstance(zeta, (TwoPoint, Degenerate))
+        self._route = ("atoms" if isinstance(zeta, (TwoPoint, Degenerate))
+                       else "pareto" if isinstance(zeta, Pareto) else "quad")
         # P(zeta < cap) and E[zeta | zeta < cap], which is the law's mean 1 when uncapped
-        self.mass = zeta.expect(lambda z: z < cap) if self._atoms else float(zeta.cdf(cap))
+        if self._route == "atoms":
+            self.mass = zeta.expect(lambda z: z < cap)
+        else:  # P(zeta >= cap) apart from 1 - mass, which would lose its relative precision
+            self._tail = float(zeta.sf(cap))
+            self.mass = float(zeta.cdf(cap))
         self.m = 1.0 if math.isinf(self.cap) else self.g(0.0)
         self.name = f"random_threshold_limit({type(zeta).__name__.lower()})"
 
     def expect(self, fn) -> float:
         """E[fn(zeta) | zeta < cap]."""
-        if self._atoms:
+        if self._route == "atoms":
             return self.zeta.expect(lambda z: fn(z) * (z < self.cap)) / self.mass
         return _quad(lambda p: float(fn(self.zeta.quantile(p))), 0.0, self.mass) / self.mass
 
     def f(self, t: float) -> float:
-        return 1.0 if t == 0.0 else self.expect(lambda z: z / (t + z))
+        if t == 0.0 or math.isinf(t):  # f(inf) = 0, where 2F1 at -inf is NaN
+            return float(t == 0.0)
+        if self._route == "pareto":
+            from scipy.special import hyp2f1
+
+            a = self.zeta.a
+            return float(hyp2f1(1.0, a, a + 1.0, -t / self.zeta.x_min)
+                         - self._tail * hyp2f1(1.0, a, a + 1.0, -t / self.cap)) / self.mass
+        return self.expect(lambda z: z / (t + z))
 
     def g(self, t: float) -> float:
-        if self._atoms:
+        if self._route == "atoms":
             return self.expect(lambda z: np.maximum(z - t, 0.0))
         if t >= self.cap:
             return 0.0
-        # z = t + k x / (1 - x) maps [t, cap] onto [0, top], the cap = inf tail included
         cap = self.cap
-        k, tail = 1.0 + t, float(self.zeta.sf(cap))
+        if self._route == "pareto":
+            # x_m^a (lo^(1-a) - cap^(1-a))/(a-1) - (cap - lo) (x_m/cap)^a over the
+            # support lo >= x_m, as x_m^a cap^(1-a) h(ln(cap/lo)): the two terms
+            # cancel to first order near the cap.  Below x_m the rest is x_m - t.
+            a, xm = self.zeta.a, self.zeta.x_min
+            lo = max(t, xm)
+            if math.isinf(cap):
+                excess = xm * (xm / lo) ** (a - 1.0) / (a - 1.0)
+            else:
+                big_l = -math.log1p((lo - cap) / cap) if lo > 0.5 * cap else math.log(cap / lo)
+                excess = xm * (xm / cap) ** (a - 1.0) * _cap_excess(a - 1.0, big_l)
+            return excess / self.mass + max(xm - t, 0.0)
+        # z = t + k x / (1 - x) maps [t, cap] onto [0, top], the cap = inf tail included
+        k = 1.0 + t
         top = 1.0 if math.isinf(cap) else (cap - t) / (k + cap - t)
-        return _quad(lambda x: (float(self.zeta.sf(t + k * x / (1.0 - x))) - tail)
+        return _quad(lambda x: (float(self.zeta.sf(t + k * x / (1.0 - x))) - self._tail)
                      * k / (1.0 - x) ** 2, 0.0, top) / self.mass
 
     def f_inv(self, s: float) -> float:
@@ -258,17 +302,20 @@ class RandomThresholdLimit(ReferenceModel):
 
     def theta1(self) -> float:
         """1 / E[1/zeta]: the slope of the curve at s -> 1."""
+        if self._route == "pareto":  # E[1/zeta | zeta < cap] = a (1 - w0^(a+1)) / ((a+1) x_m mass)
+            a, xm = self.zeta.a, self.zeta.x_min
+            return (a + 1.0) * xm * self.mass / (a * (1.0 - xm / self.cap * self._tail))
         return 1.0 / self.expect(lambda z: 1.0 / z)
 
     def indices(self):
         out = {"theta_minus": None, "theta_plus": None, "theta0": None,
                "theta1": self.theta1(), "theta_def2": None}
-        if self._atoms:
+        if self._route == "atoms":
             # bounded thresholds: the curve hits zero, so the sup slope blows up
             out["theta_plus"] = math.inf
             out["theta0"] = math.inf
             out["theta_minus"] = out["theta1"]
-        elif isinstance(self.zeta, Pareto):
+        elif self._route == "pareto":
             out["theta0"] = self.zeta.a - 1.0
         return out
 

@@ -319,12 +319,13 @@ class MixtureSpikeSystem(SeriesSystem):
         self.gamma = float(gamma)
         self.name = f"mixture_spike(gamma={self.gamma:g})"
 
+    def _max_power(self, n):
+        """p with P(M_n <= x) = x^p: n - 1 uniform terms and the spiked x^(gamma n)."""
+        return (1.0 + self.gamma) * n - 1.0
+
     def sample_batch(self, n, count, rng):
-        # constructive draw: plain block max and the spiked term separately
-        v1 = rng.random(count)
-        v2 = rng.random(count)
-        m = np.maximum(v1 ** (1.0 / (n - 1)), v2 ** (1.0 / (self.gamma * n)))
-        return np.full(count, n, dtype=np.int64), m
+        # the max d.f. x^p inverts in closed form: M = V^(1/p), one uniform V per replicate
+        return np.full(count, n, dtype=np.int64), rng.random(count) ** (1.0 / self._max_power(n))
 
     def marginal_cdf(self, n, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -339,8 +340,7 @@ class MixtureSpikeSystem(SeriesSystem):
         return np.vectorize(invert, otypes=[float])(p)
 
     def exact_max_cdf(self, n, u):
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        return u ** ((1.0 + self.gamma) * n - 1.0)
+        return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._max_power(n)
 
     def reference(self):
         return SpikeMixtureLimit(self.gamma)
@@ -930,7 +930,9 @@ class Calibrator:
         if r < 0:
             raise ConfigError(f"power r must be non-negative, got {r}")
         if self.kind == "nu_pool":
-            return self.counts @ self._nu_pool_terms(x, r) / self.pool.size
+            y = self._nu_pool_terms(x, r)
+            y *= self.counts
+            return y.sum(axis=1) / self.pool.size
         return np.asarray(self.system.size_pgf(self.n, x, r), dtype=float)
 
     def value(self, u, r: float = 1.0):
@@ -949,18 +951,22 @@ class Calibrator:
                 out = rn * p ** (rn - 1.0) * se_p
             return np.where(p > 0.0, out, 0.0)
         y = self._nu_pool_terms(p, r)
-        y -= self.counts @ y / size
+        for row in y:  # one row at a time, so no second (points x distinct nu) array
+            row -= (row * self.counts).sum() / size
         y *= y  # the pool's std(ddof=1) / sqrt(size), in place
-        return np.sqrt(self.counts @ y / (size * (size - 1.0)))
+        y *= self.counts
+        return np.sqrt(y.sum(axis=1) / (size * (size - 1.0)))
 
     def _nu_pool_terms(self, x, r):
-        # x^(r nu), (distinct nu) x (points): x >= 1 gives 1, x <= 0 gives 0, nu = 0 gives 1
+        # x^(r nu), (points) x (distinct nu): x >= 1 gives 1, x <= 0 gives 0, nu = 0 gives 1.
+        # Points-major, so each point's pairwise sum along its own row depends on that
+        # row alone, not on the other points of the call or on BLAS threads.
         f = np.atleast_1d(np.asarray(x, dtype=float))
         with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.multiply.outer(r * self.nu, np.where(f >= 1.0, 0.0, np.log(f)))
+            y = np.multiply.outer(np.where(f >= 1.0, 0.0, np.log(f)), r * self.nu)
         np.exp(y, out=y)
-        y[:, f <= 0.0] = 0.0
-        y[self.nu == 0] = 1.0
+        y[f <= 0.0] = 0.0
+        y[:, self.nu == 0] = 1.0
         return y
 
 

@@ -6,6 +6,8 @@ mixing, ``sample_frailty`` draws the Marshall-Olkin frailty of an
 Archimedean generator, ``sample_exchangeable`` draws a whole exchangeable
 vector through its frailty, ``sample_copula_max`` draws its maximum through the
 frailty, where the systems invert the diagonal d.f. of the maximum,
+``sample_spike_max`` draws the spiked series' maximum from its two blocks,
+where the system inverts the product d.f.,
 ``sample_branching_full_tree`` grows every particle of a branching
 population, where the system draws its last generation as maxima, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
@@ -163,6 +165,17 @@ def sample_copula_max(gen, n: int, count: int, rng):
     zeta = np.asarray(sample_frailty(g, rng, count), dtype=float)
     e = rng.standard_exponential(count)
     return g.f(e / (n * zeta))
+
+
+def sample_spike_max(gamma: float, n: int, count: int, rng):
+    """count maxima of the spiked series by construction, from two uniforms each.
+
+    The n - 1 plain terms have maximum V1^(1/(n-1)) and the spiked term is
+    V2^(1/(gamma n)); the series maximum is the larger of the two.
+    """
+    v1 = rng.random(count)
+    v2 = rng.random(count)
+    return np.maximum(v1 ** (1.0 / (n - 1)), v2 ** (1.0 / (gamma * n)))
 
 
 # ---------------------------------------------------------------------------

@@ -177,18 +177,12 @@ def _samplers_branching():
     return BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
 
 
-def _one_point_per_call(fn):
-    # a pooled pgf is a BLAS product whose last bit can depend on how many
-    # points share the call; one point per call makes it one fixed function
-    return lambda x: np.array([fn(np.array([v]))[0] for v in x])
-
-
 @pytest.mark.parametrize("sys_,n", [
     (_samplers_branching(), 16),
     (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000),
 ], ids=["branching_heredity", "stable_size_gumbel"])
 def test_root_matches_bisection_on_pool_pgf(sys_, n):
-    fn = _one_point_per_call(Calibrator(sys_, n, stream=_stream(1), pool_size=50_000).pgf)
+    fn = Calibrator(sys_, n, stream=_stream(1), pool_size=50_000).pgf
     assert np.array_equal(_root(fn, _GRID7, _Gumbel), bisect_root(fn, _GRID7))
 
 

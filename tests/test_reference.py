@@ -1,6 +1,8 @@
 """Closed-form limit models: frozen values, cross-checks, system lookup."""
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from extlab.reference import (
     SpikeMixtureLimit,
     StableSizeGumbelLimit,
 )
+from extlab import reference
 from extlab.estimator import DEFAULT_GRID
+from extlab.normalizer import solve_curve
 from extlab.sampling import (
     Degenerate,
     Gamma,
@@ -254,20 +258,124 @@ def _f_gamma2(t):
                for k in range(12))
 
 
-def _f_pareto3(t):
-    # Pareto(3, 2/3): 3 x^3 * int_x^inf dz / (z^3 (t + z)) by partial fractions
-    x = 2.0 / 3.0
-    return 3.0 * x**3 * (0.5 / (t * x**2) - 1.0 / (t**2 * x) + math.log1p(t / x) / t**3)
+# Pareto(a, x) with mean one, x = (a-1)/a, given zeta < cap: exact oracles without
+# mpmath.  Integer a takes rationals, or 100-digit decimals where a log enters;
+# a = 1.5 takes the substitution w = v^2, which leaves square roots and an arctan.
+_PARETO_A = (1.5, 2.0, 3.0, 4.0, 10.0)
+_PARETO_CAPS = (math.inf, 1e4, 100.0, 3.0)
 
 
-@pytest.mark.parametrize("zeta,f_exact", [(Gamma(2.0, 0.5), _f_gamma2),
-                                          (Pareto(3.0, 2.0 / 3.0), _f_pareto3)],
-                         ids=["gamma", "pareto"])
-def test_f_keeps_relative_precision_in_the_tail(zeta, f_exact):
-    # f ~ 1/t here, far below an absolute quadrature tolerance of 1e-12
-    m = RandomThresholdLimit(zeta)
-    for t in (1e4, 1e6):
-        assert m.f(t) == pytest.approx(f_exact(t), rel=1e-11, abs=0.0)
+def _pareto_t_sweep(cap):
+    near_cap = [] if math.isinf(cap) else [0.99 * cap, 0.9999 * cap]
+    return [10.0 ** (k / 2) for k in range(-12, 13)] + near_cap
+
+
+def _exact_numbers(a):
+    """(number type, z -> z^-a): rationals at integer a, decimals with a root at a = 1.5."""
+    if a == int(a):
+        return Fraction, lambda z: z ** -int(a)
+    assert a == 1.5
+    return Decimal, lambda z: 1 / (z * z.sqrt())
+
+
+def _f_pareto(a, cap, t):
+    """f(t) = a x^a int_x^cap dz / (z^a (t + z)) / mass."""
+    x = (a - 1.0) / a
+    if a == 1.5:
+        # with w = x/z = v^2 the integral is 3 int v^2 / (1 + b v^2) dv, b = t/x, over
+        # [sqrt(w0), 1]: 3 V^3 phi(sqrt(b) V) at the ends, phi(y) = (y - atan y) / y^3
+        def phi(y):
+            if y >= 0.5:
+                return (y - math.atan(y)) / y**3
+            return sum((-1) ** k * y ** (2 * k) / (2 * k + 3) for k in range(40))
+
+        w0 = 0.0 if math.isinf(cap) else x / cap
+        top = 3.0 * (phi(math.sqrt(t / x)) - w0**1.5 * phi(math.sqrt(t / x * w0)))
+        return top / (1.0 - w0**1.5)
+    # partial fractions: 1/(z^a (t+z)) = sum_j=1..a (-1)^(j-1) t^-j z^(j-1-a)
+    # + (-1)^a t^-a / (t+z), where j = a and the last term give ln(z / (t+z))
+    n = int(a)
+    with localcontext() as ctx:
+        ctx.prec = 100
+        x, t = Decimal(x), Decimal(t)
+        c = None if math.isinf(cap) else Decimal(cap)
+        total = Decimal(0)
+        for j in range(1, n):
+            k = j - n
+            total += (-1) ** (j - 1) / t**j * ((0 if c is None else c**k) - x**k) / k
+        logs = (1 + t / x).ln() - (0 if c is None else (1 + t / c).ln())
+        total += (-1) ** (n - 1) / t**n * logs
+        mass = 1 - (0 if c is None else (x / c) ** n)
+        return float(n * x**n * total / mass)
+
+
+def _g_pareto(a, cap, t):
+    """g(t) = a x^a int_lo^cap (z - t) z^(-a-1) dz / mass, lo = max(t, x), from the density:
+    the antiderivative is z^(1-a)/(1-a) + t z^-a / a."""
+    if t >= cap:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 100
+        num, neg_pow = _exact_numbers(a)
+        av, x, t = num(a), num((a - 1.0) / a), num(t)
+        anti = lambda z: z * neg_pow(z) / (1 - av) + t * neg_pow(z) / av  # noqa: E731
+        top, mass = (0, 1) if math.isinf(cap) else (anti(num(cap)), 1 - neg_pow(num(cap)) / neg_pow(x))
+        return float(av / neg_pow(x) * (top - anti(max(t, x))) / mass)
+
+
+def _theta1_pareto(a, cap):
+    """1 / E[1/zeta | zeta < cap], E[1/zeta; zeta < cap] = a x^a (x^(-a-1) - cap^(-a-1)) / (a+1)."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        num, neg_pow = _exact_numbers(a)
+        av, x = num(a), num((a - 1.0) / a)
+        top, mass = (0, 1) if math.isinf(cap) else (neg_pow(num(cap)) / num(cap),
+                                                    1 - neg_pow(num(cap)) / neg_pow(x))
+        return float(mass * (av + 1) * neg_pow(x) / (av * (neg_pow(x) / x - top)))
+
+
+@pytest.mark.parametrize("zeta", [Gamma(2.0, 0.5), Pareto(3.0, 2.0 / 3.0)], ids=["gamma", "pareto"])
+def test_f_keeps_relative_precision_in_the_tail(zeta):
+    # f ~ 1/t in the tail, far below an absolute quadrature tolerance of 1e-12;
+    # the Pareto law is swept over tail weights a, caps and t from 1e-6 to 1e6
+    if isinstance(zeta, Gamma):
+        m = RandomThresholdLimit(zeta)
+        for t in (1e4, 1e6):
+            assert m.f(t) == pytest.approx(_f_gamma2(t), rel=1e-11, abs=0.0)
+        return
+    for a in _PARETO_A:
+        for cap in _PARETO_CAPS:
+            m = RandomThresholdLimit(Pareto(a, (a - 1.0) / a), cap)
+            for t in _pareto_t_sweep(cap):
+                assert m.f(t) == pytest.approx(_f_pareto(a, cap, t), rel=1e-12, abs=0.0), (a, cap, t)
+
+
+@pytest.mark.parametrize("a", _PARETO_A)
+def test_pareto_threshold_means_match_exact_oracles(a):
+    for cap in _PARETO_CAPS:
+        m = RandomThresholdLimit(Pareto(a, (a - 1.0) / a), cap)
+        for t in _pareto_t_sweep(cap):
+            assert m.g(t) == pytest.approx(_g_pareto(a, cap, t), rel=1e-12, abs=0.0), (cap, t)
+        assert m.m == pytest.approx(_g_pareto(a, cap, 0.0), rel=1e-12, abs=0.0)
+        assert m.theta1() == pytest.approx(_theta1_pareto(a, cap), rel=1e-12, abs=0.0)
+        assert m.f(0.0) == 1.0 and m.f(math.inf) == 0.0
+
+
+def test_pareto_threshold_runs_without_quadrature(monkeypatch):
+    def no_quad(*args):
+        raise AssertionError("the Pareto threshold law took quadrature")
+
+    monkeypatch.setattr(reference, "_quad", no_quad)
+    sys_, n = RandomThresholdSystem(Pareto(3.0, 2.0 / 3.0)), 10_000
+    curve = solve_curve(sys_, n, DEFAULT_GRID)
+    assert curve.method == "closed_form"
+    assert np.max(np.abs(curve.achieved - DEFAULT_GRID)) <= 1e-9  # the solver residual bound
+    assert np.array_equal(sys_.size_pgf(n, np.array([0.0, 1.0])), [0.0, 1.0])
+    psi_n = sys_.exact_max_cdf(n, curve.u)
+    assert np.all(np.diff(psi_n) > 0.0) and np.all((psi_n > 0.0) & (psi_n < 1.0))
+    ref = sys_.reference()
+    assert np.all(np.abs(ref.psi(DEFAULT_GRID) - psi_n) < 1e-3)
+    assert ref.theta1() == pytest.approx(8.0 / 9.0, rel=1e-15)
 
 
 def test_random_threshold_limit_needs_mean_one():

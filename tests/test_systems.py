@@ -2,7 +2,10 @@
 
 import ast
 import math
+import os
 import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from scipy import stats
 from scipy.special import zeta as scipy_zeta
 
+import extlab
 from extlab import cli
 from extlab.copulas import (
     ClaytonGenerator,
@@ -47,7 +51,7 @@ from extlab.systems import (
     StableSizeGumbelSystem,
     build_system,
 )
-from oracles import sample_branching_full_tree, sample_copula_max
+from oracles import sample_branching_full_tree, sample_copula_max, sample_spike_max
 
 
 def _rng(seed, sid=0):
@@ -129,7 +133,7 @@ def test_copula_max_inversion_matches_frailty_oracle(gen, n):
 
 @pytest.mark.parametrize("sys_", [ExchangeableCopulaSystem(g) for g in _COPULA_GENERATORS]
                          + [ExchangeableCopulaSystem(IndependenceGenerator()),
-                            DuplicatedIidSystem(3)], ids=repr)
+                            DuplicatedIidSystem(3), MixtureSpikeSystem(0.5)], ids=repr)
 def test_deterministic_size_max_draws_one_uniform_per_replicate(sys_):
     rng, ref = _rng(5), _rng(5)
     sys_.sample_batch(256, 1000, rng)
@@ -184,6 +188,17 @@ def test_mixture_spike_exact_laws():
 
 def test_mixture_spike_max_simulation():
     _empirical_max_matches_exact(MixtureSpikeSystem(1.0), 10, [0.85, 0.95, 0.99])
+
+
+@pytest.mark.parametrize("n", [2, 10, 10_000])
+@pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
+def test_mixture_spike_inversion_matches_two_block_oracle(gamma, n):
+    # the system inverts x^((1+gamma)n - 1); the oracle takes the larger block maximum
+    _, m = MixtureSpikeSystem(gamma).sample_batch(n, 20_000, _rng(73, 0))
+    m_o = sample_spike_max(gamma, n, 20_000, _rng(73, 1))
+    assert stats.ks_2samp(m, m_o).pvalue > 1e-3
+    for draws in (m, m_o):
+        assert stats.kstest(draws, lambda u: u ** ((1.0 + gamma) * n - 1.0)).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("gamma", [0.5, 2.0])
@@ -754,6 +769,50 @@ def test_calibrator_compressed_pool_matches_uncompressed_sum(sys_, n, u):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got_se, want_se, rtol=1e-10, atol=0.0)
         assert math.isnan(got[-1]) and math.isnan(got_se[-1])
+
+
+def _stable_size_calibrator():
+    return Calibrator(StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000,
+                      stream=RandomStream(seed=1, stream_id=0), pool_size=50_000)
+
+
+_POOL_X = 1.0 - np.logspace(-7.0, -2.0, 19)  # G from ~1 down to ~1e-4
+
+
+def test_pooled_pgf_is_bit_identical_on_every_sub_slice():
+    # each point is one fixed-order sum, whichever points share the call
+    cal = _stable_size_calibrator()
+    full, full_se = cal.pgf(_POOL_X), cal.stderr_at(_POOL_X)
+    for i in range(_POOL_X.size):
+        for j in range(i + 1, _POOL_X.size + 1):
+            assert cal.pgf(_POOL_X[i:j]).tobytes() == full[i:j].tobytes()
+            assert cal.stderr_at(_POOL_X[i:j]).tobytes() == full_se[i:j].tobytes()
+
+
+_POOLED_VALUES = """
+import math, numpy as np
+from extlab.sampling import RandomStream
+from extlab.systems import Calibrator, StableSizeGumbelSystem
+cal = Calibrator(StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000,
+                 stream=RandomStream(seed=1, stream_id=0), pool_size=50_000)
+x = 1.0 - np.logspace(-7.0, -2.0, 19)
+print(cal.pgf(x).tobytes().hex(), cal.stderr_at(x).tobytes().hex())
+"""
+
+
+def test_pooled_pgf_does_not_depend_on_blas_threads():
+    src = str(Path(extlab.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _POOLED_VALUES], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    cal = _stable_size_calibrator()
+    here = f"{cal.pgf(_POOL_X).tobytes().hex()} {cal.stderr_at(_POOL_X).tobytes().hex()}\n"
+    assert outs == [here, here]
 
 
 def test_calibrator_marginal_pool_edges():

@@ -21,6 +21,7 @@ is its catalog blurb, and ``reference()`` gives its closed-form limit model.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 
@@ -166,7 +167,7 @@ class SeriesSystem:
     name = "series"
     kind: str | None = None     # config kind of a registered system
     fields: dict = {}           # config field -> parser, named as in __init__
-    calibration_kind = "exact"  # size_pgf implemented; or "nu_pool" / "marginal_pool"
+    calibration_kind = "exact"  # size_pgf implemented; or "nu_pool" (sample_nu) / "marginal_pool"
 
     def validate_n(self, n: int) -> None:
         if not isinstance(n, (int, np.integer)) or n < 2:
@@ -175,10 +176,6 @@ class SeriesSystem:
     def sample_batch(self, n: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
         """count exact draws of (nu_n, M_n); returns (int array, float array)."""
         raise NotImplementedError
-
-    def sample_nu(self, n: int, count: int, rng) -> np.ndarray:
-        """Marginal law of nu_n only (cheaper than sample_batch where possible)."""
-        return self.sample_batch(n, count, rng)[0]
 
     def marginal_cdf(self, n: int, x):
         """Common per-term d.f. F_n; uniform on [0, 1] unless overridden."""
@@ -846,12 +843,11 @@ class SizeJitterSystem(_WrappedSystem):
 
     nu/n -> 1 in probability, which must leave the limit curve untouched.
     The base must expose the conditional max inverse by size with a
-    size-free uniform marginal.
+    size-free uniform marginal, at every size from 1 up.
     """
 
     kind = "size_jitter"
     fields = {"base": lambda cfg: build_system(cfg)}
-    calibration_kind = "nu_pool"
 
     def __init__(self, base: SeriesSystem):
         if not isinstance(base, _InvertedMaxSystem):
@@ -859,18 +855,47 @@ class SizeJitterSystem(_WrappedSystem):
                 "size jitter needs a deterministic-size base with a conditional "
                 f"max inverse (exchangeable copula or duplicated iid), got {base!r}"
             )
+        if isinstance(getattr(base, "gen", None), TiltedGenerator):
+            raise ConfigError(f"size jitter reaches nu = 1, where the tilted structure "
+                              f"of {base.name} is undefined")
         self.base = base
         self.name = f"size_jitter({base.name})"
 
-    def sample_nu(self, n, count, rng):
-        z = rng.standard_normal(count)
-        return np.maximum(1, n + np.rint(math.sqrt(n) * z)).astype(np.int64)
-
     def sample_batch(self, n, count, rng):
-        nu = self.sample_nu(n, count, rng)
-        v = rng.random(count)
-        m = self.base.max_inverse_given_size(nu, v)
-        return nu, m
+        z = rng.standard_normal(count)
+        nu = np.maximum(1, n + np.rint(math.sqrt(n) * z)).astype(np.int64)
+        return nu, self.base.max_inverse_given_size(nu, rng.random(count))
+
+    def size_pgf(self, n, x, r=1.0):
+        x = np.asarray(x, dtype=float)
+        return _weighted_pgf(*_jitter_pmf(n), x.ravel(), r).reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _jitter_pmf(n: int):
+    """(k, P(nu = k)) of the jittered size on [max(1, n - w), n + w], w = ceil(40 sqrt(n)).
+
+    nu = k >= 2 where n + sqrt(n) Z falls within 1/2 of k; nu = 1 takes the
+    lower tail.  Each cell is a difference of stdlib erfc tails on its own
+    side of the mean, which keeps their relative precision (and no scipy in
+    the run).  The mass outside the window is below e^-800, 0 in double
+    precision; cells that underflow to 0 are dropped.  The arrays are read-only.
+    """
+    w = math.ceil(40.0 * math.sqrt(n))
+    k = np.arange(max(1, n - w), n + w + 1)
+    # P(Z > |z|) at the cell edges z = (j - n - 1/2)/sqrt(n), j = k[0] .. k[-1] + 1
+    scale = math.sqrt(2.0 * n)
+    tail = 0.5 * np.array([math.erfc(abs(j - n - 0.5) / scale)
+                           for j in range(int(k[0]), int(k[-1]) + 2)])
+    p = np.where(k < n, tail[1:] - tail[:-1], tail[:-1] - tail[1:])
+    mid = n - int(k[0])  # the cell that holds the mean
+    p[mid] = 1.0 - tail[mid] - tail[mid + 1]
+    if k[0] == 1:
+        p[0] = tail[1]
+    keep = p > 0.0
+    k, p = k[keep].astype(float), p[keep]
+    k.flags.writeable = p.flags.writeable = False
+    return k, p
 
 
 # ---------------------------------------------------------------------------
@@ -879,10 +904,30 @@ class SizeJitterSystem(_WrappedSystem):
 def build_calibration_pool(system: SeriesSystem, n: int, stream, size: int = POOL_SIZE):
     """Frozen pool backing Monte Carlo calibration: nu draws or marginal draws."""
     kind = system.calibration_kind
-    draw = {"nu_pool": system.sample_nu, "marginal_pool": system.sample_marginal}.get(kind)
+    draw = {"nu_pool": "sample_nu", "marginal_pool": "sample_marginal"}.get(kind)
     if draw is None:
         raise ConfigError(f"{system.name}: no calibration pool for calibration kind {kind!r}")
-    return draw(n, size, stream.generator)
+    return getattr(system, draw)(n, size, stream.generator)
+
+
+def _size_terms(x, r, nu):
+    # x^(r nu), (points) x (sizes): x >= 1 gives 1, x <= 0 gives 0, nu = 0 gives 1.
+    # Points-major, so each point's pairwise sum along its own row depends on that
+    # row alone, not on the other points of the call or on BLAS threads.
+    f = np.atleast_1d(np.asarray(x, dtype=float))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.multiply.outer(np.where(f >= 1.0, 0.0, np.log(f)), r * nu)
+    np.exp(y, out=y)
+    y[f <= 0.0] = 0.0
+    y[:, nu == 0] = 1.0
+    return y
+
+
+def _weighted_pgf(nu, weights, x, r):
+    """sum_k w_k x^(r nu_k) / sum_k w_k per point: x >= 1 gives the weights' own sum, so 1."""
+    y = _size_terms(x, r, nu)
+    y *= weights
+    return y.sum(axis=1) / weights.sum()
 
 
 class Calibrator:
@@ -930,9 +975,7 @@ class Calibrator:
         if r < 0:
             raise ConfigError(f"power r must be non-negative, got {r}")
         if self.kind == "nu_pool":
-            y = self._nu_pool_terms(x, r)
-            y *= self.counts
-            return y.sum(axis=1) / self.pool.size
+            return _weighted_pgf(self.nu, self.counts, x, r)
         return np.asarray(self.system.size_pgf(self.n, x, r), dtype=float)
 
     def value(self, u, r: float = 1.0):
@@ -950,24 +993,12 @@ class Calibrator:
             with np.errstate(divide="ignore", invalid="ignore"):
                 out = rn * p ** (rn - 1.0) * se_p
             return np.where(p > 0.0, out, 0.0)
-        y = self._nu_pool_terms(p, r)
+        y = _size_terms(p, r, self.nu)
         for row in y:  # one row at a time, so no second (points x distinct nu) array
             row -= (row * self.counts).sum() / size
         y *= y  # the pool's std(ddof=1) / sqrt(size), in place
         y *= self.counts
         return np.sqrt(y.sum(axis=1) / (size * (size - 1.0)))
-
-    def _nu_pool_terms(self, x, r):
-        # x^(r nu), (points) x (distinct nu): x >= 1 gives 1, x <= 0 gives 0, nu = 0 gives 1.
-        # Points-major, so each point's pairwise sum along its own row depends on that
-        # row alone, not on the other points of the call or on BLAS threads.
-        f = np.atleast_1d(np.asarray(x, dtype=float))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            y = np.multiply.outer(np.where(f >= 1.0, 0.0, np.log(f)), r * self.nu)
-        np.exp(y, out=y)
-        y[f <= 0.0] = 0.0
-        y[:, self.nu == 0] = 1.0
-        return y
 
 
 # ---------------------------------------------------------------------------

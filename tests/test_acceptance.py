@@ -244,7 +244,7 @@ def test_random_threshold_curve_and_tail_exponents():
 def branching_run():
     sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
     stream = _stream()
-    est = estimate_psi(sys_, 16, replicates=10_000, stream=stream)
+    est = estimate_psi(sys_, 16, replicates=10_000, stream=stream, workers=2)
     cal = Calibrator(sys_, 16, stream=stream.substream(3))
     return est, cal
 

@@ -8,8 +8,11 @@ import sys
 
 import pytest
 
+import extlab
 from extlab import cli
 from extlab.normalizer import SolverError
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(extlab.__file__)))
 
 _BASE = {
     "system": {"kind": "exchangeable_copula",
@@ -234,6 +237,48 @@ def test_def2_refusal_is_located_before_work(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith(f"{cfg}:{lineno}: ") and "def2_fit needs a closed-form marginal" in err
 
+
+
+def test_size_jitter_over_a_tilted_base_is_located(tmp_path, capsys, monkeypatch):
+    # the jitter reaches nu = 1, where no tilt is defined: refused at build, not mid-run
+    cfg = _cfg(tmp_path, n=4, replicates=1000, system={
+        "kind": "size_jitter", "base": {"kind": "exchangeable_copula", "generator": {
+            "family": "frank", "alpha": 2.0, "tilt_gamma": 0.7}}})
+    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 2
+    lineno = next(i + 1 for i, ln in enumerate(cfg.read_text().splitlines())
+                  if '"size_jitter"' in ln)
+    err = capsys.readouterr().err
+    assert err.startswith(f"{cfg}:{lineno}: ") and "tilted" in err and "Traceback" not in err
+
+
+_SCIPY_FREE_RUN = """
+import json, sys
+from extlab import cli
+cfg = {"system": {"kind": "size_jitter", "base": {"kind": "exchangeable_copula",
+                  "generator": {"family": "clayton", "alpha": 1.0}}},
+       "n": 10000, "replicates": 2000, "seed": 1, "format": "json",
+       "s_grid": {"start": 0.05, "stop": 0.95, "count": 7},
+       "analyses": ["psi", "compare", "def2_fit"]}
+with open(sys.argv[1], "w") as fh:
+    json.dump(cfg, fh)
+code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(code, "scipy" in sys.modules)
+"""
+
+
+def test_size_jitter_run_imports_no_scipy(tmp_path):
+    # the size-jitter experiment of the benchmark's calibration workload: the exact
+    # size law takes its normal tails from math.erfc, and scipy would add ~16 MB
+    # to the run's peak RSS
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path / "cfg.json"),
+                           str(tmp_path / "out.json")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                              filter(None, [_SRC, os.environ.get("PYTHONPATH")]))),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    summary = json.loads((tmp_path / "out.json").read_text())
+    assert summary["summary"]["solver_method"] == "deterministic_root"
 
 def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):

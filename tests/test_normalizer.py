@@ -167,6 +167,15 @@ def test_pool_required_when_stochastic():
         solve_curve(sys_, 6, [0.5])
 
 
+def test_size_jitter_takes_the_deterministic_root():
+    # the jittered size law is summed exactly: no pool, no stream
+    sys_ = SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
+    curve = solve_curve(sys_, 10_000, _GRID7)
+    assert curve.method == "deterministic_root"
+    assert np.max(np.abs(curve.achieved - _GRID7)) <= 1e-9
+    assert np.all(curve.stderr == 0.0) and np.all(np.diff(curve.u) > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # the bracketed root against plain bisection
 
@@ -272,7 +281,7 @@ class _StepSystem(SeriesSystem):
 
 
 class _MisplacedQuantileJitter(SizeJitterSystem):
-    """Pooled sizes with a marginal quantile that misses F^{-1}."""
+    """The jittered size law with a marginal quantile that misses F^{-1}."""
 
     def marginal_quantile(self, n, p):
         return 0.5 * np.asarray(p, dtype=float)
@@ -291,7 +300,7 @@ def test_no_lower_bracket():
 
 
 def test_residual_tolerance_enforced():
-    # a jump in G, and a pooled G at the wrong u
+    # a jump in G, and G at the wrong u
     jitter = _MisplacedQuantileJitter(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
     for sys_, s in ((_StepSystem(), 0.5), (jitter, 0.5)):
         with pytest.raises(SolverError, match="residual"):

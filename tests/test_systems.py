@@ -49,6 +49,7 @@ from extlab.systems import (
     RandomThresholdSystem,
     SizeJitterSystem,
     StableSizeGumbelSystem,
+    _jitter_pmf,
     build_system,
 )
 from oracles import sample_branching_full_tree, sample_copula_max, sample_spike_max
@@ -256,7 +257,7 @@ def test_random_threshold_needs_mean_one():
 def test_random_threshold_size_law():
     sys_ = RandomThresholdSystem(TwoPoint(0.5, 1.5))
     n = 1000
-    nu = sys_.sample_nu(n, 200_000, _rng(9))
+    nu = sys_.sample_batch(n, 200_000, _rng(9))[0]
     # E nu = n E(1/zeta) = 4n/3 for the balanced two-point law
     se = nu.std(ddof=1) / math.sqrt(nu.size)
     assert abs(nu.mean() - 4.0 * n / 3.0) < 4.0 * se
@@ -683,19 +684,74 @@ def test_monotone_transform_rejects_unbounded_base():
 
 
 def test_size_jitter_moments_and_floor():
+    # the sampler's sizes against the moments of the exact law
     base = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     sys_ = SizeJitterSystem(base)
     n = 400
-    nu = sys_.sample_nu(n, 20_000, _rng(29))
-    assert nu.min() >= 1
+    nu = sys_.sample_batch(n, 20_000, _rng(29))[0]
+    k, p = _jitter_pmf(n)
+    mean = float(k @ p)
+    sd = math.sqrt(float((k - mean) ** 2 @ p))
+    assert nu.min() >= 1 and k[0] == 1
     se = nu.std(ddof=1) / math.sqrt(nu.size)
-    assert abs(nu.mean() - n) < 4.0 * se
-    assert abs(nu.std(ddof=1) - math.sqrt(n)) < 0.05 * math.sqrt(n)
+    assert abs(nu.mean() - mean) < 4.0 * se
+    assert abs(nu.std(ddof=1) - sd) < 0.05 * sd
+    assert mean == pytest.approx(n, rel=1e-12) and sd == pytest.approx(math.sqrt(n), rel=1e-3)
+
+
+def _jitter_pmf_brute_force(n):
+    # P(nu = k) cell by cell from scipy's normal law, out to 50 sqrt(n); nu = 1 takes the lower tail
+    k = np.arange(1, n + math.ceil(50 * math.sqrt(n)) + 1)
+    lo, hi = (k - n - 0.5) / math.sqrt(n), (k - n + 0.5) / math.sqrt(n)
+    p = np.where(k < n, stats.norm.cdf(hi) - stats.norm.cdf(lo),
+                 stats.norm.sf(lo) - stats.norm.sf(hi))
+    p[0] = stats.norm.cdf(hi[0])
+    return k, p
+
+
+@pytest.mark.parametrize("n", [4, 400, 10_000])
+def test_size_jitter_size_pgf_is_the_exact_law(n):
+    sys_ = SizeJitterSystem(DuplicatedIidSystem(2))
+    k, p = _jitter_pmf(n)
+    w = math.ceil(40 * math.sqrt(n))
+    assert max(1, n - w) <= k[0] and k[-1] <= n + w and np.all(np.diff(k) > 0)
+    assert math.fsum(p) == pytest.approx(1.0, abs=1e-15) and np.all(p > 0.0)
+    # built once per n, and the cached arrays cannot be changed in place
+    assert _jitter_pmf(n) is _jitter_pmf(n) and not (k.flags.writeable or p.flags.writeable)
+    bk, bp = _jitter_pmf_brute_force(n)
+    x = np.exp(-np.array([0.05, 0.5, 1.0, 3.0, 10.0, 30.0]) / n)  # G from ~0.95 down to ~1e-13
+    for r in (1.0, 0.5):
+        want = [math.fsum(bp * t ** bk.astype(float)) for t in x**r]
+        np.testing.assert_allclose(sys_.size_pgf(n, x, r), want, rtol=1e-12, atol=1e-300)
+    edges = sys_.size_pgf(n, np.array([0.0, -1.0, 1.0, 2.0, math.nan]))
+    assert edges[0] == edges[1] == 0.0 and edges[2] == edges[3] == 1.0 and math.isnan(edges[4])
+    assert float(Calibrator(sys_, n).pgf(1.0)) == 1.0
+    assert sys_.size_pgf(n, 0.5).shape == ()
+    assert sys_.size_pgf(n, np.full((2, 3), 0.5)).shape == (2, 3)
+
+
+def test_size_jitter_size_pgf_matches_sampled_sizes():
+    # the law's E x^nu against the mean over 200k sampled sizes, within 4 se
+    sys_ = SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
+    nu = sys_.sample_batch(400, 200_000, _rng(72))[0]
+    for xi in (0.99, 0.997, 0.999):
+        y = xi ** nu.astype(float)
+        se = y.std(ddof=1) / math.sqrt(y.size)
+        assert abs(y.mean() - float(sys_.size_pgf(400, xi))) < 4.0 * se, xi
+    k, p = _jitter_pmf(400)
+    assert abs(nu.mean() - float(k @ p)) < 4.0 * nu.std(ddof=1) / math.sqrt(nu.size)
 
 
 def test_size_jitter_requires_conditional_inverse():
     with pytest.raises(ConfigError):
         SizeJitterSystem(GeometricThresholdSystem(eps=0.1))
+
+
+def test_size_jitter_refuses_a_tilted_base():
+    # the jitter reaches nu = 1, and the tilt is undefined at nu <= e^gamma
+    tilted = ExchangeableCopulaSystem(TiltedGenerator(FrankGenerator(2.0), 0.7))
+    with pytest.raises(ConfigError, match="tilted"):
+        SizeJitterSystem(tilted)
 
 
 # ---------------------------------------------------------------------------
@@ -724,6 +780,9 @@ class _PooledThreshold(RandomThresholdSystem):
 
     calibration_kind = "nu_pool"
 
+    def sample_nu(self, n, count, rng):
+        return self.sample_batch(n, count, rng)[0]
+
 
 def test_calibrator_nu_pool_matches_independent_mc():
     sys_ = _PooledThreshold(TwoPoint(0.5, 1.5))
@@ -750,13 +809,13 @@ def _uncompressed_pool_mean(pool, f, r):
 
 
 @pytest.mark.parametrize("sys_, n, u", [
-    (SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0))), 10_000,
-     [-0.5, 0.0, 0.9997, 0.9999, 0.99999, 1.0, 2.0, math.nan]),
+    (StableSizeGumbelSystem(beta=0.7, gamma=0.5), 100,
+     [-0.5, 0.0, 0.97, 0.99, 0.999, 1.0, 2.0, math.nan]),
     (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000,
      [-0.5, 0.0, 0.999, 0.9999, 0.99999, 1.0, 2.0, math.nan]),
     (BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5), 16,
      [-math.inf, 0.0, 2.0, 10.0, 100.0, math.inf, math.nan]),
-], ids=["size_jitter", "stable_size", "branching"])
+], ids=["stable_size_n100", "stable_size", "branching"])
 def test_calibrator_compressed_pool_matches_uncompressed_sum(sys_, n, u):
     cal = Calibrator(sys_, n, stream=RandomStream(seed=39, stream_id=0))
     assert cal.nu.size < cal.pool.size

@@ -168,7 +168,7 @@ def _validate_config(cfg: dict, path: str, raw: str, args=None) -> dict:
         try:
             got[key] = _integral(value)
         except (TypeError, ValueError, OverflowError):
-            raise refuse(key, f"{key} must be an integer, got {value!r}") from None
+            raise refuse(key, f"{key} must be an integer within int64, got {value!r}") from None
     if got["workers"] < 0:
         raise refuse("workers", f"workers must be 0 or more, got {got['workers']}")
     bounds = cfg.get("def2_bounds")

@@ -12,9 +12,8 @@ G_n is exact ("deterministic_root") or the mean over a frozen pool of sizes
 compressed into distinct sizes and counts ("stochastic_root"); a frozen pool
 is a fixed function, so the root is reproducible and its stderr measures the
 pool noise.  Both are continuous in x, so every root must close to 1e-9.
-Only a marginal known through draws, inverted through the edf of a frozen
-pool (a step function), is exempt.  One pool serves the whole s grid: common
-random numbers keep the curve monotone.
+One pool serves the whole s grid: common random numbers keep the curve
+monotone.
 """
 
 from __future__ import annotations
@@ -162,12 +161,12 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
 
     # G_n(x) = s, bracketed by [0, 1]
     x = _root(cal.pgf, s, _Gumbel)
-    u = np.asarray(cal.quantile(x), dtype=float)
+    u = np.asarray(system.marginal_quantile(n, x), dtype=float)
     achieved, stderr = cal.value(u), cal.stderr_at(u)
     if np.any(~np.isfinite(achieved)):
         raise SolverError("calibration mean evaluated to a non-finite value")
     resid = float(np.max(np.abs(achieved - s)))
-    if resid > _RESIDUAL_TOL and cal.kind != "marginal_pool":  # an edf step is exempt
+    if resid > _RESIDUAL_TOL:
         raise SolverError(f"calibration residual {resid:.3g} exceeds tolerance {_RESIDUAL_TOL:.3g}")
     method = "deterministic_root" if cal.exact else "stochastic_root"
     return NormalizingCurve(n, s, u, achieved, stderr, method)

@@ -27,7 +27,6 @@ __all__ = [
     "ArchimedeanLimit",
     "DuplicatedIidLimit",
     "SpikeMixtureLimit",
-    "FixedThresholdLimit",
     "RandomThresholdLimit",
     "StableSizeGumbelLimit",
     "GraphActivityLimit",
@@ -64,20 +63,15 @@ def _check_s(s):
 class ArchimedeanLimit(ReferenceModel):
     """Limit curve f(-ln s * exp(-gamma) / mu) of an exchangeable series, finite frailty mean.
 
-    gamma = 0 is the untilted curve; gamma > 0 is the limit under the power
-    tilt.  A tilted generator folds into its base, its gamma adding to the
-    given one.
+    gamma is the power tilt of a tilted generator, 0 for an untilted one.
     """
 
-    def __init__(self, gen: ArchimedeanGenerator | TiltedGenerator, gamma: float = 0.0):
-        if isinstance(gen, TiltedGenerator):
-            gen, gamma = gen.base, gen.gamma + gamma
+    def __init__(self, gen: ArchimedeanGenerator | TiltedGenerator):
+        gen, gamma = (gen.base, gen.gamma) if isinstance(gen, TiltedGenerator) else (gen, 0.0)
         if not math.isfinite(gen.mu):
             raise ValueError(f"{gen.name}: infinite frailty mean, no finite-mean limit curve")
-        if gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {gamma}")
         self.gen = gen
-        self.gamma = float(gamma)
+        self.gamma = gamma
         self.name = (f"archimedean_limit({gen.name})" if self.gamma == 0.0
                      else f"tilted_limit({gen.name}, gamma={self.gamma:g})")
 
@@ -97,22 +91,30 @@ class ArchimedeanLimit(ReferenceModel):
         }
 
 
-class DuplicatedIidLimit(ReferenceModel):
-    """psi(s) = s^(1/m): both index notions agree at 1/m."""
+class _PowerLimit(ReferenceModel):
+    """psi(s) = s^theta: every partial index is theta; the subclass sets theta_def2."""
 
-    def __init__(self, m: int):
-        if m < 2:
-            raise ValueError(f"m must be at least 2, got {m}")
-        self.m = int(m)
-        self.theta = 1.0 / self.m
-        self.name = f"duplicated_iid_limit(m={self.m})"
+    theta: float
+    theta_def2: float
 
     def psi(self, s):
         return _check_s(s) ** self.theta
 
     def indices(self):
         t = self.theta
-        return {"theta_minus": t, "theta_plus": t, "theta0": t, "theta1": t, "theta_def2": t}
+        return {"theta_minus": t, "theta_plus": t, "theta0": t, "theta1": t,
+                "theta_def2": self.theta_def2}
+
+
+class DuplicatedIidLimit(_PowerLimit):
+    """psi(s) = s^(1/m): both index notions agree at 1/m."""
+
+    def __init__(self, m: int):
+        if m < 2:
+            raise ValueError(f"m must be at least 2, got {m}")
+        self.m = int(m)
+        self.theta = self.theta_def2 = 1.0 / self.m
+        self.name = f"duplicated_iid_limit(m={self.m})"
 
 
 class SpikeMixtureLimit(ReferenceModel):
@@ -154,27 +156,6 @@ class SpikeMixtureLimit(ReferenceModel):
         return {
             "theta_minus": 1.0, "theta_plus": 1.0 + self.gamma,
             "theta0": 1.0 + self.gamma, "theta1": 1.0, "theta_def2": None,
-        }
-
-
-class FixedThresholdLimit(ReferenceModel):
-    """psi(s) = 0 v (2 - 1/s): vanishing fixed-threshold exceedance windows.
-
-    The curve is not a power law on any neighbourhood of 0: theta_plus is
-    infinite and no Definition-2 index exists.
-    """
-
-    name = "fixed_threshold_limit"
-
-    def psi(self, s):
-        s = _check_s(s)
-        out = np.maximum(0.0, 2.0 - 1.0 / s)
-        return out if out.ndim else float(out)
-
-    def indices(self):
-        return {
-            "theta_minus": 1.0, "theta_plus": math.inf,
-            "theta0": math.inf, "theta1": 1.0, "theta_def2": None,
         }
 
 
@@ -320,7 +301,7 @@ class RandomThresholdLimit(ReferenceModel):
         return out
 
 
-class StableSizeGumbelLimit(ReferenceModel):
+class StableSizeGumbelLimit(_PowerLimit):
     """The two-index split model: curve s^exp(-gamma beta), matching at exp(-gamma)."""
 
     def __init__(self, beta: float, gamma: float):
@@ -330,20 +311,12 @@ class StableSizeGumbelLimit(ReferenceModel):
             raise ValueError(f"gamma must be non-negative, got {gamma}")
         self.beta = float(beta)
         self.gamma = float(gamma)
-        self.theta_def1 = math.exp(-gamma * beta)
+        self.theta = math.exp(-gamma * beta)
         self.theta_def2 = math.exp(-gamma)
         self.name = f"stable_size_limit(beta={self.beta:g}, gamma={self.gamma:g})"
 
-    def psi(self, s):
-        return _check_s(s) ** self.theta_def1
 
-    def indices(self):
-        t = self.theta_def1
-        return {"theta_minus": t, "theta_plus": t, "theta0": t, "theta1": t,
-                "theta_def2": self.theta_def2}
-
-
-class GraphActivityLimit(ReferenceModel):
+class GraphActivityLimit(_PowerLimit):
     """Aggregate-activity maxima on the power-law graph.
 
     The index is theta = 1/(1 + EK) with EK = zeta(beta-1)/zeta(beta); the
@@ -363,11 +336,8 @@ class GraphActivityLimit(ReferenceModel):
 
         self.mean_degree = float(zeta(self.beta - 1.0) / zeta(self.beta))
         self.frechet_scale = 1.0 + self.mean_degree
-        self.theta = 1.0 / self.frechet_scale
+        self.theta = self.theta_def2 = 1.0 / self.frechet_scale
         self.name = f"graph_activity_limit(beta={self.beta:g}, a={self.a:g})"
-
-    def psi(self, s):
-        return _check_s(s) ** self.theta
 
     def max_limit_cdf(self, x):
         """Limit law of M_n / v(n), v(n) = x_min n^(1/a)."""
@@ -383,10 +353,6 @@ class GraphActivityLimit(ReferenceModel):
         with np.errstate(divide="ignore"):
             out = np.where(x > 0.0, np.exp(-scale * np.maximum(x, 1e-300) ** (-self.a)), 0.0)
         return out if out.ndim else float(out)
-
-    def indices(self):
-        t = self.theta
-        return {"theta_minus": t, "theta_plus": t, "theta0": t, "theta1": t, "theta_def2": t}
 
 
 class BranchingHeredityIndex(ReferenceModel):

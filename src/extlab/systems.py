@@ -42,7 +42,6 @@ from .reference import (
     ArchimedeanLimit,
     BranchingHeredityIndex,
     DuplicatedIidLimit,
-    FixedThresholdLimit,
     GraphActivityLimit,
     RandomThresholdLimit,
     ReferenceModel,
@@ -92,10 +91,13 @@ POOL_SIZE = 200_000  # draws in a frozen calibration pool
 # config field parsers: JSON value -> constructor argument
 
 def _integral(value) -> int:
-    """An integer field; integral floats pass, fractional ones and booleans are refused."""
+    """An int64 field; integral floats pass, fractions, booleans and |x| >= 2^63 are refused."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
-    return int(value)
+    out = int(value)
+    if not -2**63 <= out < 2**63:
+        raise ValueError(f"must be an integer within int64, got {value!r}")
+    return out
 
 
 def _real(value) -> float:
@@ -174,7 +176,8 @@ class SeriesSystem:
             raise ConfigError(f"{self.name}: stage n must be an integer >= 2, got {n!r}")
 
     def sample_batch(self, n: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        """count exact draws of (nu_n, M_n); returns (int array, float array)."""
+        """count exact draws of (nu_n, M_n): an int64 array, or integer-valued float64
+        where sizes can pass the int64 range (stable_size), and a float array."""
         raise NotImplementedError
 
     def marginal_cdf(self, n: int, x):
@@ -184,10 +187,6 @@ class SeriesSystem:
     def marginal_quantile(self, n: int, p):
         """Inverse of marginal_cdf on [0, 1]; the identity for the uniform marginal."""
         return np.asarray(p, dtype=float)
-
-    def sample_marginal(self, n: int, count: int, rng) -> np.ndarray:
-        """Draws from F_n, for systems whose marginal is only samplable."""
-        raise NotImplementedError(f"{self.name} has no marginal sampler")
 
     def size_pgf(self, n: int, x, r: float = 1.0):
         """G_n(x^r) = E x^(r nu_n); a deterministic size n unless overridden."""
@@ -348,8 +347,8 @@ class GeometricThresholdSystem(SeriesSystem):
 
     nu is geometric with success probability eps and M = 1 - eps + eps U
     independently of nu.  eps may be pinned or scheduled as n^(-q); the
-    limit curve 0 v (2 - 1/s) is reached as eps -> 0 and carries no
-    extremal index of either kind.
+    limit curve 0 v (2 - 1/s), the random-threshold limit at zeta = 1, is
+    reached as eps -> 0 and carries no extremal index of either kind.
     """
 
     kind = "geometric_threshold"
@@ -395,7 +394,7 @@ class GeometricThresholdSystem(SeriesSystem):
         return s / (eps + (1.0 - eps) * s)
 
     def reference(self):
-        return FixedThresholdLimit()
+        return RandomThresholdLimit(Degenerate(1.0))
 
 
 class RandomThresholdSystem(SeriesSystem):
@@ -503,14 +502,15 @@ class StableSizeGumbelSystem(SeriesSystem):
             raise ConfigError(f"{self.name}: {exc}") from None
 
     def sample_nu(self, n, count, rng):
+        # integer-valued float64: S is heavy-tailed, and n S can pass the int64 range
         s = self._stable.sample(rng, count)
-        return np.maximum(1, np.rint(n * s)).astype(np.int64)
+        return np.maximum(1.0, np.rint(n * s))
 
     def sample_batch(self, n, count, rng):
         nu = self.sample_nu(n, count, rng)
         alpha = default_tilt_power(n, self.gamma)
         v = rng.random(count)
-        m = v ** (nu.astype(float) ** (-1.0 / alpha))
+        m = v ** (nu ** (-1.0 / alpha))
         return nu, m
 
     def closed_form_u(self, n, s):
@@ -629,9 +629,6 @@ class BranchingHereditySystem(SeriesSystem):
 
     def marginal_quantile(self, n, p):
         return self._stable.quantile(p)
-
-    def sample_marginal(self, n, count, rng):
-        return self._stable.sample(rng, count)
 
     def reference(self):
         return BranchingHeredityIndex(self.a, self.gamma, self.mu)
@@ -962,13 +959,6 @@ class Calibrator:
         if self.kind == "marginal_pool":
             return np.searchsorted(self.pool, np.asarray(u), side="right") / self.pool.size
         return self.system.marginal_cdf(self.n, u)
-
-    def quantile(self, x):
-        """u with F_n(u) = x; on a pool, the smallest draw whose edf reaches x."""
-        if self.kind == "marginal_pool":
-            k = np.ceil(np.asarray(x, dtype=float) * self.pool.size).astype(np.int64)
-            return self.pool[np.clip(k - 1, 0, self.pool.size - 1)]
-        return self.system.marginal_quantile(self.n, x)
 
     def pgf(self, x, r: float = 1.0):
         """E x^(r nu_n) on the marginal scale x in [0, 1]."""

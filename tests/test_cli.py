@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -194,6 +195,8 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"seed": -1}, "seed must be an integer"),
         ({"workers": -5}, "workers must be 0 or more"),
         ({"workers": True}, "workers must be an integer"),
+        ({"n": 1e30}, "within int64"),
+        ({"system": {"kind": "duplicated_iid", "m": 10**30}}, "within int64"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):
@@ -222,6 +225,29 @@ def test_invalid_flags_and_environment_exit_2(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(needle)
     assert str(cfg) not in err
+
+
+def test_stable_size_def2_fit_is_finite(tmp_path, capsys, monkeypatch):
+    # at beta = 0.2 some sizes n S pass 2^63, where an int64 cast wrapped them negative
+    cfg = _cfg(tmp_path, system={"kind": "stable_size_gumbel", "beta": 0.2,
+                                 "gamma": math.log(2.0)},
+               n=10_000, seed=1, replicates=1000, s_grid=None,
+               analyses=["psi", "def2_fit"], format="json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 0
+    idx = json.loads(capsys.readouterr().out)["summary"]["indices"]
+    assert isinstance(idx["def2_discrepancy"], float) and math.isfinite(idx["def2_discrepancy"])
+    assert 0.0 < idx["theta_def2"] < 1.0
+
+
+def test_random_threshold_with_a_far_root_runs(tmp_path, capsys, monkeypatch):
+    # Gamma(0.01) puts f^-1(s) many binary orders below its bracket
+    cfg = _cfg(tmp_path, system={"kind": "random_threshold",
+                                 "law": {"kind": "gamma", "shape": 0.01}},
+               n=100, replicates=1000, s_grid=[0.3, 0.6, 0.9])
+    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_def2_refusal_is_located_before_work(tmp_path, capsys, monkeypatch):

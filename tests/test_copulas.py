@@ -241,30 +241,22 @@ def test_psi_deep_tail_below_1e300(gen, gamma):
     # subnormal s must not be clamped: psi is f(-ln s * exp(-gamma) / mu) all the way down
     for s in (1e-305, 1e-310, 5e-324):
         want = float(gen.f(-math.log(s) * math.exp(-(gamma or 0.0)) / gen.mu))
-        got = ArchimedeanLimit(gen, gamma or 0.0).psi(s)
+        got = ArchimedeanLimit(TiltedGenerator(gen, gamma) if gamma else gen).psi(s)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), s
 
 
 def test_psi_tilted_frozen_values():
     # independence tilts to the pure power s^exp(-gamma)
     g = math.log(2.0)
-    assert ArchimedeanLimit(IndependenceGenerator(), g).psi(0.25) == pytest.approx(
-        0.5, rel=1e-12
-    )
-    assert ArchimedeanLimit(FrankGenerator(2.0), g).psi(0.5) == pytest.approx(
-        0.747534519487085, rel=1e-12
-    )
-    # folding: a tilted generator plus extra gamma adds in the exponent scale
-    tg = TiltedGenerator(IndependenceGenerator(), g)
-    assert ArchimedeanLimit(tg, g).psi(0.0625) == pytest.approx(0.5, rel=1e-9)
-    assert ArchimedeanLimit(tg).psi(0.25) == pytest.approx(0.5, rel=1e-12)
+    independence = ArchimedeanLimit(TiltedGenerator(IndependenceGenerator(), g))
+    assert independence.psi(0.25) == pytest.approx(0.5, rel=1e-12)
+    frank = ArchimedeanLimit(TiltedGenerator(FrankGenerator(2.0), g))
+    assert frank.psi(0.5) == pytest.approx(0.747534519487085, rel=1e-12)
 
 
 def test_psi_rejects_infinite_mean():
     with pytest.raises(ValueError):
         ArchimedeanLimit(GumbelHougaardGenerator(2.0))
-    with pytest.raises(ValueError):
-        ArchimedeanLimit(GumbelHougaardGenerator(1.5), 0.5)
     with pytest.raises(ValueError):
         ArchimedeanLimit(TiltedGenerator(GumbelHougaardGenerator(1.5), 0.5))
 
@@ -279,8 +271,8 @@ def test_psi_between_jensen_bounds(s, alpha):
         assert s - 1e-12 <= val <= hi + 1e-12
 
 
-def _partial(gen, gamma=0.0):
-    idx = ArchimedeanLimit(gen, gamma).indices()
+def _partial(gen):
+    idx = ArchimedeanLimit(gen).indices()
     return idx["theta_minus"], idx["theta_plus"]
 
 
@@ -297,6 +289,6 @@ def test_partial_indices_tilt_scaling():
     g = math.log(2.0)
     lo, hi = _partial(TiltedGenerator(IndependenceGenerator(), g))
     assert (lo, hi) == (0.5, 0.5)
-    lo, hi = _partial(FrankGenerator(1.0), gamma=g)
+    lo, hi = _partial(TiltedGenerator(FrankGenerator(1.0), g))
     assert hi == pytest.approx(0.5, rel=1e-12)
     assert lo == pytest.approx(0.5 / math.expm1(1.0), rel=1e-12)

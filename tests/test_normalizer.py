@@ -141,26 +141,6 @@ def test_graph_closed_form_with_pool_diagnostics():
     assert np.all(curve.stderr > 0.0)
 
 
-class _UniformPoolSystem(SeriesSystem):
-    """Deterministic size, uniform marginal known only through sampling."""
-
-    name = "uniform_pool"
-    calibration_kind = "marginal_pool"
-
-    def sample_marginal(self, n, count, rng):
-        return rng.random(count)
-
-
-def test_stochastic_root_on_step_function_pool():
-    curve = solve_curve(_UniformPoolSystem(), 10, [0.3, 0.7],
-                        stream=_stream(9), pool_size=40_000)
-    assert curve.method == "stochastic_root"
-    # the empirical d.f. is a step function, so the residual is one step wide
-    assert np.all(np.abs(curve.achieved - curve.s) < 0.01)
-    assert np.all(np.abs(curve.u - curve.s**0.1) < 0.01)
-    assert np.all(curve.stderr > 0.0)
-
-
 def test_pool_required_when_stochastic():
     sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
     with pytest.raises(ConfigError):

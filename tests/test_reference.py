@@ -21,7 +21,6 @@ from extlab.reference import (
     ArchimedeanLimit,
     BranchingHeredityIndex,
     DuplicatedIidLimit,
-    FixedThresholdLimit,
     GraphActivityLimit,
     RandomThresholdLimit,
     SpikeMixtureLimit,
@@ -88,19 +87,18 @@ def test_archimedean_limit_rejects_infinite_frailty_mean():
 
 def test_tilted_limit_frozen_values():
     g = math.log(2.0)
-    m = ArchimedeanLimit(IndependenceGenerator(), g)
+    m = ArchimedeanLimit(TiltedGenerator(IndependenceGenerator(), g))
     assert m.psi(0.25) == pytest.approx(0.5, rel=1e-12)
     idx = m.indices()
     assert idx["theta_minus"] == idx["theta_plus"] == pytest.approx(0.5)
     assert idx["theta_def2"] == pytest.approx(0.5)
-    assert ArchimedeanLimit(FrankGenerator(2.0), g).psi(0.5) == pytest.approx(
+    assert ArchimedeanLimit(TiltedGenerator(FrankGenerator(2.0), g)).psi(0.5) == pytest.approx(
         0.747534519487085, rel=1e-12
     )
 
 
 def test_tilted_limit_folds_tilted_generator():
-    inner = TiltedGenerator(IndependenceGenerator(), gamma=0.3)
-    m = ArchimedeanLimit(inner, 0.4)
+    m = ArchimedeanLimit(TiltedGenerator(IndependenceGenerator(), gamma=0.7))
     assert isinstance(m.gen, IndependenceGenerator)
     assert m.gamma == pytest.approx(0.7)
     assert m.psi(0.5) == pytest.approx(0.5 ** math.exp(-0.7), rel=1e-12)
@@ -109,21 +107,20 @@ def test_tilted_limit_folds_tilted_generator():
 @pytest.mark.parametrize("gen", [IndependenceGenerator(), ClaytonGenerator(1.0),
                                  FrankGenerator(2.0)], ids=lambda g: g.name)
 def test_tilted_generator_folds_into_gamma(gen):
-    folded = ArchimedeanLimit(TiltedGenerator(gen, 0.3), 0.4)
-    direct = ArchimedeanLimit(gen, 0.3 + 0.4)
-    assert np.array_equal(folded.psi(_S_GRID), direct.psi(_S_GRID))
-    assert folded.indices() == direct.indices()
-    assert folded.name == direct.name == f"tilted_limit({gen.name}, gamma=0.7)"
+    tilted = ArchimedeanLimit(TiltedGenerator(gen, 0.7))
+    assert tilted.name == f"tilted_limit({gen.name}, gamma=0.7)"
     assert ArchimedeanLimit(gen).name == f"archimedean_limit({gen.name})"
+    # a zero tilt is the untilted limit
+    untilted = ArchimedeanLimit(TiltedGenerator(gen, 0.0))
+    assert np.array_equal(untilted.psi(_S_GRID), ArchimedeanLimit(gen).psi(_S_GRID))
+    assert untilted.indices() == ArchimedeanLimit(gen).indices()
 
 
 def test_tilted_limit_validation():
     with pytest.raises(ValueError):
-        ArchimedeanLimit(GumbelHougaardGenerator(2.0), 0.5)
-    with pytest.raises(ValueError):
         ArchimedeanLimit(TiltedGenerator(GumbelHougaardGenerator(2.0), 0.5))
     with pytest.raises(ValueError):
-        ArchimedeanLimit(IndependenceGenerator(), -0.1)
+        TiltedGenerator(IndependenceGenerator(), -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,7 @@ def test_spike_limit_frozen_value():
 
 
 def test_fixed_threshold_limit():
-    m = FixedThresholdLimit()
+    m = GeometricThresholdSystem(eps=0.1).reference()
     assert m.psi(0.5) == 0.0
     assert m.psi(0.8) == pytest.approx(0.75, rel=1e-12)
     assert np.all(m.psi(np.array([0.1, 0.3, 0.49])) == 0.0)
@@ -222,9 +219,8 @@ def test_generic_matches_explicit_two_point():
 
 def test_degenerate_threshold_is_fixed_threshold():
     gen = RandomThresholdLimit(Degenerate(1.0))
-    fixed = FixedThresholdLimit()
     for s in (0.3, 0.55, 0.8, 0.95):
-        assert gen.psi(s) == pytest.approx(float(fixed.psi(s)), abs=1e-9)
+        assert gen.psi(s) == pytest.approx(max(0.0, 2.0 - 1.0 / s), abs=1e-9)
 
 
 def test_pareto_threshold_against_monte_carlo():
@@ -249,6 +245,14 @@ def test_f_inv_round_trip(zeta):
     m = RandomThresholdLimit(zeta)
     for s in DEFAULT_GRID:
         assert m.f(m.f_inv(float(s))) == pytest.approx(float(s), rel=1e-12, abs=0.0)
+
+
+def test_f_inv_closes_a_root_far_below_its_bracket():
+    # Gamma(0.01): the root of f(t) = 0.6 is ~9e-39, over a hundred halvings below (1-s)/s
+    m = RandomThresholdLimit(Gamma(0.01, 100.0))
+    t = m.f_inv(0.6)
+    assert 0.0 < t < 1e-30
+    assert m.f(t) == pytest.approx(0.6, rel=1e-12, abs=0.0)
 
 
 def _f_gamma2(t):
@@ -390,11 +394,11 @@ def test_random_threshold_limit_needs_mean_one():
 
 def test_stable_size_limit():
     m = StableSizeGumbelLimit(0.5, math.log(2.0))
-    assert m.theta_def1 == pytest.approx(math.exp(-0.5 * math.log(2.0)))
+    assert m.theta == pytest.approx(math.exp(-0.5 * math.log(2.0)))
     assert m.theta_def2 == pytest.approx(0.5)
-    assert m.psi(0.5) == pytest.approx(0.5**m.theta_def1, rel=1e-12)
+    assert m.psi(0.5) == pytest.approx(0.5**m.theta, rel=1e-12)
     idx = m.indices()
-    assert idx["theta_minus"] == idx["theta1"] == m.theta_def1
+    assert idx["theta_minus"] == idx["theta1"] == m.theta
     assert idx["theta_def2"] == m.theta_def2
     with pytest.raises(ValueError):
         StableSizeGumbelLimit(1.0, 0.5)
@@ -515,7 +519,8 @@ def test_reference_lookup_direct_families():
     ).reference() is None
     assert DuplicatedIidSystem(3).reference().m == 3
     assert MixtureSpikeSystem(2.0).reference().gamma == pytest.approx(2.0)
-    assert isinstance(GeometricThresholdSystem(eps=0.1).reference(), FixedThresholdLimit)
+    geo = GeometricThresholdSystem(eps=0.1).reference()
+    assert isinstance(geo, RandomThresholdLimit) and isinstance(geo.zeta, Degenerate)
     rt = RandomThresholdSystem(TwoPoint(0.5, 1.5)).reference()
     assert isinstance(rt, RandomThresholdLimit)
     ss = StableSizeGumbelSystem(beta=0.5, gamma=0.7).reference()

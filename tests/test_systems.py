@@ -383,6 +383,15 @@ def test_stable_size_calibration_hits_target():
         assert abs(got - s) < 4.0 * se + 2e-3
 
 
+@pytest.mark.parametrize("beta", [0.1, 0.2])
+def test_stable_sizes_keep_their_value_past_int64(beta):
+    # n S is heavy-tailed: at n = 1e4 a few of 200k sizes pass 2^63, and none may wrap
+    sys_ = StableSizeGumbelSystem(beta=beta, gamma=math.log(2.0))
+    nu = sys_.sample_nu(10_000, 200_000, RandomStream(1).generator)
+    assert nu.min() >= 1.0 and nu.max() >= 2.0**63
+    assert np.array_equal(nu, np.rint(nu))
+
+
 def test_stable_size_validates_stage():
     sys_ = StableSizeGumbelSystem(beta=0.5, gamma=2.0)
     with pytest.raises(ConfigError):
@@ -458,8 +467,8 @@ def test_heredity_step_preserves_stable_marginal():
 
 def test_branching_cauchy_root_marginal():
     sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
-    x = sys_.sample_marginal(4, 40_000, _rng(24))
-    assert stats.kstest(x, "cauchy").pvalue > 0.01
+    x = np.array([-1e6, -3.0, -0.5, 0.0, 0.7, 2.0, 1e6])
+    assert np.allclose(sys_.marginal_cdf(4, x), stats.cauchy.cdf(x), rtol=1e-12, atol=1e-15)
 
 
 def _branching_max_cdf_n1(sys_, x):
@@ -938,6 +947,20 @@ def test_build_system_valid(cfg):
             sys_.marginal_cdf(12, 2.0)
         with pytest.raises(NotImplementedError):
             sys_.marginal_quantile(12, 0.5)
+
+
+def test_marginal_pool_systems_never_reach_the_root_route():
+    # solve_curve inverts a marginal only through marginal_quantile, so a marginal known
+    # only through draws must come with a closed-form threshold and refuse to be a base
+    pooled = [sys_ for sys_ in map(build_system, _VALID_CONFIGS)
+              if sys_.calibration_kind == "marginal_pool"]
+    assert pooled
+    for sys_ in pooled:
+        assert sys_.closed_form_u(100, DEFAULT_GRID) is not None
+        with pytest.raises(ConfigError):
+            MonotoneTransformSystem(sys_, 2.0)
+        with pytest.raises(ConfigError):
+            SizeJitterSystem(sys_)
 
 
 def test_integral_float_fields_build_the_same_system():

@@ -36,7 +36,9 @@ _CONFIG_KEYS = {"system", "n", "replicates", "s_grid", "seed", "workers",
 # run settings a config may leave out; run flags override the config
 _DEFAULTS = {"replicates": 100_000, "workers": 0, "format": "csv",
              "analyses": ["psi", "partial_indices", "tail_indices", "compare"]}
-_CSV_HEADER = "s,u_n,psi_hat,stderr,psi_ref,z"
+_COLUMNS = ("s", "u_n", "psi_hat", "stderr", "psi_ref", "z")
+# far above any shipped grid (19 points); each point costs a calibration column
+_MAX_GRID_POINTS = 1000
 
 class CliError(Exception):
     """Validation failure carrying a formatted, located message."""
@@ -116,9 +118,12 @@ def _resolve_grid(cfg: dict, path: str, raw: str) -> np.ndarray:
     if not isinstance(spec, (dict, list)):
         raise _located(path, raw, '"s_grid"', "s_grid must be a list or {start, stop, count}")
     try:
+        count = _integral(spec["count"]) if isinstance(spec, dict) else len(spec)
+        if count > _MAX_GRID_POINTS:
+            raise _located(path, raw, '"s_grid"', f"s_grid has {count} points, "
+                           f"more than the {_MAX_GRID_POINTS} allowed")
         if isinstance(spec, dict):
-            grid = np.round(np.linspace(float(spec["start"]), float(spec["stop"]),
-                                        _integral(spec["count"])), 10)
+            grid = np.round(np.linspace(float(spec["start"]), float(spec["stop"]), count), 10)
         else:
             grid = np.array([float(x) for x in spec])
     except (TypeError, ValueError, OverflowError) as exc:
@@ -228,7 +233,6 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     stream = RandomStream(seed=seed, stream_id=0)
     t0 = time.perf_counter()
     try:
-        system.validate_n(n)
         est = estimate_psi(system, n, s_grid=grid, replicates=replicates,
                            stream=stream, workers=got["workers"])
     except ConfigError as exc:
@@ -293,11 +297,10 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
             f"# system: {system.name}",
             f"# n: {n}",
             f"# replicates: {replicates}",
-            _CSV_HEADER,
+            ",".join(_COLUMNS),
         ]
         for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in
-                                  ("s", "u_n", "psi_hat", "stderr", "psi_ref", "z")))
+            lines.append(",".join(_fmt(row[k]) for k in _COLUMNS))
         lines.append("# summary: " + json.dumps(
             summary, sort_keys=True, separators=(",", ":")))
         text = "\n".join(lines) + "\n"
@@ -369,10 +372,8 @@ def _read_result(path: str) -> dict:
                 elif not line or line.startswith("#") or line.startswith("s,"):
                     continue
                 else:
-                    parts = line.split(",")
-                    keys = ("s", "u_n", "psi_hat", "stderr", "psi_ref", "z")
                     rows.append({k: (float(v) if v else None)
-                                 for k, v in zip(keys, parts)})
+                                 for k, v in zip(_COLUMNS, line.split(","))})
         cols = {k: np.asarray([r[k] for r in rows], dtype=float)
                 for k in ("s", "psi_hat", "stderr")}
         indices = {k: _num(v) for k, v in summary.get("indices", {}).items()}
@@ -385,6 +386,8 @@ def _read_result(path: str) -> dict:
 
 
 def _cmd_compare(args) -> int:
+    if args.tolerance is not None and not args.tolerance >= 0.0:
+        raise CliError(f"--tolerance: must be a number >= 0, got {args.tolerance!r}")
     a = _read_result(args.file_a)
     b = _read_result(args.file_b)
     sa, sb = a["s"], b["s"]

@@ -10,16 +10,18 @@ library draws it.  Maxima are sampled by inverting the diagonal,
 ``diag_inverse``, one uniform per maximum.
 
 ``TiltedGenerator`` raises a base generator to a size-dependent power
-beta_n > 1.  The tilted structure at dimension d is again Archimedean with
-frailty S * zeta^beta_n, where S is positive stable of exponent 1/beta_n.
+beta_d > 1.  The tilted structure at dimension d is again Archimedean with
+frailty S * zeta^beta_d, where S is positive stable of exponent 1/beta_d.
 The default power schedule is
 
-    beta_n = ln n / (ln n - gamma),      requires ln n > gamma,
+    beta_d = ln d / (ln d - gamma),      requires ln d > gamma,
 
-which satisfies (beta_n - 1) ln n -> gamma and additionally makes the
-independent-comparator exponent n^(1/beta_n - 1) equal exp(-gamma) at every
+which satisfies (beta_d - 1) ln d -> gamma and additionally makes the
+independent-comparator exponent d^(1/beta_d - 1) equal exp(-gamma) at every
 size, not just in the limit, so finite-size runs sit on the limiting curve
-rather than approaching it at a logarithmic crawl.
+rather than approaching it at a logarithmic crawl.  The same identity,
+d^(1/beta_d) = d * exp(-gamma), makes a tilt its base at dimension
+d * exp(-gamma), which is how the diagonal helpers compute it.
 """
 
 from __future__ import annotations
@@ -62,10 +64,6 @@ class ArchimedeanGenerator:
     def x0(self) -> float:
         """Essential infimum of the frailty."""
         raise NotImplementedError
-
-    def fixed(self, d) -> "ArchimedeanGenerator":
-        """The generator at dimension d: itself, since it has no tilt."""
-        return self
 
     def __repr__(self):
         return self.name
@@ -196,36 +194,13 @@ def default_tilt_power(n, gamma: float):
     return logn / (logn - gamma)
 
 
-class _FixedTilt(ArchimedeanGenerator):
-    """A tilted generator pinned at one dimension: phi_base^beta."""
-
-    def __init__(self, base: ArchimedeanGenerator, beta):
-        self.base = base
-        self.beta = beta
-        self.name = f"tilt({base.name}, beta={beta})"
-
-    def phi(self, t):
-        return self.base.phi(t) ** self.beta
-
-    def f(self, u):
-        return self.base.f(np.asarray(u, dtype=float) ** (1.0 / self.beta))
-
-    @property
-    def mu(self):
-        # E[S zeta^beta] is infinite for beta > 1 (stable factor)
-        return math.inf
-
-    @property
-    def x0(self):
-        return 0.0
-
-
 class TiltedGenerator:
     """Size-dependent power tilt of an Archimedean generator.
 
-    Not itself a fixed generator: the effective structure at dimension d is
-    ``fixed(d)``, a plain generator with exponent ``power_at(d)``.  The
-    diagonal helpers below call ``fixed`` on every generator.
+    At dimension d the tilt is phi_base^beta_d, beta_d =
+    ``default_tilt_power(d, gamma)``, with diagonal
+    f_base(d^(1/beta_d) * phi_base(y)); d^(1/beta_d) = d * exp(-gamma), so
+    that is the base diagonal at dimension d * exp(-gamma).
     """
 
     def __init__(self, base: ArchimedeanGenerator, gamma: float):
@@ -239,15 +214,6 @@ class TiltedGenerator:
         self.gamma = float(gamma)
         self.name = f"tilted({base.name}, gamma={self.gamma:g})"
 
-    def power_at(self, d):
-        return default_tilt_power(d, self.gamma)
-
-    def fixed(self, d) -> ArchimedeanGenerator:
-        beta = self.power_at(d)
-        if np.ndim(beta) == 0 and float(beta) == 1.0:
-            return self.base
-        return _FixedTilt(self.base, beta)
-
     def __repr__(self):
         return self.name
 
@@ -255,12 +221,22 @@ class TiltedGenerator:
 # ---------------------------------------------------------------------------
 # diagonal operations
 
+def _effective(gen, d):
+    """(generator, dimension) of the plain diagonal: a tilt is its base at d * exp(-gamma)."""
+    d = np.asarray(d, dtype=float)
+    if not isinstance(gen, TiltedGenerator):
+        return gen, d
+    if np.any(np.log(d) <= gen.gamma):
+        raise ValueError(f"tilt undefined: need ln d > gamma, got d={d!r} with gamma={gen.gamma}")
+    return gen.base, d * math.exp(-gen.gamma)
+
+
 def diag_cdf(gen, d, y):
     """P(max of the d exchangeable terms <= y) = f(d * phi(y))."""
-    g = gen.fixed(d)
+    g, d = _effective(gen, d)
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = g.f(np.asarray(d, dtype=float) * g.phi(y))
+        out = g.f(d * g.phi(y))
     out = np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, out))
     return out if out.ndim else float(out)
 
@@ -272,11 +248,11 @@ def diag_inverse(gen, d, v):
     1 +- 6e-16 for many alpha), so the result is clipped to [0, 1] and v = 1
     is pinned to 1, as diag_cdf pins y = 1.
     """
-    g = gen.fixed(d)
+    g, d = _effective(gen, d)
     v = np.asarray(v, dtype=float)
     if np.any((v < 0.0) | (v > 1.0)):
         raise ValueError("diagonal values must lie in [0, 1]")
     with np.errstate(divide="ignore", over="ignore"):  # phi(0) = inf
-        out = g.f(g.phi(v) / np.asarray(d, dtype=float))
+        out = g.f(g.phi(v) / d)
     out = np.where(v >= 1.0, 1.0, np.clip(out, 0.0, 1.0))
     return out if out.ndim else float(out)

@@ -226,6 +226,16 @@ class _InvertedMaxSystem(SeriesSystem):
         return np.asarray(s, dtype=float) ** (1.0 / n)
 
 
+def _check_tilt_stage(name: str, n: int, gamma: float) -> None:
+    """A stage of the power-tilt schedule needs n >= 3 and ln n > gamma."""
+    if n < 3:
+        raise ConfigError(f"{name}: the power tilt needs n >= 3")
+    try:
+        default_tilt_power(n, gamma)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
 class ExchangeableCopulaSystem(_InvertedMaxSystem):
     """Deterministic size n, uniform marginals, Archimedean dependence.
 
@@ -246,12 +256,7 @@ class ExchangeableCopulaSystem(_InvertedMaxSystem):
     def validate_n(self, n):
         super().validate_n(n)
         if isinstance(self.gen, TiltedGenerator):
-            if n < 3:
-                raise ConfigError(f"{self.name}: tilted structure needs n >= 3")
-            try:
-                self.gen.power_at(n)
-            except ValueError as exc:
-                raise ConfigError(f"{self.name}: {exc}") from None
+            _check_tilt_stage(self.name, n, self.gen.gamma)
 
     def exact_max_cdf(self, n, u):
         return diag_cdf(self.gen, n, u)
@@ -494,12 +499,7 @@ class StableSizeGumbelSystem(SeriesSystem):
 
     def validate_n(self, n):
         super().validate_n(n)
-        if n < 3:
-            raise ConfigError(f"{self.name}: needs n >= 3")
-        try:
-            default_tilt_power(n, self.gamma)
-        except ValueError as exc:
-            raise ConfigError(f"{self.name}: {exc}") from None
+        _check_tilt_stage(self.name, n, self.gamma)
 
     def sample_nu(self, n, count, rng):
         # integer-valued float64: S is heavy-tailed, and n S can pass the int64 range
@@ -634,6 +634,10 @@ class BranchingHereditySystem(SeriesSystem):
         return BranchingHeredityIndex(self.a, self.gamma, self.mu)
 
 
+# far above any shipped graph (n = 1e4); a graph draw holds a few n-long arrays
+_GRAPH_MAX_N = 10**7
+
+
 class PowerLawGraphSystem(SeriesSystem):
     """Directed power-law graph with aggregated heavy-tailed activities.
 
@@ -664,6 +668,12 @@ class PowerLawGraphSystem(SeriesSystem):
         self.x_min = float(x_min)
         self._activity = Pareto(self.a, self.x_min)
         self.name = f"power_law_graph(beta={self.beta:g}, a={self.a:g})"
+
+    def validate_n(self, n):
+        super().validate_n(n)
+        if n > _GRAPH_MAX_N:
+            raise ConfigError(f"{self.name}: stage n = {n} exceeds the graph bound "
+                              f"{_GRAPH_MAX_N:.0e}; every draw holds n-long arrays")
 
     def _degree_cdf(self, n):
         """P(D <= k) for k = 1..n-2, as 1 - zeta(beta, k+1)/zeta(beta) (Hurwitz zeta).

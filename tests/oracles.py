@@ -2,10 +2,13 @@
 
 ``TwoPointThresholdLimit`` inverts the two-atom threshold curve in closed
 form, ``mixed_max_stable_cdf`` is the limit law of maxima under random
-mixing, ``sample_frailty`` draws the Marshall-Olkin frailty of an
-Archimedean generator, ``sample_exchangeable`` draws a whole exchangeable
-vector through its frailty, ``sample_copula_max`` draws its maximum through the
-frailty, where the systems invert the diagonal d.f. of the maximum,
+mixing, ``pin`` gives a tilted generator at one dimension by its
+definition, the ``PinnedTilt`` phi_base^beta, where the library takes the
+base at dimension d * exp(-gamma), ``sample_frailty`` draws the
+Marshall-Olkin frailty of an Archimedean generator, ``sample_exchangeable``
+draws a whole exchangeable vector through its frailty,
+``sample_copula_max`` draws its maximum through the frailty, where the
+systems invert the diagonal d.f. of the maximum,
 ``sample_spike_max`` draws the spiked series' maximum from its two blocks,
 where the system inverts the product d.f.,
 ``sample_branching_full_tree`` grows every particle of a branching
@@ -19,7 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from extlab.copulas import ClaytonGenerator, FrankGenerator, GumbelHougaardGenerator, _FixedTilt
+from extlab.copulas import (
+    ClaytonGenerator,
+    FrankGenerator,
+    GumbelHougaardGenerator,
+    TiltedGenerator,
+)
 from extlab.reference import ReferenceModel, _check_s
 from extlab.sampling import Distribution, PositiveStable
 
@@ -118,18 +126,43 @@ def mixed_max_stable_cdf(law: MaxStableLaw, zeta: Distribution, theta: float, x)
 # ---------------------------------------------------------------------------
 # exchangeable vectors
 
+@dataclass(frozen=True)
+class PinnedTilt:
+    """A tilt pinned at one dimension by its definition: phi_base^beta, f_base(u^(1/beta))."""
+
+    base: object
+    beta: float
+
+    def phi(self, t):
+        return self.base.phi(t) ** self.beta
+
+    def f(self, u):
+        return self.base.f(np.asarray(u, dtype=float) ** (1.0 / self.beta))
+
+
+def pin(gen, d):
+    """The generator at dimension d: a tilt's phi_base^beta_d, beta_d = ln d / (ln d - gamma).
+
+    A plain generator, and a tilt at gamma = 0, is its base.
+    """
+    if not isinstance(gen, TiltedGenerator):
+        return gen
+    beta = math.log(d) / (math.log(d) - gen.gamma)
+    return gen.base if beta == 1.0 else PinnedTilt(gen.base, beta)
+
+
 def sample_frailty(gen, rng, size: int) -> np.ndarray:
     """size draws of the frailty zeta of a fixed generator: E exp(-u zeta) = f(u).
 
     Clayton: Gamma(1/alpha, 1); Frank: logarithmic series with
     p = 1 - exp(-alpha); Gumbel-Hougaard with alpha > 1: positive
     stable(1/alpha); independence and Gumbel-Hougaard at alpha = 1: the
-    constant 1.  A tilt phi_base^beta has frailty S * zeta_base^beta with
-    S positive stable(1/beta), drawn first.
+    constant 1.  A ``PinnedTilt`` phi_base^beta has frailty
+    S * zeta_base^beta with S positive stable(1/beta), drawn first.
     """
-    if isinstance(gen, _FixedTilt):
-        s = PositiveStable(1.0 / float(gen.beta)).sample(rng, size)
-        return s * np.asarray(sample_frailty(gen.base, rng, size), dtype=float) ** float(gen.beta)
+    if isinstance(gen, PinnedTilt):
+        s = PositiveStable(1.0 / gen.beta).sample(rng, size)
+        return s * np.asarray(sample_frailty(gen.base, rng, size), dtype=float) ** gen.beta
     if isinstance(gen, ClaytonGenerator):
         return rng.gamma(1.0 / gen.alpha, 1.0, size)
     if isinstance(gen, FrankGenerator):
@@ -146,7 +179,7 @@ def sample_exchangeable(gen, d: int, stream, size=None):
     """
     if d < 1:
         raise ValueError(f"dimension must be at least 1, got {d}")
-    g = gen.fixed(d)
+    g = pin(gen, d)
     rng = stream.generator
     m = 1 if size is None else int(size)
     zeta = np.asarray(sample_frailty(g, rng, m), dtype=float)
@@ -161,7 +194,7 @@ def sample_copula_max(gen, n: int, count: int, rng):
     The minimum of the n exponentials in the frailty representation is
     Exp(n), so one exponential E and one frailty draw zeta give the maximum.
     """
-    g = gen.fixed(n)
+    g = pin(gen, n)
     zeta = np.asarray(sample_frailty(g, rng, count), dtype=float)
     e = rng.standard_exponential(count)
     return g.f(e / (n * zeta))

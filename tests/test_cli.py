@@ -347,6 +347,24 @@ def test_invalid_json_and_missing_file(tmp_path, capsys, monkeypatch):
                  monkeypatch=monkeypatch) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides,key,needle",
+    [
+        ({"s_grid": {"start": 0.1, "stop": 0.9, "count": 1e15}}, "s_grid", "more than the 1000"),
+        ({"s_grid": [0.5] * 1001}, "s_grid", "more than the 1000"),
+        ({"system": {"kind": "power_law_graph", "beta": 3.5}, "n": 1e15}, "n", "graph bound"),
+    ],
+    ids=["grid_count", "grid_list", "graph_n"],
+)
+def test_oversized_inputs_exit_2_located(tmp_path, capsys, monkeypatch, overrides, key, needle):
+    # refused before any array of that size is asked for
+    cfg = _cfg(tmp_path, **overrides)
+    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 2
+    err = capsys.readouterr().err
+    lineno = cli._line_of(cfg.read_text(), f'"{key}"')
+    assert err.startswith(f"{cfg}:{lineno}: ") and needle in err and "Traceback" not in err
+
+
 def test_stage_validation_is_located(tmp_path, capsys, monkeypatch):
     cfg = _cfg(tmp_path, system={"kind": "stable_size_gumbel",
                                  "beta": 0.5, "gamma": 2.0}, n=5,
@@ -431,6 +449,16 @@ def test_compare_tolerance_fails_on_different_systems(tmp_path, canonical,
     report = json.loads(capsys.readouterr().out)
     assert report["within_tolerance"] is False
     assert report["max_abs_dpsi"] > 0.05
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_compare_refuses_a_bad_tolerance(canonical, capsys, monkeypatch, tolerance):
+    # exit 1 means over tolerance, so a tolerance that is not >= 0 is a usage error
+    code = _main("compare", str(canonical["w1"]), str(canonical["w3"]),
+                 "--tolerance", tolerance, monkeypatch=monkeypatch)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("--tolerance:") and captured.out == ""
 
 
 def test_compare_grid_mismatch(tmp_path, canonical, capsys, monkeypatch):

@@ -20,7 +20,7 @@ from extlab.copulas import (
 )
 from extlab.reference import ArchimedeanLimit
 from extlab.sampling import RandomStream
-from oracles import sample_exchangeable, sample_frailty
+from oracles import pin, sample_exchangeable, sample_frailty
 
 _GENERATORS = [
     IndependenceGenerator(),
@@ -76,7 +76,7 @@ def test_frailty_laplace_is_f():
 def test_tilted_frailty_laplace_is_f():
     # the tilt's frailty S * zeta^beta has the pinned inverse generator as Laplace transform
     for base in (FrankGenerator(2.0), IndependenceGenerator()):
-        g = TiltedGenerator(base, gamma=math.log(2.0)).fixed(64)
+        g = pin(TiltedGenerator(base, gamma=math.log(2.0)), 64)
         z = np.asarray(
             sample_frailty(g, RandomStream(seed=5, stream_id=1).generator, 300_000),
             dtype=float,
@@ -123,15 +123,29 @@ def test_tilt_power_needs_large_n():
 
 
 def test_tilted_generator_fixed_dimension():
-    tg = TiltedGenerator(ClaytonGenerator(1.0), gamma=0.5)
-    g = tg.fixed(1000)
-    beta = tg.power_at(1000)
-    y = 0.7
-    assert float(g.phi(y)) == pytest.approx(float(ClaytonGenerator(1.0).phi(y)) ** beta)
-    assert float(g.f(g.phi(y))) == pytest.approx(y, rel=1e-9)
-    # gamma = 0 means no tilt at all
-    assert TiltedGenerator(ClaytonGenerator(1.0), 0.0).fixed(50) is not None
-    assert TiltedGenerator(ClaytonGenerator(1.0), 0.0).power_at(50) == 1.0
+    # a tilt is its base at dimension d * exp(-gamma): the diagonals against
+    # the pinned tilt phi_base^beta_d of the oracle
+    ys = np.array([0.05, 0.3, 0.7, 0.95, 0.999])
+    vs = np.array([1e-6, 0.01, 0.3, 0.7, 0.99])
+    for base in (ClaytonGenerator(1.0), FrankGenerator(2.0), GumbelHougaardGenerator(2.0)):
+        for gamma in (0.0, 0.5, math.log(2.0)):
+            tg = TiltedGenerator(base, gamma)
+            for d in (10, 1000):
+                g = pin(tg, d)
+                np.testing.assert_allclose(diag_cdf(tg, d, ys), g.f(d * g.phi(ys)),
+                                           rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(diag_inverse(tg, d, vs), g.f(g.phi(vs) / d),
+                                           rtol=1e-12, atol=0.0)
+            # gamma = 0 means no tilt at all
+            assert (pin(tg, 50) is base) == (gamma == 0.0)
+
+
+def test_tilted_diagonal_needs_ln_d_above_gamma():
+    tg = TiltedGenerator(ClaytonGenerator(1.0), 1.0)
+    for diag in (diag_cdf, diag_inverse):
+        with pytest.raises(ValueError):
+            diag(tg, 2, 0.5)  # ln 2 < 1
+        assert 0.0 < diag(tg, 3, 0.5) < 1.0
 
 
 def test_tilted_generator_rejects_nesting():

@@ -39,6 +39,8 @@ _DEFAULTS = {"replicates": 100_000, "workers": 0, "format": "csv",
 _COLUMNS = ("s", "u_n", "psi_hat", "stderr", "psi_ref", "z")
 # far above any shipped grid (19 points); each point costs a calibration column
 _MAX_GRID_POINTS = 1000
+# 20x the largest shipped run (5e6); each batch holds replicates/64 maxima
+_MAX_REPLICATES = 10**8
 
 class CliError(Exception):
     """Validation failure carrying a formatted, located message."""
@@ -157,6 +159,8 @@ def _validate_config(cfg: dict, path: str, raw: str, args=None) -> dict:
     if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1000:
         raise refuse("replicates",
                      f"replicates below minimum: need an integer >= 1000, got {reps!r}")
+    if reps > _MAX_REPLICATES:
+        raise refuse("replicates", f"replicates = {reps} is more than the {_MAX_REPLICATES} allowed")
     analyses = got["analyses"]
     if not isinstance(analyses, list) or not all(isinstance(a, str) for a in analyses):
         raise refuse("analyses", f"analyses must be a list of names, got {analyses!r}")

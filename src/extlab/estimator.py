@@ -65,7 +65,7 @@ class PsiEstimate:
 def _replicate_batch(args):
     system, n, u, seed, parent_id, j, size, keep = args
     rng = RandomStream(seed, parent_id).substream(_REPLICATE_TAG, j).generator
-    _, m = system.sample_batch(n, size, rng)
+    m = system.sample_batch(n, size, rng)
     counts = np.searchsorted(np.sort(m), u, side="right").astype(np.int64)
     return counts, (m if keep else None)
 

@@ -2,8 +2,8 @@
 
 A system describes one triangular-array model: at stage n a series holds
 nu_n terms (possibly random) with common marginal d.f. F_n, and M_n is the
-maximum over the terms.  Each system knows how to draw (nu_n, M_n) exactly,
-and exposes the calibration functional E F_n(u)^(r nu_n) = G_n(F_n(u)^r)
+maximum over the terms.  Each system knows how to draw M_n exactly, and
+exposes the calibration functional E F_n(u)^(r nu_n) = G_n(F_n(u)^r)
 (``Calibrator``), its size pgf G_n and marginal F_n each exact or pooled.
 r = 1 is the threshold-calibration case; general r > 0 is the comparand
 used when matching against maxima of a theta-fraction of independent terms.
@@ -169,15 +169,14 @@ class SeriesSystem:
     name = "series"
     kind: str | None = None     # config kind of a registered system
     fields: dict = {}           # config field -> parser, named as in __init__
-    calibration_kind = "exact"  # size_pgf implemented; or "nu_pool" (sample_nu) / "marginal_pool"
+    calibration_kind = "exact"  # size_pgf; or "nu_pool" / "marginal_pool": a pool's draws
 
     def validate_n(self, n: int) -> None:
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ConfigError(f"{self.name}: stage n must be an integer >= 2, got {n!r}")
 
-    def sample_batch(self, n: int, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-        """count exact draws of (nu_n, M_n): an int64 array, or integer-valued float64
-        where sizes can pass the int64 range (stable_size), and a float array."""
+    def sample_batch(self, n: int, count: int, rng) -> np.ndarray:
+        """count exact draws of M_n, a float64 array; the size enters through size_pgf."""
         raise NotImplementedError
 
     def marginal_cdf(self, n: int, x):
@@ -220,7 +219,7 @@ class _InvertedMaxSystem(SeriesSystem):
     """
 
     def sample_batch(self, n, count, rng):
-        return np.full(count, n, dtype=np.int64), self.max_inverse_given_size(n, rng.random(count))
+        return self.max_inverse_given_size(n, rng.random(count))
 
     def closed_form_u(self, n, s):
         return np.asarray(s, dtype=float) ** (1.0 / n)
@@ -326,7 +325,7 @@ class MixtureSpikeSystem(SeriesSystem):
 
     def sample_batch(self, n, count, rng):
         # the max d.f. x^p inverts in closed form: M = V^(1/p), one uniform V per replicate
-        return np.full(count, n, dtype=np.int64), rng.random(count) ** (1.0 / self._max_power(n))
+        return rng.random(count) ** (1.0 / self._max_power(n))
 
     def marginal_cdf(self, n, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -351,9 +350,9 @@ class GeometricThresholdSystem(SeriesSystem):
     """Fixed threshold 1 - eps: the series runs until a term exceeds it.
 
     nu is geometric with success probability eps and M = 1 - eps + eps U
-    independently of nu.  eps may be pinned or scheduled as n^(-q); the
-    limit curve 0 v (2 - 1/s), the random-threshold limit at zeta = 1, is
-    reached as eps -> 0 and carries no extremal index of either kind.
+    independently of nu, so a replicate draws U alone.  eps is pinned or
+    n^(-q); the limit curve 0 v (2 - 1/s), the random-threshold limit at
+    zeta = 1, is reached as eps -> 0 and carries no index of either kind.
     """
 
     kind = "geometric_threshold"
@@ -380,9 +379,7 @@ class GeometricThresholdSystem(SeriesSystem):
 
     def sample_batch(self, n, count, rng):
         eps = self.eps_at(n)
-        nu = rng.geometric(eps, count).astype(np.int64)
-        m = 1.0 - eps + eps * rng.random(count)
-        return nu, m
+        return 1.0 - eps + eps * rng.random(count)
 
     def size_pgf(self, n, x, r=1.0):
         eps = self.eps_at(n)
@@ -412,10 +409,12 @@ class RandomThresholdSystem(SeriesSystem):
     its exceedance probability zeta/n, i.e. the maximum sees the
     size-biased zeta while the size keeps the plain one.  Mixing the two
     expectations bends the limit curve away from any single power of s
-    and splits the partial indices.  Draws with zeta >= n are rejected
-    and resampled (their probability is negligible at the stage sizes of
-    interest and they carry no threshold), so every exact mean here is the
-    limit model's, given zeta < n: ``RandomThresholdLimit`` at cap = n.
+    and splits the partial indices.  A replicate draws the maximum alone:
+    the size-biased zeta, then one uniform.  Draws with zeta >= n are
+    rejected and resampled (their probability is negligible at the stage
+    sizes of interest and they carry no threshold), so every exact mean
+    here is the limit model's, given zeta < n: ``RandomThresholdLimit``
+    at cap = n.
     """
 
     kind = "random_threshold"
@@ -441,12 +440,8 @@ class RandomThresholdSystem(SeriesSystem):
         raise ConfigError(f"{self.name}: threshold law puts too much mass above n={n}")
 
     def sample_batch(self, n, count, rng):
-        z = self._draw(self.zeta, n, count, rng)
-        nu = rng.geometric(np.clip(z / n, 1e-300, 1.0), count).astype(np.int64)
-        zb = self._draw(self.zeta_biased, n, count, rng)
-        x = 1.0 - zb / n
-        m = x + (1.0 - x) * rng.random(count)
-        return nu, m
+        x = 1.0 - self._draw(self.zeta_biased, n, count, rng) / n
+        return x + (1.0 - x) * rng.random(count)
 
     def _capped(self, n):
         return RandomThresholdLimit(self.zeta, cap=n)
@@ -502,16 +497,13 @@ class StableSizeGumbelSystem(SeriesSystem):
         _check_tilt_stage(self.name, n, self.gamma)
 
     def sample_nu(self, n, count, rng):
-        # integer-valued float64: S is heavy-tailed, and n S can pass the int64 range
+        """Sizes as integer-valued float64, not int64: n S is heavy-tailed and can pass 2^63."""
         s = self._stable.sample(rng, count)
         return np.maximum(1.0, np.rint(n * s))
 
     def sample_batch(self, n, count, rng):
         nu = self.sample_nu(n, count, rng)
-        alpha = default_tilt_power(n, self.gamma)
-        v = rng.random(count)
-        m = v ** (nu ** (-1.0 / alpha))
-        return nu, m
+        return rng.random(count) ** (nu ** (-1.0 / default_tilt_power(n, self.gamma)))
 
     def closed_form_u(self, n, s):
         s = np.asarray(s, dtype=float)
@@ -614,7 +606,7 @@ class BranchingHereditySystem(SeriesSystem):
                 break
             scores = self.a * np.repeat(scores, k) + self.b * self._stable.sample(rng, total)
             starts = np.cumsum(nu) - nu
-        return nu, np.maximum.reduceat(scores, starts)
+        return np.maximum.reduceat(scores, starts)
 
     def sample_nu(self, n, count, rng):
         # population recursion only: multinomial split per generation
@@ -674,16 +666,6 @@ class PowerLawGraphSystem(SeriesSystem):
         if n > _GRAPH_MAX_N:
             raise ConfigError(f"{self.name}: stage n = {n} exceeds the graph bound "
                               f"{_GRAPH_MAX_N:.0e}; every draw holds n-long arrays")
-
-    def _degree_cdf(self, n):
-        """P(D <= k) for k = 1..n-2, as 1 - zeta(beta, k+1)/zeta(beta) (Hurwitz zeta).
-
-        Taking the tail, not a sum of the head, keeps the relative precision
-        of the atom P(D = n-1) = zeta(beta, n-1)/zeta(beta).
-        """
-        from scipy.special import zeta
-
-        return 1.0 - zeta(self.beta, np.arange(2.0, n)) / zeta(self.beta)
 
     @staticmethod
     def _degrees(cdf, count, rng):
@@ -746,9 +728,8 @@ class PowerLawGraphSystem(SeriesSystem):
         return float(agg.max())
 
     def sample_batch(self, n, count, rng):
-        cdf = self._degree_cdf(n)
-        m = np.array([self._one_graph_max(n, cdf, rng) for _ in range(count)])
-        return np.full(count, n, dtype=np.int64), m
+        cdf = _degree_cdf(self.beta, n)
+        return np.array([self._one_graph_max(n, cdf, rng) for _ in range(count)])
 
     def marginal_cdf(self, n, x):
         raise NotImplementedError(f"{self.name}: the aggregate marginal has no closed form")
@@ -758,7 +739,7 @@ class PowerLawGraphSystem(SeriesSystem):
     def sample_marginal(self, n, count, rng):
         # aggregate of one vertex: own activity + D iid picked activities;
         # picks land on distinct vertices, so their activities are iid
-        d = self._degrees(self._degree_cdf(n), count, rng)
+        d = self._degrees(_degree_cdf(self.beta, n), count, rng)
         out = self._activity.sample(rng, count)
         total = int(d.sum())
         if total:
@@ -775,6 +756,20 @@ class PowerLawGraphSystem(SeriesSystem):
 
     def reference(self):
         return GraphActivityLimit(self.beta, self.a, self.x_min)
+
+
+@functools.lru_cache(maxsize=4)
+def _degree_cdf(beta: float, n: int):
+    """P(D <= k) for k = 1..n-2, as 1 - zeta(beta, k+1)/zeta(beta) (Hurwitz zeta).
+
+    Taking the tail, not a sum of the head, keeps the relative precision
+    of the atom P(D = n-1) = zeta(beta, n-1)/zeta(beta).  The table is read-only.
+    """
+    from scipy.special import zeta
+
+    cdf = 1.0 - zeta(beta, np.arange(2.0, n)) / zeta(beta)
+    cdf.flags.writeable = False
+    return cdf
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +817,7 @@ class MonotoneTransformSystem(_WrappedSystem):
         return np.asarray(y, dtype=float) ** (1.0 / self.power)
 
     def sample_batch(self, n, count, rng):
-        nu, m = self.base.sample_batch(n, count, rng)
-        return nu, self._apply(m)
+        return self._apply(self.base.sample_batch(n, count, rng))
 
     def sample_nu(self, n, count, rng):
         return self.base.sample_nu(n, count, rng)
@@ -871,7 +865,7 @@ class SizeJitterSystem(_WrappedSystem):
     def sample_batch(self, n, count, rng):
         z = rng.standard_normal(count)
         nu = np.maximum(1, n + np.rint(math.sqrt(n) * z)).astype(np.int64)
-        return nu, self.base.max_inverse_given_size(nu, rng.random(count))
+        return self.base.max_inverse_given_size(nu, rng.random(count))
 
     def size_pgf(self, n, x, r=1.0):
         x = np.asarray(x, dtype=float)

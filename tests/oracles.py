@@ -12,7 +12,10 @@ systems invert the diagonal d.f. of the maximum,
 ``sample_spike_max`` draws the spiked series' maximum from its two blocks,
 where the system inverts the product d.f.,
 ``sample_branching_full_tree`` grows every particle of a branching
-population, where the system draws its last generation as maxima, and
+population, where the system draws its last generation as maxima,
+``sample_threshold_pair`` draws (nu_n, M_n) of a threshold system, the size
+first, where the system draws M_n alone, ``sample_threshold_max`` draws
+that M_n by its construction, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
 superlinear root finder must reproduce.
 """
@@ -30,6 +33,7 @@ from extlab.copulas import (
 )
 from extlab.reference import ReferenceModel, _check_s
 from extlab.sampling import Distribution, PositiveStable
+from extlab.systems import GeometricThresholdSystem
 
 
 class TwoPointThresholdLimit(ReferenceModel):
@@ -237,6 +241,33 @@ def sample_branching_full_tree(system, n: int, count: int, rng):
         starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
         m[owner[starts]] = np.maximum.reduceat(scores, starts)
     return nu, m
+
+
+# ---------------------------------------------------------------------------
+# threshold systems
+
+def sample_threshold_max(system, n: int, count: int, rng):
+    """count maxima of a random or geometric threshold system: the size-biased
+    zeta (none at the fixed threshold 1 - eps), then one uniform above the threshold."""
+    if isinstance(system, GeometricThresholdSystem):
+        eps = system.eps_at(n)
+        return 1.0 - eps + eps * rng.random(count)
+    x = 1.0 - system._draw(system.zeta_biased, n, count, rng) / n
+    return x + (1.0 - x) * rng.random(count)
+
+
+def sample_threshold_pair(system, n: int, count: int, rng):
+    """(nu_n, M_n) of a random or geometric threshold system, the size drawn first.
+
+    nu is geometric with success probability zeta/n for a plain zeta (eps at
+    the fixed threshold), drawn before the maximum from the same generator.
+    """
+    if isinstance(system, GeometricThresholdSystem):
+        p = system.eps_at(n)
+    else:
+        p = np.clip(system._draw(system.zeta, n, count, rng) / n, 1e-300, 1.0)
+    nu = rng.geometric(p, count).astype(np.int64)
+    return nu, sample_threshold_max(system, n, count, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_tilted_curve_and_def2_index():
 
 def test_spike_small_n_max_law():
     sys_ = MixtureSpikeSystem(1.0)
-    _, m = sys_.sample_batch(10, REPLICATES, _stream().generator)
+    m = sys_.sample_batch(10, REPLICATES, _stream().generator)
     # at n = 10 the max law is exactly x^19
     assert stats.kstest(m, lambda x: x**19.0).pvalue > 0.01
 

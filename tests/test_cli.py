@@ -10,7 +10,7 @@ import warnings
 import pytest
 
 import extlab
-from extlab import cli
+from extlab import cli, estimator
 from extlab.normalizer import SolverError
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(extlab.__file__)))
@@ -279,7 +279,7 @@ def test_size_jitter_over_a_tilted_base_is_located(tmp_path, capsys, monkeypatch
 
 _SCIPY_FREE_RUN = """
 import json, sys
-from extlab import cli
+from extlab import cli, estimator
 cfg = {"system": {"kind": "size_jitter", "base": {"kind": "exchangeable_copula",
                   "generator": {"family": "clayton", "alpha": 1.0}}},
        "n": 10000, "replicates": 2000, "seed": 1, "format": "json",
@@ -348,21 +348,27 @@ def test_invalid_json_and_missing_file(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "overrides,key,needle",
+    "overrides,flags,key,needle",
     [
-        ({"s_grid": {"start": 0.1, "stop": 0.9, "count": 1e15}}, "s_grid", "more than the 1000"),
-        ({"s_grid": [0.5] * 1001}, "s_grid", "more than the 1000"),
-        ({"system": {"kind": "power_law_graph", "beta": 3.5}, "n": 1e15}, "n", "graph bound"),
+        ({"s_grid": {"start": 0.1, "stop": 0.9, "count": 1e15}}, (), "s_grid",
+         "more than the 1000"),
+        ({"s_grid": [0.5] * 1001}, (), "s_grid", "more than the 1000"),
+        ({"system": {"kind": "power_law_graph", "beta": 3.5}, "n": 1e15}, (), "n", "graph bound"),
+        ({"replicates": 10**15}, (), "replicates", "more than the 100000000"),
+        ({}, ("--replicates", str(10**8 + 1)), "replicates", "more than the 100000000"),
     ],
-    ids=["grid_count", "grid_list", "graph_n"],
+    ids=["grid_count", "grid_list", "graph_n", "replicates", "replicates_flag"],
 )
-def test_oversized_inputs_exit_2_located(tmp_path, capsys, monkeypatch, overrides, key, needle):
+def test_oversized_inputs_exit_2_located(tmp_path, capsys, monkeypatch, overrides, flags, key,
+                                         needle):
     # refused before any array of that size is asked for
+    monkeypatch.setattr(estimator, "_replicate_batch", lambda job: pytest.fail("drew a batch"))
     cfg = _cfg(tmp_path, **overrides)
-    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 2
+    assert _main("run", "--config", str(cfg), *flags, monkeypatch=monkeypatch) == 2
     err = capsys.readouterr().err
     lineno = cli._line_of(cfg.read_text(), f'"{key}"')
-    assert err.startswith(f"{cfg}:{lineno}: ") and needle in err and "Traceback" not in err
+    where = f"--{key}" if flags else f"{cfg}:{lineno}"
+    assert err.startswith(f"{where}: ") and needle in err and "Traceback" not in err
 
 
 def test_stage_validation_is_located(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,6 @@ from .sampling import (
     Pareto,
     TwoPoint,
     Degenerate,
-    validate_sampler,
 )
 from .copulas import (
     IndependenceGenerator,

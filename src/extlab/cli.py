@@ -28,7 +28,7 @@ import numpy as np
 from .estimator import DEFAULT_GRID, _refuse_def2, def2_fit, estimate_psi, index_report
 from .normalizer import SolverError
 from .sampling import RandomStream
-from .systems import SYSTEMS, ConfigError, _integral, build_system
+from .systems import SYSTEMS, ConfigError, _integral, _real, build_system
 
 _ANALYSES = ("psi", "partial_indices", "tail_indices", "def2_fit", "compare")
 _CONFIG_KEYS = {"system", "n", "replicates", "s_grid", "seed", "workers",
@@ -125,9 +125,9 @@ def _resolve_grid(cfg: dict, path: str, raw: str) -> np.ndarray:
             raise _located(path, raw, '"s_grid"', f"s_grid has {count} points, "
                            f"more than the {_MAX_GRID_POINTS} allowed")
         if isinstance(spec, dict):
-            grid = np.round(np.linspace(float(spec["start"]), float(spec["stop"]), count), 10)
+            grid = np.round(np.linspace(_real(spec["start"]), _real(spec["stop"]), count), 10)
         else:
-            grid = np.array([float(x) for x in spec])
+            grid = np.array([_real(x) for x in spec])
     except (TypeError, ValueError, OverflowError) as exc:
         raise _located(path, raw, '"s_grid"', f"bad s_grid value: {exc}") from None
     if grid.size == 0 or not np.all((grid > 0.0) & (grid < 1.0)):

@@ -7,19 +7,15 @@ many workers execute it.  Substream ids are derived by a splitmix-style
 hash of the parent id and the index path.
 
 Every distribution used by the series systems lives here as a small class
-with a ``sample`` method plus whatever analytic hooks the laboratory needs
-(mean, Laplace transform, cdf, quantile).  ``validate_sampler`` checks a
-sampler against analytic probes: Laplace transforms, characteristic
-function values, point masses, tail probabilities.  Samplers with no
-closed-form density (positive stable, symmetric stable) are exact
-transformation samplers, not approximations, so the probes are the
-ground truth for them.
+with a ``sample`` method plus its analytic hooks (mean, Laplace transform,
+cdf, quantile).  Samplers with no closed-form density (positive stable,
+symmetric stable) are exact transformation samplers, not approximations; the
+analytic checks of every sampler are one table in the test suite's oracles.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,10 +118,6 @@ class Distribution:
         """The law reweighted by x / E x (positive support, finite mean)."""
         raise NotImplementedError(f"{type(self).__name__} has no size-biased form")
 
-    def probes(self):
-        """(label, transform, expected value) triples for validate_sampler."""
-        raise NotImplementedError
-
     def __repr__(self):
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
         return f"{type(self).__name__}({fields})"
@@ -144,9 +136,6 @@ class Gamma(Distribution):
     def mean(self):
         return self.shape * self.scale
 
-    def laplace(self, u):
-        return (1.0 + self.scale * u) ** (-self.shape)
-
     def cdf(self, x):
         from scipy.special import gammainc
 
@@ -164,13 +153,6 @@ class Gamma(Distribution):
         from scipy.special import gammaincinv
 
         return self.scale * gammaincinv(self.shape, p)
-
-    def probes(self):
-        return [
-            ("mean", lambda x: x, self.mean()),
-            ("laplace(1)", lambda x: np.exp(-x), self.laplace(1.0)),
-            ("laplace(1/2)", lambda x: np.exp(-0.5 * x), self.laplace(0.5)),
-        ]
 
 
 class PositiveStable(Distribution):
@@ -199,12 +181,6 @@ class PositiveStable(Distribution):
     def laplace(self, u):
         return np.exp(-np.asarray(u, dtype=float) ** self.beta)
 
-    def probes(self):
-        return [
-            (f"laplace({u})", (lambda x, u=u: np.exp(-u * x)), float(self.laplace(u)))
-            for u in (0.5, 1.0, 2.0)
-        ]
-
 
 class SymmetricStable(Distribution):
     """Standard symmetric stable law, E cos(tX) = exp(-|t|^gamma), 0 < gamma <= 2.
@@ -230,10 +206,6 @@ class SymmetricStable(Distribution):
             / cu ** (1.0 / g)
             * (np.cos((1.0 - g) * u) / w) ** ((1.0 - g) / g)
         )
-
-    def char(self, t):
-        """E cos(tX) = exp(-|t|^gamma); the imaginary part vanishes."""
-        return np.exp(-np.abs(t) ** self.gamma)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -279,14 +251,6 @@ class SymmetricStable(Distribution):
             edge *= 2.0
         return float_root(lambda x: float(self.cdf(x)) - p, min(0.0, edge), max(0.0, edge))
 
-    def probes(self):
-        checks = [
-            (f"E cos({t}X)", (lambda x, t=t: np.cos(t * x)), float(self.char(t)))
-            for t in (0.5, 1.0)
-        ]
-        checks.append(("P(X<=0)", lambda x: (x <= 0).astype(float), 0.5))
-        return checks
-
 
 class Pareto(Distribution):
     """Pareto law: P(X > x) = (x / x_min)^(-a) for x >= x_min."""
@@ -321,23 +285,6 @@ class Pareto(Distribution):
             raise ValueError(f"size bias needs a finite mean, got a={self.a}")
         return Pareto(self.a - 1.0, self.x_min)
 
-    def probes(self):
-        checks = [
-            (
-                "P(X>2*x_min)",
-                lambda x: (x > 2.0 * self.x_min).astype(float),
-                2.0**-self.a,
-            ),
-            (
-                "P(X>4*x_min)",
-                lambda x: (x > 4.0 * self.x_min).astype(float),
-                4.0**-self.a,
-            ),
-        ]
-        if self.a > 2.0:
-            checks.append(("mean", lambda x: x, self.mean()))
-        return checks
-
 
 class TwoPoint(Distribution):
     """Law on two atoms {lo, hi} with P(X=lo) = p_lo."""
@@ -367,12 +314,6 @@ class TwoPoint(Distribution):
             raise ValueError(f"size bias needs positive support, got lo={self.lo}")
         return TwoPoint(self.lo, self.hi, self.p_lo * self.lo / self.mean())
 
-    def probes(self):
-        return [
-            ("P(X=lo)", lambda x: (x == self.lo).astype(float), self.p_lo),
-            ("mean", lambda x: x, self.mean()),
-        ]
-
 
 class Degenerate(Distribution):
     """Point mass at c."""
@@ -388,9 +329,6 @@ class Degenerate(Distribution):
     def mean(self):
         return self.c
 
-    def laplace(self, u):
-        return np.exp(-np.asarray(u, dtype=float) * self.c)
-
     def expect(self, fn):
         """E fn(X) = fn(c), exact."""
         return float(fn(self.c))
@@ -399,36 +337,3 @@ class Degenerate(Distribution):
         if self.c <= 0:
             raise ValueError(f"size bias needs positive support, got c={self.c}")
         return self
-
-    def probes(self):
-        return [("mean", lambda x: x, self.c)]
-
-
-@dataclass
-class ProbeCheck:
-    label: str
-    observed: float
-    expected: float
-    z: float
-
-
-def validate_sampler(dist: Distribution, stream: RandomStream, draws: int = 1_000_000):
-    """Run a sampler against its analytic probes.
-
-    Returns one ProbeCheck per probe with the normalized deviation
-    z = (observed - expected) / stderr; for an exact sampler |z| should
-    behave like a standard normal draw.  Degenerate probes (zero sample
-    variance) report z = 0 on exact agreement and z = inf otherwise.
-    """
-    x = dist.sample(stream.generator, draws)
-    checks = []
-    for label, fn, expected in dist.probes():
-        y = np.asarray(fn(x), dtype=float)
-        observed = float(y.mean())
-        sd = float(y.std(ddof=1))
-        if sd == 0.0:
-            z = 0.0 if observed == expected else math.inf
-        else:
-            z = (observed - expected) / (sd / math.sqrt(draws))
-        checks.append(ProbeCheck(label, observed, expected, z))
-    return checks

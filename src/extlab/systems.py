@@ -91,8 +91,8 @@ POOL_SIZE = 200_000  # draws in a frozen calibration pool
 # config field parsers: JSON value -> constructor argument
 
 def _integral(value) -> int:
-    """An int64 field; integral floats pass, fractions, booleans and |x| >= 2^63 are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """An int64 field; integral floats pass, strings, fractions, booleans and |x| >= 2^63 fail."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
     out = int(value)
     if not -2**63 <= out < 2**63:
@@ -101,7 +101,9 @@ def _integral(value) -> int:
 
 
 def _real(value) -> float:
-    """A float field; NaN and the infinities, which JSON readers accept, are refused."""
+    """A float field; strings, booleans, and the NaN and infinities JSON readers accept fail."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"must be a number, got {value!r}")
     x = float(value)
     if not math.isfinite(x):
         raise ValueError(f"must be a finite number, got {value!r}")
@@ -524,7 +526,7 @@ class BranchingHereditySystem(SeriesSystem):
     """
 
     kind = "branching_heredity"
-    fields = {"offspring": lambda law: {_integral(k): _real(v) for k, v in dict(law).items()},
+    fields = {"offspring": lambda law: {_integral(int(k)): _real(v) for k, v in dict(law).items()},
               "gamma": _real, "a": _real, "particle_budget": _integral}
     calibration_kind = "nu_pool"
 
@@ -552,15 +554,17 @@ class BranchingHereditySystem(SeriesSystem):
         self.a = float(a)
         self.gamma = float(gamma)
         self.b = (1.0 - self.a**self.gamma) ** (1.0 / self.gamma)
+        if particle_budget < 1:
+            raise ConfigError(f"particle budget must be at least 1, got {particle_budget}")
         self.particle_budget = int(particle_budget)
         self._stable = SymmetricStable(self.gamma)
         self.name = f"branching_heredity(a={self.a:g}, gamma={self.gamma:g}, mu={self.mu:g})"
 
     def validate_n(self, n):
         super().validate_n(n)
-        if self.mu**n > self.particle_budget:
+        if n * math.log10(self.mu) > math.log10(self.particle_budget):  # mu^n overflows at n ~ 1e3
             raise ConfigError(
-                f"{self.name}: mean generation size mu^n = {self.mu**n:.3g} exceeds "
+                f"{self.name}: mean generation size 10^{n * math.log10(self.mu):.1f} exceeds "
                 f"the particle budget {self.particle_budget}; lower n or raise the budget"
             )
 
@@ -628,6 +632,8 @@ class BranchingHereditySystem(SeriesSystem):
 
 # far above any shipped graph (n = 1e4); a graph draw holds a few n-long arrays
 _GRAPH_MAX_N = 10**7
+# a size jitter calibration call holds (points) x (80 sqrt(n) cells) doubles: 0.64 GB at 1000 points
+_JITTER_MAX_N = 10**6
 
 
 class PowerLawGraphSystem(SeriesSystem):
@@ -866,6 +872,11 @@ class SizeJitterSystem(_WrappedSystem):
         z = rng.standard_normal(count)
         nu = np.maximum(1, n + np.rint(math.sqrt(n) * z)).astype(np.int64)
         return self.base.max_inverse_given_size(nu, rng.random(count))
+
+    def validate_n(self, n):
+        super().validate_n(n)
+        if n > _JITTER_MAX_N:
+            raise ConfigError(f"{self.name}: n = {n} exceeds the jitter bound {_JITTER_MAX_N:.0e}")
 
     def size_pgf(self, n, x, r=1.0):
         x = np.asarray(x, dtype=float)

@@ -17,7 +17,8 @@ population, where the system draws its last generation as maxima,
 first, where the system draws M_n alone, ``sample_threshold_max`` draws
 that M_n by its construction, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
-superlinear root finder must reproduce.
+superlinear root finder must reproduce, and ``PROBES`` with ``probe_z``
+checks each sampler against closed-form moments of its law.
 """
 
 import math
@@ -32,7 +33,8 @@ from extlab.copulas import (
     TiltedGenerator,
 )
 from extlab.reference import ReferenceModel, _check_s
-from extlab.sampling import Distribution, PositiveStable
+from extlab.sampling import (Degenerate, Distribution, Gamma, Pareto, PositiveStable,
+                             SymmetricStable, TwoPoint)
 from extlab.systems import GeometricThresholdSystem
 
 
@@ -106,16 +108,18 @@ class MaxStableLaw:
 def mixed_max_stable_cdf(law: MaxStableLaw, zeta: Distribution, theta: float, x):
     """H(x) = E G(x)^(theta zeta): the limit law of maxima under random mixing.
 
-    Uses the frailty's Laplace transform when it has one in closed form;
-    otherwise the frailty must be a law with an exact ``expect`` (the atomic
-    ``TwoPoint`` and ``Degenerate``).
+    Uses the frailty's Laplace transform in closed form: the positive stable
+    law's own, or Gamma's (1 + scale u)^-shape; otherwise the frailty must be
+    a law with an exact ``expect`` (the atomic ``TwoPoint`` and ``Degenerate``).
     """
     if theta <= 0:
         raise ValueError(f"theta must be positive, got {theta}")
     x = np.asarray(x, dtype=float)
     u = -theta * law.log_cdf(x)  # >= 0, possibly +inf
+    v = np.where(np.isinf(u), 0.0, u)
     try:
-        out = np.where(np.isinf(u), 0.0, zeta.laplace(np.where(np.isinf(u), 0.0, u)))
+        lt = (1.0 + zeta.scale * v) ** -zeta.shape if isinstance(zeta, Gamma) else zeta.laplace(v)
+        out = np.where(np.isinf(u), 0.0, lt)
     except NotImplementedError:
         flat = np.atleast_1d(u)
         vals = np.array([
@@ -287,3 +291,50 @@ def bisect_root(fn, s, steps: int = 60):
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+# ---------------------------------------------------------------------------
+# sampler probes
+
+# (law type, label, statistic of the draws x, E statistic in closed form): Laplace
+# transforms, E cos(tX) = exp(-|t|^gamma), point masses, tail probabilities and means
+PROBES = [
+    (Gamma, "mean", lambda d, x: x, lambda d: d.shape * d.scale),
+    (Gamma, "laplace(1)", lambda d, x: np.exp(-x), lambda d: (1.0 + d.scale) ** -d.shape),
+    (Gamma, "laplace(1/2)", lambda d, x: np.exp(-0.5 * x),
+     lambda d: (1.0 + d.scale * 0.5) ** -d.shape),
+    *[(PositiveStable, f"laplace({u})", lambda d, x, u=u: np.exp(-u * x),
+       lambda d, u=u: np.exp(-u ** d.beta)) for u in (0.5, 1.0, 2.0)],
+    *[(SymmetricStable, f"E cos({t}X)", lambda d, x, t=t: np.cos(t * x),
+       lambda d, t=t: np.exp(-t ** d.gamma)) for t in (0.5, 1.0)],
+    (SymmetricStable, "P(X<=0)", lambda d, x: x <= 0, lambda d: 0.5),
+    (Pareto, "P(X>2*x_min)", lambda d, x: x > 2.0 * d.x_min, lambda d: 2.0**-d.a),
+    (Pareto, "P(X>4*x_min)", lambda d, x: x > 4.0 * d.x_min, lambda d: 4.0**-d.a),
+    # the mean's z needs a finite variance, a > 2; None drops the row
+    (Pareto, "mean", lambda d, x: x, lambda d: d.a * d.x_min / (d.a - 1.0) if d.a > 2.0 else None),
+    (TwoPoint, "P(X=lo)", lambda d, x: x == d.lo, lambda d: d.p_lo),
+    (TwoPoint, "mean", lambda d, x: x, lambda d: d.p_lo * d.lo + (1.0 - d.p_lo) * d.hi),
+    (Degenerate, "mean", lambda d, x: x, lambda d: d.c),
+]
+
+
+def probe_z(dist, stream, draws: int):
+    """(label, observed, expected, z) for each probe row of dist's law on `draws` samples.
+
+    z = (observed - expected) / stderr, with the ddof=1 standard deviation; for an
+    exact sampler |z| behaves like a standard normal draw.  A row with zero sample
+    variance gives z = 0 on exact agreement and z = inf otherwise.
+    """
+    x = dist.sample(stream.generator, draws)
+    out = []
+    for _, label, stat, expect in (row for row in PROBES if type(dist) is row[0]):
+        if (expected := expect(dist)) is None:
+            continue
+        y = np.asarray(stat(dist, x), dtype=float)
+        observed, sd = float(y.mean()), float(y.std(ddof=1))
+        if sd == 0.0:
+            z = 0.0 if observed == expected else math.inf
+        else:
+            z = (observed - expected) / (sd / math.sqrt(draws))
+        out.append((label, observed, float(expected), z))
+    return out

@@ -197,6 +197,13 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"workers": True}, "workers must be an integer"),
         ({"n": 1e30}, "within int64"),
         ({"system": {"kind": "duplicated_iid", "m": 10**30}}, "within int64"),
+        # numbers only: a JSON string or boolean is not read as one
+        ({"n": "16"}, "n must be an integer"),
+        ({"n": "1_000"}, "n must be an integer"),
+        ({"system": {"kind": "duplicated_iid", "m": "3"}}, "must be an integer"),
+        ({"system": {"kind": "mixture_spike", "gamma": True}}, "must be a number"),
+        ({"s_grid": {"start": "0.1", "stop": 0.9, "count": 3}}, "bad s_grid value"),
+        ({"s_grid": [0.2, "0.5"]}, "bad s_grid value"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):
@@ -356,8 +363,13 @@ def test_invalid_json_and_missing_file(tmp_path, capsys, monkeypatch):
         ({"system": {"kind": "power_law_graph", "beta": 3.5}, "n": 1e15}, (), "n", "graph bound"),
         ({"replicates": 10**15}, (), "replicates", "more than the 100000000"),
         ({}, ("--replicates", str(10**8 + 1)), "replicates", "more than the 100000000"),
+        ({"system": {"kind": "branching_heredity", "offspring": {"1": 0.5, "3": 0.5},
+                     "gamma": 1.0, "a": 0.5}, "n": 2000}, (), "n", "particle budget"),
+        ({"system": {"kind": "size_jitter", "base": _BASE["system"]}, "n": 10**6 + 1}, (), "n",
+         "jitter bound"),
     ],
-    ids=["grid_count", "grid_list", "graph_n", "replicates", "replicates_flag"],
+    ids=["grid_count", "grid_list", "graph_n", "replicates", "replicates_flag", "branching_n",
+         "jitter_n"],
 )
 def test_oversized_inputs_exit_2_located(tmp_path, capsys, monkeypatch, overrides, flags, key,
                                          needle):

@@ -452,6 +452,10 @@ def test_branching_budget_guard():
     sys_.validate_n(9)  # 2^9 = 512
     with pytest.raises(ConfigError):
         sys_.validate_n(10)  # 2^10 = 1024
+    with pytest.raises(ConfigError, match="10\\^602"):
+        sys_.validate_n(2000)  # 2^2000 is past the float range
+    with pytest.raises(ConfigError, match="particle budget"):
+        BranchingHereditySystem({2: 1.0}, gamma=1.0, a=0.5, particle_budget=0)
 
 
 def test_branching_deterministic_doubling():
@@ -788,6 +792,14 @@ def test_size_jitter_size_pgf_matches_sampled_sizes():
         assert abs(y.mean() - float(sys_.size_pgf(400, xi))) < 4.0 * se, xi
     k, p = _jitter_pmf(400)
     assert abs(nu.mean() - float(k @ p)) < 4.0 * nu.std(ddof=1) / math.sqrt(nu.size)
+
+
+def test_size_jitter_stage_bound():
+    # the exact size law's 80 sqrt(n) cells, per calibration point, bound the stage
+    sys_ = SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
+    sys_.validate_n(10**6)
+    with pytest.raises(ConfigError, match="jitter bound"):
+        sys_.validate_n(10**6 + 1)
 
 
 def test_size_jitter_requires_conditional_inverse():

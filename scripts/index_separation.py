@@ -29,7 +29,7 @@ def report(label, system, n, replicates, seed, workers):
                        stream=RandomStream(seed=seed, stream_id=0),
                        workers=workers)
     slope, se = mean_log_slope(est)
-    fit = def2_fit(system, est, RandomStream(seed=seed, stream_id=1))
+    fit = def2_fit(est)
     print(f"\n{label}  (n={n}, R={replicates})")
     print(f"  curve index (grid mean slope): {slope:.4f} +- {se:.4f}")
     print(f"  matching index fit: theta = {fit.theta:.4f},"

@@ -234,11 +234,10 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
             raise _located(path, raw, '"def2_fit"', str(exc)) from None
 
     n = got["n"]
-    stream = RandomStream(seed=seed, stream_id=0)
     t0 = time.perf_counter()
     try:
         est = estimate_psi(system, n, s_grid=grid, replicates=replicates,
-                           stream=stream, workers=got["workers"])
+                           stream=RandomStream(seed=seed, stream_id=0), workers=got["workers"])
     except ConfigError as exc:
         raise _located(path, raw, '"n"', str(exc)) from None
 
@@ -251,7 +250,7 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     if "def2_fit" in analyses:
         bounds = cfg.get("def2_bounds")
         kw = {} if bounds is None else {"theta_bounds": (float(bounds[0]), float(bounds[1]))}
-        fit = def2_fit(system, est, stream, **kw)
+        fit = def2_fit(est, **kw)
     report = index_report(est, fit)
     runtime = time.perf_counter() - t0
 

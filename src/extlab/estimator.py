@@ -7,8 +7,8 @@ the whole grid (common random numbers keep the curve monotone up to noise).
 Replicates are drawn in a fixed layout of 64 batches, batch j on substream
 (REPLICATE_TAG, j), and reduced in batch order with integer counts, so the
 result is byte-identical no matter how many worker processes execute the
-batches.  The calibration pool and the Definition-2 comparand pool live on
-their own substreams, independent of the replicates.
+batches.  A calibration pool lives on its own substream, independent of the
+replicates, and the Definition-2 fit reads the estimate's own calibrator.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .normalizer import NormalizingCurve, _root, solve_curve
 from .sampling import RandomStream
-from .systems import Calibrator, ConfigError, SeriesSystem
+from .systems import ConfigError, SeriesSystem
 
 __all__ = [
     "PsiEstimate",
@@ -37,10 +37,9 @@ __all__ = [
 ]
 
 _BATCHES = 64
-# substream purpose tags: replicates, calibration pool, comparand pool
+# substream purpose tags: replicates, calibration pool
 _REPLICATE_TAG = 1
 _POOL_TAG = 2
-_DEF2_TAG = 3
 
 DEFAULT_GRID = np.round(np.linspace(0.05, 0.95, 19), 10)
 
@@ -175,12 +174,11 @@ class Def2Fit:
     discrepancy: float
     bounds: tuple[float, float]
     estimate: PsiEstimate
-    calibrator: Calibrator = field(repr=False)
     x: np.ndarray = field(repr=False)  # F_n(u) on the estimate's grid
 
     def gaps(self, theta: float) -> np.ndarray:
         """psi_hat - E F(u)^(theta nu) per grid point; nondecreasing in theta."""
-        return self.estimate.psi_hat - self.calibrator.pgf(self.x, float(theta))
+        return self.estimate.psi_hat - self.estimate.curve.calibrator.pgf(self.x, float(theta))
 
     def discrepancy_at(self, theta: float) -> float:
         """The sup-norm gap D(theta) = max_s |psi_hat - E F(u)^(theta nu)|."""
@@ -190,21 +188,20 @@ class Def2Fit:
 def _refuse_def2(system: SeriesSystem) -> None:
     """def2_fit needs F_n in closed form; raises ConfigError on a marginal-pool system.
 
-    On a marginal pool F_n(u) is the edf of a fresh pool, which holds only
-    about POOL_SIZE * (-ln s) / n draws past each threshold, so the fitted
-    theta follows the pool's seed.
+    On a marginal pool F_n(u) is the edf of the calibration pool, which holds
+    only about POOL_SIZE * (-ln s) / n draws past each threshold, so the
+    fitted theta would follow the pool's seed.
     """
     if system.calibration_kind == "marginal_pool":
         raise ConfigError(f"{system.name}: def2_fit needs a closed-form marginal d.f., "
                           f"and this system knows it only through a pool of draws")
 
 
-def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
-             theta_bounds: tuple[float, float] = (0.01, 10.0)) -> Def2Fit:
+def def2_fit(estimate: PsiEstimate, theta_bounds: tuple[float, float] = (0.01, 10.0)) -> Def2Fit:
     """Minimize the sup-norm gap D(theta) of the estimate at its stage n.
 
-    The comparand pool is frozen on its own substream, independent of both
-    the replicates and the threshold-calibration pool.  E x^(theta nu) falls
+    The comparand is the calibrator that fixed the thresholds: the system's
+    size pgf, or the same frozen pool of sizes.  E x^(theta nu) falls
     in theta for every x in [0, 1], so with g = psi_hat - E x^(theta nu) the
     upper gap A = max g rises, the lower gap B = -min g falls, and
     D = max(A, B) is least exactly where A = B.  One bracketed root in log
@@ -213,12 +210,12 @@ def def2_fit(system: SeriesSystem, estimate: PsiEstimate, stream: RandomStream,
     A - B keeps one sign over the bounds, D is monotone and the nearer bound
     is the answer.
     """
-    _refuse_def2(system)
+    cal = estimate.curve.calibrator
+    _refuse_def2(cal.system)
     lo, hi = float(theta_bounds[0]), float(theta_bounds[1])
     if not (math.isfinite(hi) and 0.0 < lo < hi):
         raise ConfigError(f"need finite 0 < lo < hi in theta bounds, got {theta_bounds}")
-    cal = Calibrator(system, estimate.n, stream=stream.substream(_DEF2_TAG))
-    fit = Def2Fit(math.nan, math.nan, (lo, hi), estimate, cal, cal.marginal(estimate.u))
+    fit = Def2Fit(math.nan, math.nan, (lo, hi), estimate, cal.marginal(estimate.u))
 
     def theta_at(t):  # lo at t = 0 and hi at t = 1, exactly
         return lo ** (1.0 - t) * hi ** t

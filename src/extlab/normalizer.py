@@ -11,14 +11,15 @@ adjacent doubles as 60 bisection steps in a fraction of the evaluations.
 G_n is exact ("deterministic_root") or the mean over a frozen pool of sizes
 compressed into distinct sizes and counts ("stochastic_root"); a frozen pool
 is a fixed function, so the root is reproducible and its stderr measures the
-pool noise.  Both are continuous in x, so every root must close to 1e-9.
-One pool serves the whole s grid: common random numbers keep the curve
-monotone.
+pool noise.  Both are continuous in x, so every root must close to 1e-9,
+and so must a closed form on an exact G.  One pool serves the whole s grid
+and the Definition-2 fit (the curve keeps its calibrator): common random
+numbers keep the curve monotone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +42,7 @@ class NormalizingCurve:
     achieved: np.ndarray
     stderr: np.ndarray
     method: str
+    calibrator: Calibrator = field(repr=False)  # E F_n(u)^(r nu_n), pool and all
 
 
 _ROOT_STEPS = 60          # bisection's 60 halvings of [0, 1]; a root closes in at most 61 steps
@@ -155,18 +157,13 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
     s = _check_grid(s_grid)
     cal = Calibrator(system, n, stream=stream, pool_size=pool_size)
     closed = system.closed_form_u(n, s)
-    if closed is not None:
-        u = np.asarray(closed, dtype=float)
-        return NormalizingCurve(n, s, u, cal.value(u), cal.stderr_at(u), "closed_form")
-
-    # G_n(x) = s, bracketed by [0, 1]
-    x = _root(cal.pgf, s, _Gumbel)
-    u = np.asarray(system.marginal_quantile(n, x), dtype=float)
-    achieved, stderr = cal.value(u), cal.stderr_at(u)
-    if np.any(~np.isfinite(achieved)):
-        raise SolverError("calibration mean evaluated to a non-finite value")
-    resid = float(np.max(np.abs(achieved - s)))
-    if resid > _RESIDUAL_TOL:
+    if closed is None:  # G_n(x) = s, bracketed by [0, 1]
+        u = np.asarray(system.marginal_quantile(n, _root(cal.pgf, s, _Gumbel)), dtype=float)
+        method = "deterministic_root" if cal.exact else "stochastic_root"
+    else:
+        u, method = np.asarray(closed, dtype=float), "closed_form"
+    achieved = cal.value(u)
+    resid = float(np.max(np.abs(achieved - s)))  # a pooled closed form shows its pool's noise
+    if (closed is None or cal.exact) and not resid <= _RESIDUAL_TOL:  # NaN fails too
         raise SolverError(f"calibration residual {resid:.3g} exceeds tolerance {_RESIDUAL_TOL:.3g}")
-    method = "deterministic_root" if cal.exact else "stochastic_root"
-    return NormalizingCurve(n, s, u, achieved, stderr, method)
+    return NormalizingCurve(n, s, u, achieved, cal.stderr_at(u), method, cal)

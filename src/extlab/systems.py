@@ -110,6 +110,13 @@ def _real(value) -> float:
     return x
 
 
+def _offspring_size(key) -> int:
+    """A JSON object key as an offspring size: ASCII digits only, no sign, space or '_'."""
+    if isinstance(key, str) and key.isascii() and key.isdigit():
+        key = int(key)
+    return _integral(key)
+
+
 _GEN_FAMILIES = {
     "independence": lambda p: IndependenceGenerator(),
     "clayton": lambda p: ClaytonGenerator(_real(p["alpha"])),
@@ -526,14 +533,17 @@ class BranchingHereditySystem(SeriesSystem):
     """
 
     kind = "branching_heredity"
-    fields = {"offspring": lambda law: {_integral(int(k)): _real(v) for k, v in dict(law).items()},
+    fields = {"offspring": lambda law: {_offspring_size(k): _real(v) for k, v in dict(law).items()},
               "gamma": _real, "a": _real, "particle_budget": _integral}
     calibration_kind = "nu_pool"
 
     def __init__(self, offspring: dict, gamma: float, a: float, particle_budget: int = 1_000_000):
         vals, probs = [], []
-        for k, p in sorted(offspring.items()):
-            k = int(k)
+        try:
+            law = sorted((_integral(k), p) for k, p in offspring.items())
+        except ValueError as exc:
+            raise ConfigError(f"offspring size {exc}") from None
+        for k, p in law:
             if k < 0 or p < 0:
                 raise ConfigError(f"bad offspring entry {k}: {p}")
             vals.append(k)

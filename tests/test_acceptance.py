@@ -133,7 +133,7 @@ def test_tilted_curve_and_def2_index():
     est = estimate_psi(sys_, N, replicates=REPLICATES, stream=_stream())
     dev = np.abs(est.psi_hat - np.sqrt(est.s))
     assert np.all(dev <= 3.0 * est.stderr + 0.01), dev
-    fit = def2_fit(sys_, est, _stream())
+    fit = def2_fit(est)
     assert 0.45 <= fit.theta <= 0.55, fit.theta
     assert fit.discrepancy <= 0.02, fit.discrepancy
 
@@ -189,7 +189,7 @@ def test_stable_size_indices_separate():
     est = estimate_psi(sys_, N, replicates=REPLICATES, stream=_stream())
     slope, se = mean_log_slope(est)
     assert 0.66 <= slope <= 0.76, (slope, se)
-    fit = def2_fit(sys_, est, _stream())
+    fit = def2_fit(est)
     assert 0.45 <= fit.theta <= 0.55, fit.theta
     # the interval estimates must not overlap: over the whole 3-se band of
     # the curve index, the matching discrepancy stays far above its minimum
@@ -218,7 +218,7 @@ def test_geometric_threshold_curve_and_no_matching_index():
         for t in np.geomspace(0.01, 10.0, 2000)
     )
     assert best >= 0.05, best
-    fit = def2_fit(sys_, est, _stream())
+    fit = def2_fit(est)
     assert fit.discrepancy >= 0.05, fit.discrepancy
 
 

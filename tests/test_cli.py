@@ -204,6 +204,13 @@ def test_cli_seed_overrides_config(tmp_path, capsys, monkeypatch):
         ({"system": {"kind": "mixture_spike", "gamma": True}}, "must be a number"),
         ({"s_grid": {"start": "0.1", "stop": 0.9, "count": 3}}, "bad s_grid value"),
         ({"s_grid": [0.2, "0.5"]}, "bad s_grid value"),
+        # an offspring size is a JSON key, so a string, but of ASCII digits alone
+        ({"system": {"kind": "branching_heredity", "offspring": {"1_0": 0.5, "1": 0.5},
+                     "gamma": 1.0, "a": 0.5}}, "field 'offspring'"),
+        ({"system": {"kind": "branching_heredity", "offspring": {" 3 ": 0.5, "1": 0.5},
+                     "gamma": 1.0, "a": 0.5}}, "field 'offspring'"),
+        ({"system": {"kind": "branching_heredity", "offspring": {"+3": 0.5, "1": 0.5},
+                     "gamma": 1.0, "a": 0.5}}, "field 'offspring'"),
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, monkeypatch, overrides, needle):
@@ -249,12 +256,27 @@ def test_stable_size_def2_fit_is_finite(tmp_path, capsys, monkeypatch):
 
 
 def test_random_threshold_with_a_far_root_runs(tmp_path, capsys, monkeypatch):
-    # Gamma(0.01) puts f^-1(s) many binary orders below its bracket
+    # Gamma(0.01) puts f^-1(s) many binary orders below its bracket, and at
+    # n = 100 the thresholds for s = 0.6 and 0.9 round to 1: G reads 1 there
     cfg = _cfg(tmp_path, system={"kind": "random_threshold",
                                  "law": {"kind": "gamma", "shape": 0.01}},
                n=100, replicates=1000, s_grid=[0.3, 0.6, 0.9])
-    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 0
-    assert "Traceback" not in capsys.readouterr().err
+    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 3
+    err = capsys.readouterr().err
+    assert "calibration residual" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("system,n", [
+    ({"kind": "exchangeable_copula", "generator": {"family": "clayton", "alpha": 1.0}}, 10**17),
+    ({"kind": "geometric_threshold", "eps": 1e-20}, 100),
+], ids=["copula_n_1e17", "geometric_eps_1e-20"])
+def test_closed_form_threshold_that_rounds_to_one_exits_3(tmp_path, capsys, monkeypatch,
+                                                          system, n):
+    # u_n = 1 in double precision: G(F(u_n)) = 1 or inf, far from every s
+    cfg = _cfg(tmp_path, system=system, n=n, replicates=1000)
+    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 3
+    err = capsys.readouterr().err
+    assert "calibration residual" in err and "Traceback" not in err
 
 
 def test_def2_refusal_is_located_before_work(tmp_path, capsys, monkeypatch):

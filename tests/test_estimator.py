@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from extlab import estimator
+from extlab import estimator, systems
 from extlab.copulas import ClaytonGenerator
 from extlab.estimator import (
     DEFAULT_GRID,
@@ -215,7 +215,7 @@ def test_isotonic_fit_pools_violators():
 def test_def2_recovers_duplication_index():
     sys_ = DuplicatedIidSystem(2)
     est = estimate_psi(sys_, 50, replicates=25_600, stream=_stream(8))
-    fit = def2_fit(sys_, est, _stream(8))
+    fit = def2_fit(est)
     assert abs(fit.theta - 0.5) < 0.02
     assert fit.discrepancy < 0.02
     assert fit.discrepancy_at(1.0) > 5.0 * fit.discrepancy
@@ -225,7 +225,7 @@ def test_def2_recovers_duplication_index():
 def test_def2_accepts_prebuilt_estimate():
     sys_ = DuplicatedIidSystem(2)
     est = estimate_psi(sys_, 50, replicates=6400, stream=_stream(9))
-    fit = def2_fit(sys_, est, _stream(9))
+    fit = def2_fit(est)
     assert fit.estimate is est
     assert abs(fit.theta - 0.5) < 0.05
 
@@ -235,7 +235,7 @@ def test_def2_fails_for_exceedance_stopping():
     # flat zero stretch that no power of the calibration mean can follow
     sys_ = GeometricThresholdSystem(eps=0.05)
     est = estimate_psi(sys_, 100, replicates=25_600, stream=_stream(10))
-    fit = def2_fit(sys_, est, _stream(10))
+    fit = def2_fit(est)
     assert fit.discrepancy > 0.05
     assert np.min(fit.estimate.psi_hat) == 0.0
 
@@ -243,26 +243,25 @@ def test_def2_fails_for_exceedance_stopping():
 def test_def2_validation():
     sys_ = DuplicatedIidSystem(2)
     est = estimate_psi(sys_, 50, replicates=640, stream=_stream(11))
-    with pytest.raises(TypeError):
-        def2_fit(sys_, est)  # the comparand pool needs a stream
     with pytest.raises(ConfigError):
-        def2_fit(sys_, est, _stream(11), theta_bounds=(0.0, 1.0))
+        def2_fit(est, theta_bounds=(0.0, 1.0))
     with pytest.raises(ConfigError):
-        def2_fit(sys_, est, _stream(11), theta_bounds=(2.0, 1.0))
+        def2_fit(est, theta_bounds=(2.0, 1.0))
     with pytest.raises(ConfigError):
-        def2_fit(sys_, est, _stream(11), theta_bounds=(0.1, math.inf))
+        def2_fit(est, theta_bounds=(0.1, math.inf))
+
+
+def _no_pool(*a, **k):
+    raise AssertionError("a second pool was drawn")
 
 
 def test_def2_refuses_a_marginal_pool_before_drawing_it(monkeypatch):
     # the power-law graph knows F_n only through a pool of draws
-    def boom(*a, **k):
-        raise AssertionError("the comparand pool was drawn")
-
     sys_ = PowerLawGraphSystem(3.5)
     est = estimate_psi(sys_, 100, s_grid=[0.5], replicates=64, stream=_stream(1))
-    monkeypatch.setattr(estimator, "Calibrator", boom)
+    monkeypatch.setattr(systems, "build_calibration_pool", _no_pool)
     with pytest.raises(ConfigError, match="def2_fit needs a closed-form marginal"):
-        def2_fit(sys_, est, _stream(1))
+        def2_fit(est)
 
 
 @pytest.mark.parametrize("sys_,n,seed", [
@@ -275,7 +274,7 @@ def test_def2_fit_is_exact_minimax(sys_, n, seed):
     est = estimate_psi(sys_, n, replicates=6400, stream=_stream(seed))
 
     def one_sided_gaps(fit):
-        g = est.psi_hat - fit.calibrator.value(est.u, fit.theta)
+        g = est.psi_hat - est.curve.calibrator.value(est.u, fit.theta)
         return np.max(g), np.max(-g)
 
     def bisected_theta(fit):  # 60 halvings of A - B in log theta
@@ -288,7 +287,7 @@ def test_def2_fit_is_exact_minimax(sys_, n, seed):
         t = bisect_root(spread, np.zeros(1))[0]
         return lo ** (1.0 - t) * hi ** t
 
-    fit = def2_fit(sys_, est, _stream(seed))
+    fit = def2_fit(est)
     upper, lower = one_sided_gaps(fit)
     assert 0.2 < fit.theta < 2.0
     assert abs(upper - lower) <= 1e-12
@@ -296,9 +295,20 @@ def test_def2_fit_is_exact_minimax(sys_, n, seed):
     assert fit.theta == bisected_theta(fit)  # the same adjacent doubles in t
     # a crossing outside the bounds: D is monotone on them, least at the nearer bound
     for bounds, nearer in (((0.01, 0.2), 0.2), ((2.0, 10.0), 2.0)):
-        fit = def2_fit(sys_, est, _stream(seed), theta_bounds=bounds)
+        fit = def2_fit(est, theta_bounds=bounds)
         assert fit.theta == pytest.approx(nearer, rel=1e-12)
         assert fit.theta == nearer  # bisection's t of 2^-61 or 1 gives the bound exactly
+
+
+def test_def2_reads_the_calibrator_that_fixed_the_thresholds(monkeypatch):
+    # a pooled size law: the fit matches psi_hat against the very pool that
+    # calibrated u_n, and draws none of its own
+    sys_ = StableSizeGumbelSystem(0.5, 0.5)
+    est = estimate_psi(sys_, 1000, replicates=6400, stream=_stream(14))
+    monkeypatch.setattr(systems, "build_calibration_pool", _no_pool)
+    fit = def2_fit(est)
+    assert 0.2 < fit.theta < 2.0
+    assert np.array_equal(fit.gaps(1.0), est.psi_hat - est.curve.achieved)
 
 
 def test_def2_fit_pgf_calls(monkeypatch):
@@ -312,7 +322,7 @@ def test_def2_fit_pgf_calls(monkeypatch):
     pgf = Calibrator.pgf
     monkeypatch.setattr(Calibrator, "pgf",
                         lambda self, x, r=1.0: calls.append(r) or pgf(self, x, r))
-    def2_fit(sys_, est, stream)
+    def2_fit(est)
     assert len(calls) <= 24
 
 
@@ -345,7 +355,7 @@ def test_index_report_flags_nonmonotone_curve():
 def test_index_report_carries_def2():
     sys_ = DuplicatedIidSystem(2)
     est = estimate_psi(sys_, 50, replicates=6400, stream=_stream(12))
-    fit = def2_fit(sys_, est, _stream(12))
+    fit = def2_fit(est)
     rep = index_report(fit.estimate, fit)
     assert rep.theta_def2 == fit.theta
     assert rep.def2_discrepancy == fit.discrepancy

@@ -11,21 +11,35 @@ import pytest
 _ROOT = Path(__file__).resolve().parents[1]
 
 
+def _env():
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.mark.parametrize("argv", [
     ["convergence_sweep.py", "--decades", "1", "--replicates", "64"],
     ["curve_gallery.py", "--n", "100", "--replicates", "64"],
     ["index_separation.py", "--replicates", "64"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, str(_ROOT / "scripts" / argv[0]), *argv[1:]],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     # a zero error bar on the curve index means batches were dropped
     curve_lines = [ln for ln in proc.stdout.splitlines() if "curve index" in ln]
     assert all("+- 0.0000" not in ln for ln in curve_lines), curve_lines
+
+
+def test_readme_quick_start_runs():
+    # the first python block of README.md, as a reader would paste it
+    text = (_ROOT / "README.md").read_text()
+    code = text.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "theta_def2" in proc.stdout
 
 
 def _result(theta, psi):

@@ -447,6 +447,15 @@ def test_branching_validates_offspring():
         BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=1.0)
 
 
+@pytest.mark.parametrize("law", [{2.5: 0.5, 3: 0.5}, {True: 0.5, 3: 0.5}, {"3": 0.5, 1: 0.5}],
+                         ids=["fraction", "boolean", "string"])
+def test_branching_refuses_a_size_that_is_not_an_integer(law):
+    # int() would read 2.5 as 2 and draw on {2, 3}
+    with pytest.raises(ConfigError, match="offspring size must be an integer"):
+        BranchingHereditySystem(law, gamma=1.0, a=0.5)
+    assert BranchingHereditySystem({1.0: 0.5, 3: 0.5}, gamma=1.0, a=0.5).mu == 2.0
+
+
 def test_branching_budget_guard():
     sys_ = BranchingHereditySystem({2: 1.0}, gamma=1.0, a=0.5, particle_budget=1000)
     sys_.validate_n(9)  # 2^9 = 512

@@ -14,7 +14,6 @@ replicates, and the Definition-2 fit reads the estimate's own calibrator.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -87,7 +86,10 @@ def estimate_psi(system: SeriesSystem, n: int, s_grid=None, replicates: int = 10
     jobs = [(system, n, u, stream.seed, stream.stream_id, j, int(sizes[j]), keep_maxima)
             for j in range(_BATCHES)]
     if workers and workers > 1:
-        # a worker past the 64th would hold no batch, yet fork starts every one up front
+        # imported here, so a serial run never loads multiprocessing; a worker
+        # past the 64th would hold no batch, yet fork starts every one up front
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(int(workers), _BATCHES)) as ex:
             results = list(ex.map(_replicate_batch, jobs))
     else:

@@ -12,7 +12,10 @@ G_n is exact ("deterministic_root") or the mean over a frozen pool of sizes
 compressed into distinct sizes and counts ("stochastic_root"); a frozen pool
 is a fixed function, so the root is reproducible and its stderr measures the
 pool noise.  Both are continuous in x, so every root must close to 1e-9,
-and so must a closed form on an exact G.  One pool serves the whole s grid
+and so must a closed form on an exact G.  Near x = 1 one double can move G
+by more than that (a small-beta stable size), so a law that takes
+lam = -ln x itself (`size_laplace`) is solved for lam, which keeps full
+relative precision, and checked there.  One pool serves the whole s grid
 and the Definition-2 fit (the curve keeps its calibrator): common random
 numbers keep the curve monotone.
 """
@@ -48,6 +51,7 @@ class NormalizingCurve:
 _ROOT_STEPS = 60          # bisection's 60 halvings of [0, 1]; a root closes in at most 61 steps
 _TRUNCATION = 0.2         # ITP's kappa1 on [0, 1]: a secant moves 0.2 w^2 toward the midpoint
 _RESIDUAL_TOL = 1e-9
+_LAM_BITS = (10.0, 70.0)  # the complement root's lam = 2^(10 - 70 t) over t in [0, 1]
 
 
 def _check_grid(s_grid) -> np.ndarray:
@@ -151,18 +155,46 @@ def _root(fn, s, scale=_Plain):
     return out
 
 
+def _complement_root(laplace, s):
+    """Per-point lam >= 0 with laplace(lam) = E e^(-lam nu) = s, to full relative precision.
+
+    The bracket runs over t in [0, 1] with lam = 2^(10 - 70 t): e^-lam
+    underflows to 0 at t = 0 and rounds to 1 from t = 1 - 6/70 on, where the
+    residual refuses the threshold 1, so the bracket need not reach lam = 0.
+    One double of t moves lam by a relative 5.4e-15 at most.  The secants read
+    -ln(-ln G), linear in t where -ln G is a power of lam, with G clipped as
+    on the Gumbel scale.
+    """
+    top, span = _LAM_BITS
+
+    def lam(t):
+        return np.exp2(top - span * t)
+
+    def fn(t):
+        return -np.log(-np.log(np.clip(laplace(lam(t)), _Gumbel._LO, _Gumbel._HI)))
+
+    return lam(_root(fn, -np.log(-np.log(s))))
+
+
 def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
                 pool_size: int = POOL_SIZE) -> NormalizingCurve:
     """Calibrate thresholds for a whole s grid at stage n; pools draw from the stream."""
     s = _check_grid(s_grid)
     cal = Calibrator(system, n, stream=stream, pool_size=pool_size)
     closed = system.closed_form_u(n, s)
-    if closed is None:  # G_n(x) = s, bracketed by [0, 1]
+    laplace = getattr(system, "size_laplace", None) if cal.exact else None
+    if closed is None and laplace is not None:  # G_n(e^-lam) = s, carried as lam
+        lam = _complement_root(lambda v: laplace(n, v), s)
+        x = np.exp(-lam)
+        u = np.asarray(system.marginal_quantile(n, x), dtype=float)
+        # a threshold that rounds to 1 counts every replicate: G reads 1 there
+        achieved, method = laplace(n, np.where(x < 1.0, lam, 0.0)), "deterministic_root"
+    elif closed is None:  # G_n(x) = s, bracketed by [0, 1]
         u = np.asarray(system.marginal_quantile(n, _root(cal.pgf, s, _Gumbel)), dtype=float)
-        method = "deterministic_root" if cal.exact else "stochastic_root"
+        achieved, method = cal.value(u), "deterministic_root" if cal.exact else "stochastic_root"
     else:
         u, method = np.asarray(closed, dtype=float), "closed_form"
-    achieved = cal.value(u)
+        achieved = cal.value(u)
     resid = float(np.max(np.abs(achieved - s)))  # a pooled closed form shows its pool's noise
     if (closed is None or cal.exact) and not resid <= _RESIDUAL_TOL:  # NaN fails too
         raise SolverError(f"calibration residual {resid:.3g} exceeds tolerance {_RESIDUAL_TOL:.3g}")

@@ -179,7 +179,35 @@ class PositiveStable(Distribution):
         return (a / w) ** ((1.0 - b) / b)
 
     def laplace(self, u):
-        return np.exp(-np.asarray(u, dtype=float) ** self.beta)
+        """exp(-u^beta), on the principal branch for complex u with Re u >= 0."""
+        return np.exp(-np.asarray(u) ** self.beta)
+
+    def cdf(self, x):
+        """P(X <= x) by Kanter's integral, for x >= 0.
+
+        The sampler's X = (a(phi)/W)^((1-beta)/beta), W standard
+        exponential, gives P(X <= x) = (1/pi) int_0^pi exp(-a(phi) t) dphi
+        with t = x^(-beta/(1-beta)).  The tanh-sinh rule (Takahasi & Mori
+        1974, step 1/64) crowds its nodes at both ends, where the integrand
+        peaks (small x) or vanishes to every order (phi -> pi); a is written
+        through sin(z)/z ratios, so it stays finite as phi -> 0.  Against the
+        closed form at beta = 1/2 and a rule of step 1/256, the relative error
+        is about 1e-16 for beta <= 1/2 at every x, past the a t eps that the
+        rounding of t costs deep in the lower tail, and for larger beta at
+        x <= 1/2; at beta = 0.9 it is 6e-11 at x = 3 and 4e-8 at x = 100.
+        """
+        h = 1.0 / 64.0
+        tau = h * np.arange(-211, 212)  # |tau| <= 3.3: the end weights are below 1e-18
+        z = 0.5 * np.pi * np.sinh(tau)
+        phi = np.pi / (1.0 + np.exp(-2.0 * z))
+        w = (0.25 * np.pi * h) * np.cosh(tau) / np.cosh(z) ** 2  # dphi / pi
+        b = self.beta
+        p = b / (1.0 - b)
+        with np.errstate(divide="ignore", over="ignore"):
+            a = ((1.0 - b) * b**p * (np.sin((1.0 - b) * phi) / ((1.0 - b) * phi))
+                 * (np.sin(b * phi) / (b * phi)) ** p / (np.sin(phi) / phi) ** (1.0 / (1.0 - b)))
+            t = np.asarray(x, dtype=float) ** -p
+        return (np.exp(-np.multiply.outer(t, a)) * w).sum(axis=-1)
 
 
 class SymmetricStable(Distribution):

@@ -15,7 +15,10 @@ where the system inverts the product d.f.,
 population, where the system draws its last generation as maxima,
 ``sample_threshold_pair`` draws (nu_n, M_n) of a threshold system, the size
 first, where the system draws M_n alone, ``sample_threshold_max`` draws
-that M_n by its construction, and
+that M_n by its construction, ``stable_size_pgf_direct`` sums the stable
+size law term by term, where the system sums it by Poisson summation,
+``PooledStableSize`` keeps the stable-size system on a frozen pool of
+sampled sizes for the pooled-calibrator tests, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
 superlinear root finder must reproduce, and ``PROBES`` with ``probe_z``
 checks each sampler against closed-form moments of its law.
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from extlab.copulas import (
     ClaytonGenerator,
@@ -35,7 +39,7 @@ from extlab.copulas import (
 from extlab.reference import ReferenceModel, _check_s
 from extlab.sampling import (Degenerate, Distribution, Gamma, Pareto, PositiveStable,
                              SymmetricStable, TwoPoint)
-from extlab.systems import GeometricThresholdSystem
+from extlab.systems import GeometricThresholdSystem, StableSizeGumbelSystem
 
 
 class TwoPointThresholdLimit(ReferenceModel):
@@ -276,6 +280,45 @@ def sample_threshold_pair(system, n: int, count: int, rng):
 
 # ---------------------------------------------------------------------------
 # root finding
+
+def stable_size_pgf_direct(beta: float, n: int, y: float) -> float:
+    """E y^nu for nu = max(1, rint(n S)), S positive stable(beta), as sum_k y^k P(nu = k).
+
+    Kanter's representation S = (a(phi)/W)^((1-beta)/beta) gives
+    P(nu = k) = (1/pi) int_0^pi [exp(-a t_k) - exp(-a t_(k-1))] dphi with
+    t_k = ((k + 1/2)/n)^(-beta/(1-beta)), and nu = 1 takes all of [0, 3/2).
+    The sum runs inside one adaptive quadrature over phi (scipy's quad),
+    each cell by expm1 so that no difference cancels.  G >= y^(3/2)
+    e^(-(n lam)^beta) with lam = -ln y, so stopping at the K with
+    K lam >= (n lam)^beta + 40 leaves out less than e^-40 of G.
+    """
+    lam = -math.log(y)
+    k = np.arange(1.0, math.ceil(((n * lam) ** beta + 40.0) / lam) + 2.0)
+    t = ((k + 0.5) / n) ** (-beta / (1.0 - beta))
+    gap = np.r_[np.inf, t[:-1]] - t  # t_(k-1) - t_k; nu = 1 has no lower edge
+    weights = y**k
+
+    def summed(phi):
+        a = (np.sin((1.0 - beta) * phi) * np.sin(beta * phi) ** (beta / (1.0 - beta))
+             / np.sin(phi) ** (1.0 / (1.0 - beta)))
+        return float(weights @ (np.exp(-a * t) * -np.expm1(-a * gap)))
+
+    return integrate.quad(summed, 0.0, math.pi, epsabs=0.0, epsrel=5e-14, limit=400)[0] / math.pi
+
+
+class PooledStableSize(StableSizeGumbelSystem):
+    """The stable-size system calibrated on a frozen pool of sampled sizes.
+
+    The pool is drawn by the system's own ``sample_nu``.  The threshold is
+    the asymptotic closed form exp(-(-ln s)^(1/beta) / n), which matches
+    E u^nu = s only as n -> infinity, so the pool shows its bias and noise.
+    """
+
+    calibration_kind = "nu_pool"
+
+    def closed_form_u(self, n, s):
+        return np.exp(-((-np.log(np.asarray(s, dtype=float))) ** (1.0 / self.beta)) / n)
+
 
 def bisect_root(fn, s, steps: int = 60):
     """Per-point x in [0, 1] with fn(x) = s by `steps` plain halvings of [0, 1].

@@ -266,17 +266,25 @@ def test_random_threshold_with_a_far_root_runs(tmp_path, capsys, monkeypatch):
     assert "calibration residual" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("system,n", [
-    ({"kind": "exchangeable_copula", "generator": {"family": "clayton", "alpha": 1.0}}, 10**17),
-    ({"kind": "geometric_threshold", "eps": 1e-20}, 100),
-], ids=["copula_n_1e17", "geometric_eps_1e-20"])
+@pytest.mark.parametrize("system,n,s_grid", [
+    ({"kind": "exchangeable_copula", "generator": {"family": "clayton", "alpha": 1.0}}, 10**17,
+     _BASE["s_grid"]),
+    ({"kind": "geometric_threshold", "eps": 1e-20}, 100, _BASE["s_grid"]),
+    ({"kind": "stable_size_gumbel", "beta": 0.5, "gamma": 0.5}, 10**17, [0.3, 0.6, 0.9]),
+], ids=["copula_n_1e17", "geometric_eps_1e-20", "stable_size_n_1e17"])
 def test_closed_form_threshold_that_rounds_to_one_exits_3(tmp_path, capsys, monkeypatch,
-                                                          system, n):
-    # u_n = 1 in double precision: G(F(u_n)) = 1 or inf, far from every s
-    cfg = _cfg(tmp_path, system=system, n=n, replicates=1000)
-    assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 3
+                                                          system, n, s_grid):
+    # u_n = 1 in double precision: G(F(u_n)) = 1 or inf, far from every s; the
+    # stable size takes its root, each within 2^-54 of 1 at n = 1e17
+    cfg = _cfg(tmp_path, system=system, n=n, s_grid=s_grid, replicates=1000)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 3
     err = capsys.readouterr().err
     assert "calibration residual" in err and "Traceback" not in err
+    # the solver message comes alone, with no numpy warning ahead of it
+    assert "RuntimeWarning" not in err
+    assert [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_def2_refusal_is_located_before_work(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Curve estimation, index extraction, and the Definition-2 fit."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from extlab.estimator import (
 )
 from extlab.sampling import RandomStream
 
-from oracles import bisect_root
+from oracles import PooledStableSize, bisect_root
 from extlab.systems import (
     Calibrator,
     ConfigError,
@@ -80,7 +81,8 @@ def test_process_pool_is_capped_at_the_batch_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(estimator, "ProcessPoolExecutor", FakePool)
+    # estimate_psi imports the executor only when workers > 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     kw = dict(s_grid=[0.3, 0.7], replicates=1280, stream=_stream(2))
     serial = estimate_psi(_clayton(), 50, workers=0, **kw)
     for workers, cap in ((3, 3), (64, 64), (100_000, 64)):
@@ -303,7 +305,7 @@ def test_def2_fit_is_exact_minimax(sys_, n, seed):
 def test_def2_reads_the_calibrator_that_fixed_the_thresholds(monkeypatch):
     # a pooled size law: the fit matches psi_hat against the very pool that
     # calibrated u_n, and draws none of its own
-    sys_ = StableSizeGumbelSystem(0.5, 0.5)
+    sys_ = PooledStableSize(0.5, 0.5)
     est = estimate_psi(sys_, 1000, replicates=6400, stream=_stream(14))
     monkeypatch.setattr(systems, "build_calibration_pool", _no_pool)
     fit = def2_fit(est)

@@ -25,7 +25,7 @@ from extlab.systems import (
     StableSizeGumbelSystem,
 )
 
-from oracles import TwoPointThresholdLimit, bisect_root
+from oracles import PooledStableSize, TwoPointThresholdLimit, bisect_root
 
 
 def _stream(seed):
@@ -62,7 +62,7 @@ def test_closed_form_random_threshold():
 
 
 def test_closed_form_without_size_pgf_reports_pool_noise():
-    sys_ = StableSizeGumbelSystem(beta=0.5, gamma=0.5)
+    sys_ = PooledStableSize(beta=0.5, gamma=0.5)
     with pytest.raises(ConfigError):
         solve_curve(sys_, 1000, [0.5])  # the pooled mean needs a stream
     seeded = solve_curve(sys_, 1000, [0.5], stream=_stream(3), pool_size=50_000)
@@ -147,6 +147,18 @@ def test_pool_required_when_stochastic():
         solve_curve(sys_, 6, [0.5])
 
 
+def test_stable_size_takes_the_deterministic_root():
+    # the size law is summed exactly, and its asymptotic closed-form threshold
+    # exp(-(-ln s)^(1/beta) / n) misses s by more than the residual tolerance
+    sys_ = StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0))
+    curve = solve_curve(sys_, 10_000, _GRID7)
+    assert curve.method == "deterministic_root"
+    assert np.max(np.abs(curve.achieved - _GRID7)) <= 1e-9
+    assert np.all(curve.stderr == 0.0) and np.all(np.diff(curve.u) > 0.0)
+    asymptotic = PooledStableSize(beta=0.5, gamma=math.log(2.0)).closed_form_u(10_000, _GRID7)
+    assert np.max(np.abs(sys_.size_pgf(10_000, asymptotic) - _GRID7)) > 1e-9
+
+
 def test_size_jitter_takes_the_deterministic_root():
     # the jittered size law is summed exactly: no pool, no stream
     sys_ = SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
@@ -168,7 +180,7 @@ def _samplers_branching():
 
 @pytest.mark.parametrize("sys_,n", [
     (_samplers_branching(), 16),
-    (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000),
+    (PooledStableSize(beta=0.5, gamma=math.log(2.0)), 10_000),
 ], ids=["branching_heredity", "stable_size_gumbel"])
 def test_root_matches_bisection_on_pool_pgf(sys_, n):
     fn = Calibrator(sys_, n, stream=_stream(1), pool_size=50_000).pgf
@@ -178,7 +190,8 @@ def test_root_matches_bisection_on_pool_pgf(sys_, n):
 @pytest.mark.parametrize("count", [7, 19])
 def test_root_matches_bisection_on_exact_pgf(count):
     s = np.linspace(0.05, 0.95, count)
-    for sys_, n in ((MixtureSpikeSystem(0.5), 10_000), (GeometricThresholdSystem(eps=0.01), 1000)):
+    for sys_, n in ((MixtureSpikeSystem(0.5), 10_000), (GeometricThresholdSystem(eps=0.01), 1000),
+                    (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000)):
         fn = Calibrator(sys_, n).pgf
         assert np.array_equal(_root(fn, s, _Gumbel), bisect_root(fn, s))
 
@@ -285,6 +298,22 @@ def test_residual_tolerance_enforced():
     for sys_, s in ((_StepSystem(), 0.5), (jitter, 0.5)):
         with pytest.raises(SolverError, match="residual"):
             solve_curve(sys_, 10, [s], stream=_stream(11), pool_size=10_000)
+
+
+def test_stable_size_root_is_carried_as_its_complement():
+    # at beta = 0.2, n = 1e4 the root for s = 0.95 sits 3.5e-11 below 1, where one
+    # double moves G by 3e-8; lam = -ln x carries it, and the residual holds there
+    sys_ = StableSizeGumbelSystem(beta=0.2, gamma=math.log(2.0))
+    curve = solve_curve(sys_, 10_000, [0.5, 0.95])
+    assert curve.method == "deterministic_root"
+    assert np.max(np.abs(curve.achieved - curve.s)) <= 1e-9
+    fn = Calibrator(sys_, 10_000).pgf
+    steps = fn(np.nextafter(curve.u, 2.0)) - fn(np.nextafter(curve.u, -1.0))
+    assert steps[1] > 1e-8  # no threshold in x comes within 1e-9
+    assert np.all(np.abs(fn(curve.u) - curve.s) <= steps)  # u_n is the double nearest the root
+    # a root within 2^-54 of 1 leaves u_n = 1, where G reads 1: at beta = 0.1, n = 1e4
+    with pytest.raises(SolverError, match="residual"):
+        solve_curve(StableSizeGumbelSystem(beta=0.1, gamma=math.log(2.0)), 10_000, [0.95])
 
 
 def test_stable_far_tail_root_closes():

@@ -71,3 +71,35 @@ def test_result_check_diff(tmp_path):
     assert "b.w2.json: changed" in lines
     assert lines[-1] == f"WORKER MISMATCH in {new}: b differs between workers (0, 2)"
     assert proc.returncode == 1
+
+
+_SETUP = """
+import json, sys
+import extlab
+from extlab import cli
+for path in sys.argv[1:]:
+    cfg, raw = cli._load_config(path)
+    cli._validate_config(cfg, path, raw)
+    cli.build_system(cfg["system"]).validate_n(int(cfg["n"]))
+print(json.dumps(sorted(m for m in ("scipy", "concurrent.futures.process") if m in sys.modules)))
+"""
+
+
+def test_setup_path_loads_neither_scipy_nor_the_process_pool(tmp_path):
+    # what a run does before its first draw, in a fresh interpreter: the shipped
+    # configs and the calibration benchmark's systems import neither
+    sys.path.insert(0, str(_ROOT / "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(str(_ROOT / "perfbench"))
+    paths = sorted(str(p) for p in (_ROOT / "scripts" / "configs").glob("*.json"))
+    for exp in WORKLOADS["calibration"].experiments:
+        path = tmp_path / f"{exp.name}.json"
+        path.write_text(json.dumps(exp.config))
+        paths.append(str(path))
+    assert len(paths) == 7
+    proc = subprocess.run([sys.executable, "-c", _SETUP, *paths], capture_output=True,
+                          text=True, env=_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -51,14 +51,17 @@ from extlab.systems import (
     StableSizeGumbelSystem,
     _degree_cdf,
     _jitter_pmf,
+    _stable_size_cdf,
     build_system,
 )
 from oracles import (
+    PooledStableSize,
     sample_branching_full_tree,
     sample_copula_max,
     sample_spike_max,
     sample_threshold_max,
     sample_threshold_pair,
+    stable_size_pgf_direct,
 )
 
 
@@ -394,7 +397,7 @@ def test_stable_size_distribution():
 
 
 def test_stable_size_calibration_hits_target():
-    sys_ = StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0))
+    sys_ = PooledStableSize(beta=0.5, gamma=math.log(2.0))
     n = 10_000
     cal = Calibrator(sys_, n, stream=RandomStream(seed=15, stream_id=0))
     for s in (0.3, 0.6, 0.9):
@@ -412,6 +415,51 @@ def test_stable_sizes_keep_their_value_past_int64(beta):
     nu = sys_.sample_nu(10_000, 200_000, RandomStream(1).generator)
     assert nu.min() >= 1.0 and nu.max() >= 2.0**63
     assert np.array_equal(nu, np.rint(nu))
+
+
+@pytest.mark.parametrize("n", [3, 16, 10_000])
+@pytest.mark.parametrize("beta", [0.1, 0.2, 0.5, 0.7])
+def test_stable_size_pgf_is_the_direct_sum(beta, n):
+    # the Poisson sum (small lam) and the direct head (large lam) against
+    # sum_k y^k P(nu = k) by quadrature; at beta = 0.7, n = 1e4, y = 0.3 G is subnormal
+    sys_ = StableSizeGumbelSystem(beta=beta, gamma=0.5)
+    y = np.array([1e-9, 1e-3, 0.3, 0.9])
+    want = [stable_size_pgf_direct(beta, n, yi) for yi in y]
+    np.testing.assert_allclose(sys_.size_pgf(n, y), want, rtol=1e-13, atol=1e-300)
+    # E x^(r nu) is the law at y = x^r
+    np.testing.assert_allclose(sys_.size_pgf(n, np.sqrt(y), 2.0), want, rtol=1e-13, atol=1e-300)
+
+
+def test_stable_size_pgf_matches_sampled_sizes():
+    # near y -> 1, where the thresholds sit: the law against the mean of 4M sampled sizes
+    for beta, n, y, seed in ((0.5, 10_000, 1.0 - np.array([1e-3, 1e-4, 1e-5]), 16),
+                             (0.2, 16, 1.0 - np.array([1e-2, 1e-3, 1e-5]), 17)):
+        sys_ = StableSizeGumbelSystem(beta=beta, gamma=0.5)
+        rng, total, squares, draws = _rng(seed), 0.0, 0.0, 4_000_000
+        for _ in range(4):  # 1M sizes at a time
+            v = y[:, None] ** sys_.sample_nu(n, draws // 4, rng)
+            total, squares = total + v.sum(axis=1), squares + (v * v).sum(axis=1)
+        mean = total / draws
+        se = np.sqrt((squares / draws - mean**2) / draws)
+        assert np.all(np.abs(mean - sys_.size_pgf(n, y)) < 4.0 * se), (beta, mean, se)
+
+
+def test_stable_size_law_is_built_on_first_use():
+    # building and validating a system draws nothing and builds no table
+    _stable_size_cdf.cache_clear()
+    sys_ = build_system({"kind": "stable_size_gumbel", "beta": 0.5, "gamma": 0.5})
+    sys_.validate_n(1000)
+    assert _stable_size_cdf.cache_info().currsize == 0
+    assert sys_.calibration_kind == "exact" and sys_.closed_form_u(1000, 0.5) is None
+    edges = sys_.size_pgf(1000, np.array([0.0, -1.0, 1.0, 2.0, math.nan]))
+    assert edges[0] == edges[1] == 0.0 and edges[2] == edges[3] == 1.0 and math.isnan(edges[4])
+    assert float(sys_.size_pgf(1000, 0.9, 0.0)) == 1.0
+    assert sys_.size_pgf(1000, 0.5).shape == ()
+    assert sys_.size_pgf(1000, np.full((2, 3), 0.999)).shape == (2, 3)
+    table = _stable_size_cdf(0.5, 1000)
+    assert _stable_size_cdf.cache_info().currsize == 1 and not table.flags.writeable
+    # P(S < 1/(2n)) at beta = 1/2, where S is Levy: erfc(sqrt(n/2))
+    assert table[0] == pytest.approx(math.erfc(math.sqrt(500.0)), rel=1e-13)
 
 
 def test_stable_size_validates_stage():
@@ -837,7 +885,7 @@ def test_calibrator_exact_path():
 
 
 def test_calibrator_pool_determinism():
-    sys_ = StableSizeGumbelSystem(beta=0.5, gamma=0.5)
+    sys_ = PooledStableSize(beta=0.5, gamma=0.5)
     a = Calibrator(sys_, 1000, stream=RandomStream(seed=31, stream_id=0), pool_size=50_000)
     b = Calibrator(sys_, 1000, stream=RandomStream(seed=31, stream_id=0), pool_size=50_000)
     u = np.array([0.995, 0.999])
@@ -878,9 +926,9 @@ def _uncompressed_pool_mean(pool, f, r):
 
 
 @pytest.mark.parametrize("sys_, n, u", [
-    (StableSizeGumbelSystem(beta=0.7, gamma=0.5), 100,
+    (PooledStableSize(beta=0.7, gamma=0.5), 100,
      [-0.5, 0.0, 0.97, 0.99, 0.999, 1.0, 2.0, math.nan]),
-    (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000,
+    (PooledStableSize(beta=0.5, gamma=math.log(2.0)), 10_000,
      [-0.5, 0.0, 0.999, 0.9999, 0.99999, 1.0, 2.0, math.nan]),
     (BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5), 16,
      [-math.inf, 0.0, 2.0, 10.0, 100.0, math.inf, math.nan]),
@@ -900,7 +948,7 @@ def test_calibrator_compressed_pool_matches_uncompressed_sum(sys_, n, u):
 
 
 def _stable_size_calibrator():
-    return Calibrator(StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000,
+    return Calibrator(PooledStableSize(beta=0.5, gamma=math.log(2.0)), 10_000,
                       stream=RandomStream(seed=1, stream_id=0), pool_size=50_000)
 
 
@@ -920,8 +968,9 @@ def test_pooled_pgf_is_bit_identical_on_every_sub_slice():
 _POOLED_VALUES = """
 import math, numpy as np
 from extlab.sampling import RandomStream
-from extlab.systems import Calibrator, StableSizeGumbelSystem
-cal = Calibrator(StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000,
+from extlab.systems import Calibrator
+from oracles import PooledStableSize
+cal = Calibrator(PooledStableSize(beta=0.5, gamma=math.log(2.0)), 10_000,
                  stream=RandomStream(seed=1, stream_id=0), pool_size=50_000)
 x = 1.0 - np.logspace(-7.0, -2.0, 19)
 print(cal.pgf(x).tobytes().hex(), cal.stderr_at(x).tobytes().hex())
@@ -930,10 +979,11 @@ print(cal.pgf(x).tobytes().hex(), cal.stderr_at(x).tobytes().hex())
 
 def test_pooled_pgf_does_not_depend_on_blas_threads():
     src = str(Path(extlab.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)  # the pooled system lives in the oracles
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, here, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", _POOLED_VALUES], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr

@@ -9,8 +9,8 @@ scripts/configs and the 9 benchmark experiments of perfbench/workloads.py,
 each at seed 3 with 1000 replicates, once at workers 0 and once at workers
 2.  It runs against the `src/` of the checkout the script sits in, so a
 copy of the script in another checkout checks that checkout.  It takes
-15-20 s on a 2-CPU machine and is not part of the test suite, which runs
-only `diff`.
+about 11 s on a 2-CPU machine and is not part of the test suite, which
+runs only `diff`.
 
 `diff` prints, for each file, "identical" or every changed field (list
 positions folded, so `rows.u_n` covers the whole grid) with its largest

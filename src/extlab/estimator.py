@@ -8,7 +8,8 @@ Replicates are drawn in a fixed layout of 64 batches, batch j on substream
 (REPLICATE_TAG, j), and reduced in batch order with integer counts, so the
 result is byte-identical no matter how many worker processes execute the
 batches.  A calibration pool lives on its own substream, independent of the
-replicates, and the Definition-2 fit reads the estimate's own calibrator.
+replicates, and the Definition-2 fit reads the estimate's own calibrator at
+the lam_n its curve carries.
 """
 
 from __future__ import annotations
@@ -170,20 +171,20 @@ def isotonic_fit(y) -> np.ndarray:
 
 @dataclass
 class Def2Fit:
-    """Best theta matching psi_hat against E F(u)^(theta nu)."""
+    """Best theta matching psi_hat against E F(u)^(theta nu) = G(theta lam)."""
 
     theta: float
     discrepancy: float
     bounds: tuple[float, float]
     estimate: PsiEstimate
-    x: np.ndarray = field(repr=False)  # F_n(u) on the estimate's grid
 
     def gaps(self, theta: float) -> np.ndarray:
-        """psi_hat - E F(u)^(theta nu) per grid point; nondecreasing in theta."""
-        return self.estimate.psi_hat - self.estimate.curve.calibrator.pgf(self.x, float(theta))
+        """psi_hat - G(theta lam_n) per grid point; nondecreasing in theta."""
+        curve = self.estimate.curve
+        return self.estimate.psi_hat - curve.calibrator.laplace(float(theta) * curve.lam)
 
     def discrepancy_at(self, theta: float) -> float:
-        """The sup-norm gap D(theta) = max_s |psi_hat - E F(u)^(theta nu)|."""
+        """The sup-norm gap D(theta) = max_s |psi_hat - G(theta lam_n)|."""
         return float(np.max(np.abs(self.gaps(theta))))
 
 
@@ -202,22 +203,21 @@ def _refuse_def2(system: SeriesSystem) -> None:
 def def2_fit(estimate: PsiEstimate, theta_bounds: tuple[float, float] = (0.01, 10.0)) -> Def2Fit:
     """Minimize the sup-norm gap D(theta) of the estimate at its stage n.
 
-    The comparand is the calibrator that fixed the thresholds: the system's
-    size pgf, or the same frozen pool of sizes.  E x^(theta nu) falls
-    in theta for every x in [0, 1], so with g = psi_hat - E x^(theta nu) the
-    upper gap A = max g rises, the lower gap B = -min g falls, and
-    D = max(A, B) is least exactly where A = B.  One bracketed root in log
-    theta (`normalizer._root`, on the plain scale) finds the sign change of
-    A - B = max g + min g to the same adjacent doubles as bisection; where
-    A - B keeps one sign over the bounds, D is monotone and the nearer bound
-    is the answer.
+    The comparand is the calibrator that fixed the thresholds, the system's
+    size law or the same frozen pool of sizes, at the curve's own lam_n:
+    E F(u)^(theta nu) = G(theta lam_n).  G(theta lam) falls in theta for
+    every lam >= 0, so with g = psi_hat - G(theta lam_n) the upper gap
+    A = max g rises, the lower gap B = -min g falls, and D = max(A, B) is
+    least exactly where A = B.  One bracketed root in log theta
+    (`normalizer._root`) finds the sign change of A - B = max g + min g to
+    the same adjacent doubles as bisection; where A - B keeps one sign over
+    the bounds, D is monotone and the nearer bound is the answer.
     """
-    cal = estimate.curve.calibrator
-    _refuse_def2(cal.system)
+    _refuse_def2(estimate.curve.calibrator.system)
     lo, hi = float(theta_bounds[0]), float(theta_bounds[1])
     if not (math.isfinite(hi) and 0.0 < lo < hi):
         raise ConfigError(f"need finite 0 < lo < hi in theta bounds, got {theta_bounds}")
-    fit = Def2Fit(math.nan, math.nan, (lo, hi), estimate, cal.marginal(estimate.u))
+    fit = Def2Fit(math.nan, math.nan, (lo, hi), estimate)
 
     def theta_at(t):  # lo at t = 0 and hi at t = 1, exactly
         return lo ** (1.0 - t) * hi ** t

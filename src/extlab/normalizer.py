@@ -1,23 +1,23 @@
 """Threshold calibration: solve E F_n(u)^nu_n = s for the level u_n(s).
 
-The left side is G_n(F_n(u)), with G_n(x) = E x^nu_n the generating
-function of the series size.  A system that gives u_n(s) itself (an exact
-inverse, or an asymptotic tail threshold whose achieved values show its
-bias) takes the closed_form route.  Every other curve is one bracketed root
-of G_n(x) = s over x in [0, 1], which brackets every root, then
-u = F_n^{-1}(x).  The root finder (`_root`) takes ITP-projected secant steps
-on the Gumbel scale, where G_n is close to linear, and stops at the same
-adjacent doubles as 60 bisection steps in a fraction of the evaluations.
-G_n is exact ("deterministic_root") or the mean over a frozen pool of sizes
-compressed into distinct sizes and counts ("stochastic_root"); a frozen pool
-is a fixed function, so the root is reproducible and its stderr measures the
-pool noise.  Both are continuous in x, so every root must close to 1e-9,
-and so must a closed form on an exact G.  Near x = 1 one double can move G
-by more than that (a small-beta stable size), so a law that takes
-lam = -ln x itself (`size_laplace`) is solved for lam, which keeps full
-relative precision, and checked there.  One pool serves the whole s grid
-and the Definition-2 fit (the curve keeps its calibrator): common random
-numbers keep the curve monotone.
+The left side is G_n(lam) = E e^(-lam nu_n), the Laplace transform of the
+series size, at lam = -ln F_n(u).  A system that gives u_n(s) itself (an
+exact inverse, or an asymptotic tail threshold whose achieved values show
+its bias) takes the closed_form route.  Every other curve is one bracketed
+root of G_n(lam) = s in lam (`_complement_root`), which keeps full relative
+precision where e^-lam is within a few doubles of 1, then
+u = F_n^{-1}(e^-lam).  The root finder (`_root`) takes ITP-projected secant
+steps and stops at the same adjacent doubles as 60 bisection steps in a
+fraction of the evaluations.  G_n is exact ("deterministic_root") or the
+mean over a frozen pool of sizes compressed into distinct sizes and counts
+("stochastic_root"); a frozen pool is a fixed function, so the root is
+reproducible and its stderr measures the pool noise.  Both are continuous,
+so every root must close to 1e-9, and so must a closed form on an exact G.
+The curve carries the lam at which that residual is read: on the uniform
+marginal the threshold is e^-lam itself, and on any other it is
+-ln F_n(u_n) at the double u_n.  One pool serves the whole s grid and the
+Definition-2 fit (the curve keeps its calibrator): common random numbers
+keep the curve monotone.
 """
 
 from __future__ import annotations
@@ -42,16 +42,18 @@ class NormalizingCurve:
     n: int
     s: np.ndarray
     u: np.ndarray
+    lam: np.ndarray       # where G_n read `achieved`: achieved = calibrator.laplace(lam)
     achieved: np.ndarray
     stderr: np.ndarray
     method: str
-    calibrator: Calibrator = field(repr=False)  # E F_n(u)^(r nu_n), pool and all
+    calibrator: Calibrator = field(repr=False)  # G_n and F_n, pool and all
 
 
 _ROOT_STEPS = 60          # bisection's 60 halvings of [0, 1]; a root closes in at most 61 steps
 _TRUNCATION = 0.2         # ITP's kappa1 on [0, 1]: a secant moves 0.2 w^2 toward the midpoint
 _RESIDUAL_TOL = 1e-9
 _LAM_BITS = (10.0, 70.0)  # the complement root's lam = 2^(10 - 70 t) over t in [0, 1]
+_G_LO, _G_HI = np.finfo(float).tiny, 1.0 - 2.0**-53  # the complement root's clip on G
 
 
 def _check_grid(s_grid) -> np.ndarray:
@@ -61,42 +63,6 @@ def _check_grid(s_grid) -> np.ndarray:
     if np.any((s <= 0.0) | (s >= 1.0)):
         raise SolverError(f"s values must lie strictly inside (0, 1), got {s}")
     return s
-
-
-class _Plain:
-    """Secants on x and fn(x) themselves."""
-
-    @staticmethod
-    def gap(u, v):
-        return v - u
-
-    @staticmethod
-    def move(x, d):
-        return x + d
-
-
-class _Gumbel:
-    """Secants on ln(-ln x) and ln(-ln G), where G(x) = E x^nu is close to linear.
-
-    -ln G(x) ~ E nu (-ln x) as x -> 1.  Values are clipped to [tiny, 1 - 2^-53],
-    so an underflowed G reads as the least normal double and a secant from it
-    falls short of the root instead of jumping to an end.  Near points differ
-    through log1p, so a secant still resolves adjacent doubles.
-    """
-
-    _LO, _HI = np.finfo(float).tiny, 1.0 - 2.0**-53
-
-    @classmethod
-    def gap(cls, u, v):  # ln(-ln v) - ln(-ln u)
-        u, v = np.clip(u, cls._LO, cls._HI), np.clip(v, cls._LO, cls._HI)
-        far = np.log(-np.log(v)) - np.log(-np.log(u))
-        near = np.log1p(np.log1p((v - u) / u) / np.log(u))
-        return np.where(np.abs(far) < 1.0, near, far)
-
-    @classmethod
-    def move(cls, x, d):  # the point d past x on this scale
-        x = np.clip(x, cls._LO, cls._HI)
-        return x * np.exp(np.log(x) * np.expm1(d))
 
 
 def _sum_rounded(x, y, up: bool):
@@ -109,7 +75,7 @@ def _sum_rounded(x, y, up: bool):
     return np.where(err < 0.0, np.nextafter(s, -np.inf), s)
 
 
-def _root(fn, s, scale=_Plain):
+def _root(fn, s):
     """Per-point x in [0, 1] with fn(x) = s, for fn nondecreasing on [0, 1].
 
     The bracket keeps fn(lo) <= s < fn(hi), NaN counting as above, and takes
@@ -120,10 +86,10 @@ def _root(fn, s, scale=_Plain):
     2^-60 of it.
 
     Each step is an ITP step (Oliveira & Takahashi 2021, ACM TOMS 47(1)):
-    the secant through the last two points on `scale`, moved toward the
-    midpoint by 0.2 w^2 (w the bracket width), then projected into the window
-    that leaves the bracket at most 2^-j wide after step j.  So no point
-    takes more than 61 steps, and on a smooth fn the secant converges
+    the secant through the last two points, moved toward the midpoint by
+    0.2 w^2 (w the bracket width), then projected into the window that
+    leaves the bracket at most 2^-j wide after step j.  So no point takes
+    more than 61 steps, and on a smooth fn the secant converges
     superlinearly.  fn(0) and fn(1) start the secant; after that fn sees
     only the points whose bracket is still open.
     """
@@ -141,7 +107,7 @@ def _root(fn, s, scale=_Plain):
             return out
         mid, trunc = 0.5 * (lo + hi), _TRUNCATION * (hi - lo) ** 2
         with np.errstate(all="ignore"):
-            x = scale.move(x1, scale.gap(y1, s) * scale.gap(x0, x1) / scale.gap(y0, y1))
+            x = x1 + (s - y1) * (x1 - x0) / (y1 - y0)
             x += np.clip(mid - x, -trunc, trunc)
         x = np.where(np.isfinite(x), x, mid)
         w = 2.0**-j  # the largest bracket this step may leave
@@ -162,8 +128,9 @@ def _complement_root(laplace, s):
     underflows to 0 at t = 0 and rounds to 1 from t = 1 - 6/70 on, where the
     residual refuses the threshold 1, so the bracket need not reach lam = 0.
     One double of t moves lam by a relative 5.4e-15 at most.  The secants read
-    -ln(-ln G), linear in t where -ln G is a power of lam, with G clipped as
-    on the Gumbel scale.
+    -ln(-ln G), linear in t where -ln G is a power of lam, with G clipped to
+    [_G_LO, _G_HI]: a secant from an underflowed G falls short of the root
+    instead of jumping to an end.
     """
     top, span = _LAM_BITS
 
@@ -171,9 +138,16 @@ def _complement_root(laplace, s):
         return np.exp2(top - span * t)
 
     def fn(t):
-        return -np.log(-np.log(np.clip(laplace(lam(t)), _Gumbel._LO, _Gumbel._HI)))
+        return -np.log(-np.log(np.clip(laplace(lam(t)), _G_LO, _G_HI)))
 
     return lam(_root(fn, -np.log(-np.log(s))))
+
+
+def _uniform_marginal(system: SeriesSystem) -> bool:
+    """Whether the system keeps the uniform marginal of SeriesSystem, so u_n = e^-lam."""
+    cls = type(system)
+    return (cls.marginal_cdf is SeriesSystem.marginal_cdf
+            and cls.marginal_quantile is SeriesSystem.marginal_quantile)
 
 
 def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
@@ -181,21 +155,18 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
     """Calibrate thresholds for a whole s grid at stage n; pools draw from the stream."""
     s = _check_grid(s_grid)
     cal = Calibrator(system, n, stream=stream, pool_size=pool_size)
-    closed = system.closed_form_u(n, s)
-    laplace = getattr(system, "size_laplace", None) if cal.exact else None
-    if closed is None and laplace is not None:  # G_n(e^-lam) = s, carried as lam
-        lam = _complement_root(lambda v: laplace(n, v), s)
-        x = np.exp(-lam)
-        u = np.asarray(system.marginal_quantile(n, x), dtype=float)
-        # a threshold that rounds to 1 counts every replicate: G reads 1 there
-        achieved, method = laplace(n, np.where(x < 1.0, lam, 0.0)), "deterministic_root"
-    elif closed is None:  # G_n(x) = s, bracketed by [0, 1]
-        u = np.asarray(system.marginal_quantile(n, _root(cal.pgf, s, _Gumbel)), dtype=float)
-        achieved, method = cal.value(u), "deterministic_root" if cal.exact else "stochastic_root"
-    else:
-        u, method = np.asarray(closed, dtype=float), "closed_form"
-        achieved = cal.value(u)
+    u, method = system.closed_form_u(n, s), "closed_form"
+    if u is None:  # G_n(lam) = s, then u = F_n^{-1}(e^-lam)
+        lam = _complement_root(cal.laplace, s)
+        u = system.marginal_quantile(n, np.exp(-lam))
+        method = "deterministic_root" if cal.exact else "stochastic_root"
+    u = np.asarray(u, dtype=float)
+    if method == "closed_form" or not _uniform_marginal(system):  # G read at the double u_n
+        lam, achieved = cal.lam_at(u), cal.value(u)
+    else:  # u_n = e^-lam; a threshold that rounds to 1 counts every replicate: G reads 1 there
+        lam = np.where(u < 1.0, lam, 0.0)
+        achieved = cal.laplace(lam)
     resid = float(np.max(np.abs(achieved - s)))  # a pooled closed form shows its pool's noise
-    if (closed is None or cal.exact) and not resid <= _RESIDUAL_TOL:  # NaN fails too
+    if (method != "closed_form" or cal.exact) and not resid <= _RESIDUAL_TOL:  # NaN fails too
         raise SolverError(f"calibration residual {resid:.3g} exceeds tolerance {_RESIDUAL_TOL:.3g}")
-    return NormalizingCurve(n, s, u, achieved, cal.stderr_at(u), method, cal)
+    return NormalizingCurve(n, s, u, lam, achieved, cal.stderr_at(u), method, cal)

@@ -194,7 +194,7 @@ class RandomThresholdLimit(ReferenceModel):
 
     With a finite ``cap`` every mean is taken given zeta < cap.  The random
     threshold system at stage n is this model at cap = n: its threshold is
-    u_n(s) = n / (n + f_n^{-1}(s)), its size pgf G_n(x) = f_n(n(1 - x)/x) and
+    u_n(s) = n / (n + f_n^{-1}(s)), its size law G_n(lam) = f_n(n expm1(lam)) and
     its maximum law P(M_n <= u) = g_n(n(1 - u)) / m_n with m_n = E[zeta |
     zeta < n], so its curve is g_n(t u_n) / m_n at t = f_n^{-1}(s).
 

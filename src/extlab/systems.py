@@ -3,10 +3,12 @@
 A system describes one triangular-array model: at stage n a series holds
 nu_n terms (possibly random) with common marginal d.f. F_n, and M_n is the
 maximum over the terms.  Each system knows how to draw M_n exactly, and
-exposes the calibration functional E F_n(u)^(r nu_n) = G_n(F_n(u)^r)
-(``Calibrator``), its size pgf G_n and marginal F_n each exact or pooled.
-r = 1 is the threshold-calibration case; general r > 0 is the comparand
-used when matching against maxima of a theta-fraction of independent terms.
+exposes its size law as the Laplace transform G_n(lam) = E e^(-lam nu_n)
+(``size_laplace``) and its marginal F_n.  Both indices read one functional,
+E F_n(u)^(theta nu_n) = G_n(theta lam) at lam = -ln F_n(u) (``Calibrator``,
+with G_n and F_n each exact or pooled): theta = 1 calibrates the thresholds,
+and general theta > 0 is the comparand used when matching against maxima of
+a theta-fraction of independent terms.
 
 Systems are immutable, picklable descriptions; all randomness flows through
 the generator handed to the sampling methods, so replicate batches can be
@@ -178,14 +180,14 @@ class SeriesSystem:
     name = "series"
     kind: str | None = None     # config kind of a registered system
     fields: dict = {}           # config field -> parser, named as in __init__
-    calibration_kind = "exact"  # size_pgf; or "nu_pool" / "marginal_pool": a pool's draws
+    calibration_kind = "exact"  # size_laplace; or "nu_pool" / "marginal_pool": a pool's draws
 
     def validate_n(self, n: int) -> None:
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ConfigError(f"{self.name}: stage n must be an integer >= 2, got {n!r}")
 
     def sample_batch(self, n: int, count: int, rng) -> np.ndarray:
-        """count exact draws of M_n, a float64 array; the size enters through size_pgf."""
+        """count exact draws of M_n, a float64 array; the size enters through size_laplace."""
         raise NotImplementedError
 
     def marginal_cdf(self, n: int, x):
@@ -196,11 +198,11 @@ class SeriesSystem:
         """Inverse of marginal_cdf on [0, 1]; the identity for the uniform marginal."""
         return np.asarray(p, dtype=float)
 
-    def size_pgf(self, n: int, x, r: float = 1.0):
-        """G_n(x^r) = E x^(r nu_n); a deterministic size n unless overridden."""
+    def size_laplace(self, n: int, lam):
+        """G_n(lam) = E e^(-lam nu_n) for lam in [0, inf]; a deterministic size n unless overridden."""
         if self.calibration_kind == "nu_pool":
             raise NotImplementedError(f"{self.name}: the size law is known only through draws")
-        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** (r * n)
+        return np.exp(-n * np.asarray(lam, dtype=float))
 
     def exact_max_cdf(self, n: int, u):
         raise NotImplementedError
@@ -390,11 +392,12 @@ class GeometricThresholdSystem(SeriesSystem):
         eps = self.eps_at(n)
         return 1.0 - eps + eps * rng.random(count)
 
-    def size_pgf(self, n, x, r=1.0):
+    def size_laplace(self, n, lam):
+        # E e^(-lam nu) = eps e^-lam / (1 - (1 - eps) e^-lam), with no 1 - eps to round away;
+        # past lam = 709 expm1 overflows to inf, where G is 0
         eps = self.eps_at(n)
-        t = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** r
-        with np.errstate(divide="ignore"):  # for eps below 2^-54, 1 - eps rounds to 1: G(1) = inf
-            return eps * t / (1.0 - (1.0 - eps) * t)
+        with np.errstate(over="ignore"):
+            return eps / (np.expm1(np.asarray(lam, dtype=float)) + eps)
 
     def exact_max_cdf(self, n, u):
         eps = self.eps_at(n)
@@ -456,12 +459,12 @@ class RandomThresholdSystem(SeriesSystem):
     def _capped(self, n):
         return RandomThresholdLimit(self.zeta, cap=n)
 
-    def size_pgf(self, n, x, r=1.0):
-        # E[(zeta/n) t / (1 - (1 - zeta/n) t) | zeta < n] = f_n(n (1 - t) / t), t = x^r
-        t = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) ** r
-        with np.errstate(divide="ignore"):
-            c = n * (1.0 - t) / t
-        return np.vectorize(self._capped(n).f, otypes=[float])(c)
+    def size_laplace(self, n, lam):
+        # E[(zeta/n) t / (1 - (1 - zeta/n) t) | zeta < n] = f_n(n (1 - t) / t), t = e^-lam;
+        # f_n(inf) = 0 where expm1 overflows, and a NaN lam passes through f_n as NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = n * np.expm1(np.asarray(lam, dtype=float))
+            return np.vectorize(self._capped(n).f, otypes=[float])(c)
 
     def exact_max_cdf(self, n, u):
         # size-biased mixture: E[zeta * clip((u-x)/(1-x))] / E[zeta] with
@@ -514,43 +517,39 @@ class StableSizeGumbelSystem(SeriesSystem):
         nu = self.sample_nu(n, count, rng)
         return rng.random(count) ** (nu ** (-1.0 / default_tilt_power(n, self.gamma)))
 
-    def size_pgf(self, n, x, r=1.0):
-        """E y^nu at y = x^r, exact: Poisson summation of the rounding of T = n S.
+    def size_laplace(self, n, lam):
+        """E e^(-lam nu), exact: Poisson summation of the rounding of T = n S.
 
-        With lam = -ln y, e^(-lam rint T) = e^(-lam T) g(T) for the 1-periodic
+        e^(-lam rint T) = e^(-lam T) g(T) for the 1-periodic
         g(t) = e^(lam (t - rint t)), whose Fourier coefficients are
         c_m = (-1)^m 2 sinh(lam/2) / (lam - 2 pi i m).  The Laplace transform
-        of S holds on Re z >= 0, so E y^rint(T) = sum_m c_m L(n (lam - 2 pi i m)).
+        of S holds on Re z >= 0, so E e^(-lam rint T) = sum_m c_m L(n (lam - 2 pi i m)).
         The m and -m terms pair into a real alternating series, summed by
         Cohen, Rodriguez Villegas & Zagier's acceleration.  The clamp nu >= 1
-        adds (y - 1) P(T < 1/2).  Past lam of a few units the modes cancel
-        far below their size, and the acceleration loses digits where their
-        phase turns fast.  There the direct sum (1 - y) sum_k y^k P(nu <= k)
-        takes over, over k <= K = 16 with P(nu <= K) for the rest, wherever
-        its error bound y^(K+1) (1 - P(nu <= K)) is below 2^-53 of it.
-        x >= 1 gives 1 and x <= 0 gives 0.
-        """
-        x = np.asarray(x, dtype=float)
-        out = np.clip(x, 0.0, 1.0).ravel()
-        inner = (out > 0.0) & (out < 1.0)
-        out[inner] = self.size_laplace(n, -r * np.log(out[inner]))
-        return out.reshape(x.shape)
-
-    def size_laplace(self, n, lam):
-        """E e^(-lam nu) for lam >= 0, the sum of size_pgf at y = e^(-lam).
-
-        Taking lam itself keeps full relative precision where y is within a
-        few doubles of 1, so a threshold there can be carried as lam.
+        adds (y - 1) P(T < 1/2), y = e^-lam.  Past lam of a few units the
+        modes cancel far below their size, and the acceleration loses digits
+        where their phase turns fast.  There the direct sum
+        (1 - y) sum_k y^k P(nu <= k) takes over, over k <= K = 16 with
+        P(nu <= K) for the rest, wherever its error bound
+        y^(K+1) (1 - P(nu <= K)) is below 2^-53 of it.  lam = 0 gives 1 and
+        lam = inf gives 0.
         """
         lam = np.asarray(lam, dtype=float)
+        out = np.exp(-lam, out=np.empty(lam.shape))  # the ends, and NaN
+        inner = (lam > 0.0) & (lam < np.inf)
+        if np.any(inner):
+            out[inner] = self._summed_law(n, lam[inner])
+        return out
+
+    def _summed_law(self, n, lam):
+        """size_laplace at 0 < lam < inf, a 1-d array."""
         cdf = _stable_size_cdf(self.beta, n)  # P(T <= k + 1/2), k = 0 .. cells
         y = np.exp(-lam)
         m = np.arange(1, _STABLE_PAIRS + 1)
         z = lam[:, None] - 2j * np.pi * m
         with np.errstate(invalid="ignore", over="ignore"):
             sh = 2.0 * np.sinh(0.5 * lam)
-            head = np.divide(sh, lam, out=np.ones_like(lam), where=lam > 0.0)
-            head *= self._stable.laplace(n * lam)
+            head = sh / lam * self._stable.laplace(n * lam)
             modes = 2.0 * (sh[:, None] / z * self._stable.laplace(n * z)).real
             modes *= _alternating_weights()
             poisson = head + modes.sum(axis=1) + (y - 1.0) * cdf[0]
@@ -883,8 +882,8 @@ class MonotoneTransformSystem(_WrappedSystem):
     def marginal_quantile(self, n, p):
         return self._apply(self.base.marginal_quantile(n, p))
 
-    def size_pgf(self, n, x, r=1.0):
-        return self.base.size_pgf(n, x, r)
+    def size_laplace(self, n, lam):
+        return self.base.size_laplace(n, lam)
 
     def exact_max_cdf(self, n, u):
         return self.base.exact_max_cdf(n, self._invert(u))
@@ -927,9 +926,9 @@ class SizeJitterSystem(_WrappedSystem):
         if n > _JITTER_MAX_N:
             raise ConfigError(f"{self.name}: n = {n} exceeds the jitter bound {_JITTER_MAX_N:.0e}")
 
-    def size_pgf(self, n, x, r=1.0):
-        x = np.asarray(x, dtype=float)
-        return _weighted_pgf(*_jitter_pmf(n), x.ravel(), r).reshape(x.shape)
+    def size_laplace(self, n, lam):
+        lam = np.asarray(lam, dtype=float)
+        return _weighted_laplace(*_jitter_pmf(n), lam.ravel()).reshape(lam.shape)
 
 
 _STABLE_PAIRS = 32  # accelerated mode pairs of the stable size law's Poisson sum
@@ -1007,35 +1006,33 @@ def build_calibration_pool(system: SeriesSystem, n: int, stream, size: int = POO
     return getattr(system, draw)(n, size, stream.generator)
 
 
-def _size_terms(x, r, nu):
-    # x^(r nu), (points) x (sizes): x >= 1 gives 1, x <= 0 gives 0, nu = 0 gives 1.
-    # Points-major, so each point's pairwise sum along its own row depends on that
-    # row alone, not on the other points of the call or on BLAS threads.
-    f = np.atleast_1d(np.asarray(x, dtype=float))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = np.multiply.outer(np.where(f >= 1.0, 0.0, np.log(f)), r * nu)
-    np.exp(y, out=y)
-    y[f <= 0.0] = 0.0
-    y[:, nu == 0] = 1.0
-    return y
+def _size_terms(lam, nu):
+    # e^(-lam nu), (points) x (sizes), exponentiated in place; every size is at least 1,
+    # so lam = 0 gives 1 and lam = inf gives 0.  Points-major, so each point's pairwise
+    # sum along its own row depends on that row alone, not on the other points of the
+    # call or on BLAS threads.
+    y = np.multiply.outer(-np.atleast_1d(np.asarray(lam, dtype=float)), nu)
+    return np.exp(y, out=y)
 
 
-def _weighted_pgf(nu, weights, x, r):
-    """sum_k w_k x^(r nu_k) / sum_k w_k per point: x >= 1 gives the weights' own sum, so 1."""
-    y = _size_terms(x, r, nu)
+def _weighted_laplace(nu, weights, lam):
+    """sum_k w_k e^(-lam nu_k) / sum_k w_k per point: lam = 0 gives the weights' own sum, so 1."""
+    y = _size_terms(lam, nu)
     y *= weights
     return y.sum(axis=1) / weights.sum()
 
 
 class Calibrator:
-    """E F_n(u)^(r nu_n) at one stage n, as the composition pgf(F(u), r).
+    """G_n(lam) = E e^(-lam nu_n) at one stage n, read at a threshold u as E F_n(u)^nu_n.
 
-    F is the system's marginal d.f., or for "marginal_pool" systems the edf
-    of a frozen pool of marginal draws.  pgf(x, r) = E x^(r nu_n) is the
-    system's size_pgf, or for "nu_pool" systems the mean over a frozen pool
-    of sizes, compressed once into distinct sizes `nu` and their `counts`.
-    Pools are built once and reused for every threshold, power and root
-    step, so a Monte Carlo functional is still a fixed function.
+    G_n is the system's size_laplace, or for "nu_pool" systems the mean over
+    a frozen pool of sizes, compressed once into distinct sizes `nu` and
+    their `counts`.  A threshold u enters at lam = -ln F_n(u), F_n the
+    system's marginal d.f., or for "marginal_pool" systems the edf of a
+    frozen, sorted pool of marginal draws.  E F_n(u)^(theta nu_n) is
+    G_n(theta lam).  Pools are built once and reused for every threshold,
+    theta and root step, so a Monte Carlo functional is still a fixed
+    function.
     """
 
     def __init__(self, system: SeriesSystem, n: int, stream=None, pool_size: int = POOL_SIZE):
@@ -1044,51 +1041,56 @@ class Calibrator:
         self.n = n
         self.kind = system.calibration_kind
         self.exact = self.kind == "exact"
-        self.pool = None
+        self.size = 0  # draws in the pool
         if self.exact:
             return
         if stream is None:
             raise ConfigError(f"{system.name}: calibration needs a stream")
-        pool = np.asarray(build_calibration_pool(system, n, stream, pool_size))
-        self.pool = np.sort(pool.astype(float)) if self.kind == "marginal_pool" else pool
-        if self.kind == "nu_pool":  # integral counts: a constant column averages to itself
-            self.nu, self.counts = np.unique(pool.astype(float), return_counts=True)
+        pool = np.asarray(build_calibration_pool(system, n, stream, pool_size)).astype(float)
+        self.size = pool.size
+        if self.kind == "marginal_pool":
+            self.pool = np.sort(pool)
+        else:  # integral counts: a constant column averages to itself
+            self.nu, self.counts = np.unique(pool, return_counts=True)
 
     def marginal(self, u):
         """F_n(u): the system's marginal d.f., or the sorted pool's edf."""
         if self.kind == "marginal_pool":
-            return np.searchsorted(self.pool, np.asarray(u), side="right") / self.pool.size
+            return np.searchsorted(self.pool, np.asarray(u), side="right") / self.size
         return self.system.marginal_cdf(self.n, u)
 
-    def pgf(self, x, r: float = 1.0):
-        """E x^(r nu_n) on the marginal scale x in [0, 1]."""
-        if r < 0:
-            raise ConfigError(f"power r must be non-negative, got {r}")
+    def lam_at(self, u):
+        """lam = -ln F_n(u), where G_n reads the threshold u: inf where F_n(u) = 0."""
+        with np.errstate(divide="ignore"):
+            return -np.log(self.marginal(u))
+
+    def laplace(self, lam):
+        """G_n(lam) = E e^(-lam nu_n) for lam in [0, inf]."""
         if self.kind == "nu_pool":
-            return _weighted_pgf(self.nu, self.counts, x, r)
-        return np.asarray(self.system.size_pgf(self.n, x, r), dtype=float)
+            return _weighted_laplace(self.nu, self.counts, lam)
+        return np.asarray(self.system.size_laplace(self.n, lam), dtype=float)
 
-    def value(self, u, r: float = 1.0):
-        return self.pgf(self.marginal(u), r)
+    def value(self, u):
+        """E F_n(u)^nu_n = G_n(-ln F_n(u))."""
+        return self.laplace(self.lam_at(u))
 
-    def stderr_at(self, u, r: float = 1.0):
+    def stderr_at(self, u):
+        """The pool's standard error of value(u); 0 for an exact law."""
         u = np.asarray(u, dtype=float)
         if self.exact:
             return np.zeros_like(u)
-        size = self.pool.size
-        p = self.marginal(u)
         if self.kind == "marginal_pool":
-            se_p = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / size)
-            rn = r * self.n
+            p = self.marginal(u)
+            se_p = np.sqrt(np.maximum(p * (1.0 - p), 0.0) / self.size)
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = rn * p ** (rn - 1.0) * se_p
+                out = self.n * p ** (self.n - 1.0) * se_p
             return np.where(p > 0.0, out, 0.0)
-        y = _size_terms(p, r, self.nu)
+        y = _size_terms(self.lam_at(u), self.nu)
         for row in y:  # one row at a time, so no second (points x distinct nu) array
-            row -= (row * self.counts).sum() / size
+            row -= (row * self.counts).sum() / self.size
         y *= y  # the pool's std(ddof=1) / sqrt(size), in place
         y *= self.counts
-        return np.sqrt(y.sum(axis=1) / (size * (size - 1.0)))
+        return np.sqrt(y.sum(axis=1) / (self.size * (self.size - 1.0)))
 
 
 # ---------------------------------------------------------------------------

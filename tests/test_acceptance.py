@@ -252,7 +252,7 @@ def test_branching_matching_index(branching_run):
     est, cal = branching_run
 
     def dis(theta):
-        return float(np.max(np.abs(est.psi_hat - cal.value(est.u, theta))))
+        return float(np.max(np.abs(est.psi_hat - cal.laplace(theta * cal.lam_at(est.u)))))
 
     at_ref = dis(2.0 / 3.0)
     assert at_ref <= 0.03, at_ref

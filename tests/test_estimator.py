@@ -276,7 +276,7 @@ def test_def2_fit_is_exact_minimax(sys_, n, seed):
     est = estimate_psi(sys_, n, replicates=6400, stream=_stream(seed))
 
     def one_sided_gaps(fit):
-        g = est.psi_hat - est.curve.calibrator.value(est.u, fit.theta)
+        g = est.psi_hat - est.curve.calibrator.laplace(fit.theta * est.curve.lam)
         return np.max(g), np.max(-g)
 
     def bisected_theta(fit):  # 60 halvings of A - B in log theta
@@ -321,9 +321,9 @@ def test_def2_fit_pgf_calls(monkeypatch):
     est = estimate_psi(sys_, 10_000, s_grid=np.linspace(0.05, 0.95, 7),
                        replicates=50_000, stream=stream)
     calls = []
-    pgf = Calibrator.pgf
-    monkeypatch.setattr(Calibrator, "pgf",
-                        lambda self, x, r=1.0: calls.append(r) or pgf(self, x, r))
+    laplace = Calibrator.laplace
+    monkeypatch.setattr(Calibrator, "laplace",
+                        lambda self, lam: calls.append(lam) or laplace(self, lam))
     def2_fit(est)
     assert len(calls) <= 24
 

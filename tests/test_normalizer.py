@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning
 
+from extlab import normalizer
 from extlab.copulas import ClaytonGenerator
-from extlab.normalizer import NormalizingCurve, SolverError, _Gumbel, _Plain, _root, solve_curve
+from extlab.estimator import DEFAULT_GRID
+from extlab.normalizer import NormalizingCurve, SolverError, _complement_root, _root, solve_curve
 from extlab.sampling import Gamma, RandomStream, TwoPoint
 from extlab.systems import (
     BranchingHereditySystem,
@@ -156,7 +158,7 @@ def test_stable_size_takes_the_deterministic_root():
     assert np.max(np.abs(curve.achieved - _GRID7)) <= 1e-9
     assert np.all(curve.stderr == 0.0) and np.all(np.diff(curve.u) > 0.0)
     asymptotic = PooledStableSize(beta=0.5, gamma=math.log(2.0)).closed_form_u(10_000, _GRID7)
-    assert np.max(np.abs(sys_.size_pgf(10_000, asymptotic) - _GRID7)) > 1e-9
+    assert np.max(np.abs(sys_.size_laplace(10_000, -np.log(asymptotic)) - _GRID7)) > 1e-9
 
 
 def test_size_jitter_takes_the_deterministic_root():
@@ -174,6 +176,13 @@ def test_size_jitter_takes_the_deterministic_root():
 _GRID7 = np.linspace(0.05, 0.95, 7)
 
 
+def _bisected_complement_root(monkeypatch, laplace, s):
+    """_complement_root with its bracketed root replaced by 60 plain halvings."""
+    with monkeypatch.context() as m:
+        m.setattr(normalizer, "_root", bisect_root)
+        return _complement_root(laplace, s)
+
+
 def _samplers_branching():
     return BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
 
@@ -182,24 +191,26 @@ def _samplers_branching():
     (_samplers_branching(), 16),
     (PooledStableSize(beta=0.5, gamma=math.log(2.0)), 10_000),
 ], ids=["branching_heredity", "stable_size_gumbel"])
-def test_root_matches_bisection_on_pool_pgf(sys_, n):
-    fn = Calibrator(sys_, n, stream=_stream(1), pool_size=50_000).pgf
-    assert np.array_equal(_root(fn, _GRID7, _Gumbel), bisect_root(fn, _GRID7))
+def test_root_matches_bisection_on_pool_pgf(sys_, n, monkeypatch):
+    fn = Calibrator(sys_, n, stream=_stream(1), pool_size=50_000).laplace
+    want = _bisected_complement_root(monkeypatch, fn, _GRID7)
+    assert np.array_equal(_complement_root(fn, _GRID7), want)
 
 
 @pytest.mark.parametrize("count", [7, 19])
-def test_root_matches_bisection_on_exact_pgf(count):
+def test_root_matches_bisection_on_exact_pgf(count, monkeypatch):
     s = np.linspace(0.05, 0.95, count)
     for sys_, n in ((MixtureSpikeSystem(0.5), 10_000), (GeometricThresholdSystem(eps=0.01), 1000),
                     (StableSizeGumbelSystem(beta=0.5, gamma=math.log(2.0)), 10_000)):
-        fn = Calibrator(sys_, n).pgf
-        assert np.array_equal(_root(fn, s, _Gumbel), bisect_root(fn, s))
+        fn = Calibrator(sys_, n).laplace
+        want = _bisected_complement_root(monkeypatch, fn, s)
+        assert np.array_equal(_complement_root(fn, s), want)
 
 
 def test_small_root_within_two_pow_minus_60():
-    # below 2^-8 the bracket may stop at width 2^-60 on other doubles
-    fn = Calibrator(SizeJitterSystem(DuplicatedIidSystem(2)), 4, stream=_stream(1)).pgf
-    got, want = _root(fn, np.array([1e-6]), _Gumbel), bisect_root(fn, np.array([1e-6]))
+    # below 2^-8 the bracket may stop at width 2^-60 on other doubles; G on the x scale
+    fn = Calibrator(SizeJitterSystem(DuplicatedIidSystem(2)), 4, stream=_stream(1)).value
+    got, want = _root(fn, np.array([1e-6])), bisect_root(fn, np.array([1e-6]))
     assert want[0] < 2.0**-8
     assert abs(got[0] - want[0]) <= 2.0**-60
 
@@ -219,9 +230,8 @@ def _adversarial(kind, p):
     }[kind]
 
 
-@pytest.mark.parametrize("scale", [_Plain, _Gumbel], ids=["plain", "gumbel"])
 @pytest.mark.parametrize("kind", ["step", "plateau", "jump", "nan_above"])
-def test_root_on_adversarial_fns(kind, scale):
+def test_root_on_adversarial_fns(kind):
     s = np.array([1e-300, 1e-6, 0.1, 0.5, 0.7, 1.0 - 1e-12])
     for p in _BREAKS:
         fn = _adversarial(kind, p)
@@ -231,7 +241,7 @@ def test_root_on_adversarial_fns(kind, scale):
             calls.append(x.size)
             return fn(x)
 
-        got, want = _root(counted, s, scale), bisect_root(fn, s)
+        got, want = _root(counted, s), bisect_root(fn, s)
         assert np.all(np.abs(got - want) <= 2.0**-60), (p, got, want)
         assert np.array_equal(got[want >= 2.0**-8], want[want >= 2.0**-8])
         # every point sees at most the two end values and 61 steps
@@ -241,9 +251,9 @@ def test_root_on_adversarial_fns(kind, scale):
 def test_solve_curve_pgf_points(monkeypatch):
     # the samplers benchmark's branching pool; 60 halvings took 7 x 60 points
     points = []
-    pgf = Calibrator.pgf
-    monkeypatch.setattr(Calibrator, "pgf",
-                        lambda self, x, r=1.0: points.append(np.size(x)) or pgf(self, x, r))
+    laplace = Calibrator.laplace
+    monkeypatch.setattr(Calibrator, "laplace",
+                        lambda self, lam: points.append(np.size(lam)) or laplace(self, lam))
     curve = solve_curve(_samplers_branching(), 16, _GRID7, stream=_stream(1))
     assert curve.method == "stochastic_root"
     assert sum(points) <= 210
@@ -253,15 +263,15 @@ def test_solve_curve_pgf_points(monkeypatch):
 # failure modes
 
 class _FlatSystem(SeriesSystem):
-    """G pinned at a constant: no x in [0, 1] reaches s."""
+    """G pinned at a constant: no lam in [0, inf] reaches s."""
 
     name = "flat"
 
     def __init__(self, level):
         self.level = level
 
-    def size_pgf(self, n, x, r=1.0):
-        return np.full_like(np.asarray(x, dtype=float), self.level)
+    def size_laplace(self, n, lam):
+        return np.full_like(np.asarray(lam, dtype=float), self.level)
 
 
 class _StepSystem(SeriesSystem):
@@ -269,8 +279,8 @@ class _StepSystem(SeriesSystem):
 
     name = "step"
 
-    def size_pgf(self, n, x, r=1.0):
-        return np.where(np.asarray(x, dtype=float) >= 0.7, 0.9, 0.1)
+    def size_laplace(self, n, lam):
+        return np.where(np.asarray(lam, dtype=float) <= -math.log(0.7), 0.9, 0.1)
 
 
 class _MisplacedQuantileJitter(SizeJitterSystem):
@@ -281,13 +291,13 @@ class _MisplacedQuantileJitter(SizeJitterSystem):
 
 
 def test_no_upper_bracket():
-    # G stays below s on all of [0, 1]: the root in x cannot reach s
+    # G stays below s at every lam: the root cannot reach s
     with pytest.raises(SolverError, match="residual"):
         solve_curve(_FlatSystem(0.3), 10, [0.5])
 
 
 def test_no_lower_bracket():
-    # G stays above s on all of [0, 1]: the root in x cannot reach s
+    # G stays above s at every lam: the root cannot reach s
     with pytest.raises(SolverError, match="residual"):
         solve_curve(_FlatSystem(0.3), 10, [0.1])
 
@@ -307,13 +317,30 @@ def test_stable_size_root_is_carried_as_its_complement():
     curve = solve_curve(sys_, 10_000, [0.5, 0.95])
     assert curve.method == "deterministic_root"
     assert np.max(np.abs(curve.achieved - curve.s)) <= 1e-9
-    fn = Calibrator(sys_, 10_000).pgf
+    fn = Calibrator(sys_, 10_000).value
     steps = fn(np.nextafter(curve.u, 2.0)) - fn(np.nextafter(curve.u, -1.0))
     assert steps[1] > 1e-8  # no threshold in x comes within 1e-9
     assert np.all(np.abs(fn(curve.u) - curve.s) <= steps)  # u_n is the double nearest the root
     # a root within 2^-54 of 1 leaves u_n = 1, where G reads 1: at beta = 0.1, n = 1e4
     with pytest.raises(SolverError, match="residual"):
         solve_curve(StableSizeGumbelSystem(beta=0.1, gamma=math.log(2.0)), 10_000, [0.95])
+
+
+def test_size_jitter_residual_holds_at_the_double_u_n():
+    # the jitter's residual is read at its carried lam; at its stage bound, on the
+    # default grid, G read at the double u_n closes to 1e-9 as well
+    sys_ = SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
+    curve = solve_curve(sys_, 10**6, DEFAULT_GRID)
+    assert curve.method == "deterministic_root"
+    assert np.max(np.abs(curve.calibrator.value(curve.u) - curve.s)) <= 1e-9
+
+
+def test_spike_residual_is_read_at_its_marginal():
+    # at n = 1e15 the spike's quantile returns u_n = e^-lam, yet G read at that
+    # double misses s by 0.13; a residual read at -ln F_n(u_n), not at the carried
+    # lam, stops the run
+    with pytest.raises(SolverError, match="residual"):
+        solve_curve(MixtureSpikeSystem(0.5), 10**15, [0.5])
 
 
 def test_stable_far_tail_root_closes():

@@ -374,7 +374,7 @@ def test_pareto_threshold_runs_without_quadrature(monkeypatch):
     curve = solve_curve(sys_, n, DEFAULT_GRID)
     assert curve.method == "closed_form"
     assert np.max(np.abs(curve.achieved - DEFAULT_GRID)) <= 1e-9  # the solver residual bound
-    assert np.array_equal(sys_.size_pgf(n, np.array([0.0, 1.0])), [0.0, 1.0])
+    assert np.array_equal(sys_.size_laplace(n, np.array([math.inf, 0.0])), [0.0, 1.0])
     psi_n = sys_.exact_max_cdf(n, curve.u)
     assert np.all(np.diff(psi_n) > 0.0) and np.all((psi_n > 0.0) & (psi_n < 1.0))
     ref = sys_.reference()

@@ -48,7 +48,7 @@ def _result(theta, psi):
 
 
 def test_result_check_diff(tmp_path):
-    # `result_check.py run` (28 full CLI runs, ~40 s) stays out of the suite
+    # `result_check.py run` (28 full CLI runs, ~11 s on 2 CPUs) stays out of the suite
     old, new = tmp_path / "old", tmp_path / "new"
     files = {
         old: {"a.w0": _result(0.5, [0.1, 0.9]), "a.w2": _result(0.5, [0.1, 0.9]),

@@ -52,6 +52,7 @@ from extlab.systems import (
     _degree_cdf,
     _jitter_pmf,
     _stable_size_cdf,
+    build_calibration_pool,
     build_system,
 )
 from oracles import (
@@ -84,7 +85,6 @@ def _empirical_max_matches_exact(system, n, probes, draws=60_000, seed=42):
 def test_copula_exact_laws():
     sys_ = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     assert float(sys_.exact_max_cdf(2, 0.5)) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert float(sys_.size_pgf(10, 0.9, r=2.0)) == pytest.approx(0.9**20, rel=1e-12)
     assert float(sys_.closed_form_u(100, 0.5)) == pytest.approx(0.5**0.01, rel=1e-12)
 
 
@@ -237,7 +237,7 @@ def test_geometric_threshold_construction():
 def test_geometric_threshold_exact_values():
     sys_ = GeometricThresholdSystem(eps=0.01)
     u = 0.5 / 0.505
-    assert float(sys_.size_pgf(1000, u)) == pytest.approx(0.5, rel=1e-9)
+    assert float(sys_.size_laplace(1000, -math.log(u))) == pytest.approx(0.5, rel=1e-9)
     assert float(sys_.closed_form_u(1000, 0.5)) == pytest.approx(u, rel=1e-12)
     assert float(GeometricThresholdSystem(eps=0.2).exact_max_cdf(10, 0.9)) == pytest.approx(
         0.5, rel=1e-12
@@ -297,7 +297,7 @@ def test_random_threshold_size_pgf_two_point():
     want = 0.5 * sum(
         (z / n) * u / (1.0 - (1.0 - z / n) * u) for z in (0.5, 1.5)
     )
-    assert float(sys_.size_pgf(n, u)) == pytest.approx(want, rel=1e-12)
+    assert float(sys_.size_laplace(n, -math.log(u))) == pytest.approx(want, rel=1e-12)
 
 
 def test_random_threshold_degenerate_collapses_to_geometric():
@@ -308,8 +308,8 @@ def test_random_threshold_degenerate_collapses_to_geometric():
         assert float(rt.exact_max_cdf(n, u)) == pytest.approx(
             float(gt.exact_max_cdf(n, u)), rel=1e-9
         )
-        assert float(rt.size_pgf(n, u)) == pytest.approx(
-            float(gt.size_pgf(n, u)), rel=1e-9
+        assert float(rt.size_laplace(n, -math.log(u))) == pytest.approx(
+            float(gt.size_laplace(n, -math.log(u))), rel=1e-9
         )
 
 
@@ -347,16 +347,16 @@ def test_random_threshold_means_match_z_scale_oracle(law, sf):
     # the grid's thresholds, plus fixed ones on both sides of the Pareto floor 2/3
     u = np.concatenate([u_grid, 1.0 - np.array([0.05, 0.5, 2.0 / 3.0, 0.9, 3.0, 25.0]) / n])
     assert np.any(n * (1.0 - u_grid) > 2.0 / 3.0)
-    pgf, cdf = sys_.size_pgf(n, u), sys_.exact_max_cdf(n, u)
+    pgf, cdf = sys_.size_laplace(n, -np.log(u)), sys_.exact_max_cdf(n, u)
     for k, uk in enumerate(u):
         want_pgf, want_cdf = _z_scale_means(sf, n, n * (1.0 - uk) / uk, n * (1.0 - uk))
-        assert pgf[k] == pytest.approx(want_pgf, rel=1e-10, abs=0.0), (uk, "size_pgf")
+        assert pgf[k] == pytest.approx(want_pgf, rel=1e-10, abs=0.0), (uk, "size_laplace")
         assert cdf[k] == pytest.approx(want_cdf, rel=1e-10, abs=0.0), (uk, "exact_max_cdf")
     # u near 1 holds n (1 - u) to ~1e-16 n / c relative, 2e-11 at c = 0.05
     assert np.allclose(pgf[:u_grid.size], DEFAULT_GRID, rtol=1e-11, atol=0.0)
     psi_n = RandomThresholdLimit(law, cap=n).psi(DEFAULT_GRID)  # the capped model's own curve
     assert np.allclose(psi_n, cdf[:u_grid.size], rtol=1e-10, atol=0.0)
-    ends = sys_.size_pgf(n, np.array([0.0, 1.0]))
+    ends = sys_.size_laplace(n, np.array([math.inf, 0.0]))
     assert ends[0] == 0.0 and ends[1] == 1.0
     assert float(sys_.exact_max_cdf(n, 1.0)) == 1.0
 
@@ -425,9 +425,10 @@ def test_stable_size_pgf_is_the_direct_sum(beta, n):
     sys_ = StableSizeGumbelSystem(beta=beta, gamma=0.5)
     y = np.array([1e-9, 1e-3, 0.3, 0.9])
     want = [stable_size_pgf_direct(beta, n, yi) for yi in y]
-    np.testing.assert_allclose(sys_.size_pgf(n, y), want, rtol=1e-13, atol=1e-300)
-    # E x^(r nu) is the law at y = x^r
-    np.testing.assert_allclose(sys_.size_pgf(n, np.sqrt(y), 2.0), want, rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(sys_.size_laplace(n, -np.log(y)), want, rtol=1e-13, atol=1e-300)
+    # E x^(r nu) is the law at r lam, lam = -ln x
+    np.testing.assert_allclose(sys_.size_laplace(n, 2.0 * -np.log(np.sqrt(y))), want,
+                               rtol=1e-13, atol=1e-300)
 
 
 def test_stable_size_pgf_matches_sampled_sizes():
@@ -441,7 +442,7 @@ def test_stable_size_pgf_matches_sampled_sizes():
             total, squares = total + v.sum(axis=1), squares + (v * v).sum(axis=1)
         mean = total / draws
         se = np.sqrt((squares / draws - mean**2) / draws)
-        assert np.all(np.abs(mean - sys_.size_pgf(n, y)) < 4.0 * se), (beta, mean, se)
+        assert np.all(np.abs(mean - sys_.size_laplace(n, -np.log(y))) < 4.0 * se), (beta, mean, se)
 
 
 def test_stable_size_law_is_built_on_first_use():
@@ -451,11 +452,6 @@ def test_stable_size_law_is_built_on_first_use():
     sys_.validate_n(1000)
     assert _stable_size_cdf.cache_info().currsize == 0
     assert sys_.calibration_kind == "exact" and sys_.closed_form_u(1000, 0.5) is None
-    edges = sys_.size_pgf(1000, np.array([0.0, -1.0, 1.0, 2.0, math.nan]))
-    assert edges[0] == edges[1] == 0.0 and edges[2] == edges[3] == 1.0 and math.isnan(edges[4])
-    assert float(sys_.size_pgf(1000, 0.9, 0.0)) == 1.0
-    assert sys_.size_pgf(1000, 0.5).shape == ()
-    assert sys_.size_pgf(1000, np.full((2, 3), 0.999)).shape == (2, 3)
     table = _stable_size_cdf(0.5, 1000)
     assert _stable_size_cdf.cache_info().currsize == 1 and not table.flags.writeable
     # P(S < 1/(2n)) at beta = 1/2, where S is Levy: erfc(sqrt(n/2))
@@ -736,7 +732,8 @@ def test_graph_aggregates_bounded_below():
     x = sys_.sample_marginal(200, 5000, _rng(26))
     assert np.all(x >= 4.0)  # own activity plus at least one picked one
     m = sys_.sample_batch(60, 50, _rng(27))
-    assert float(sys_.size_pgf(60, 0.5)) == 0.5**60  # the size is the stage n
+    lam = math.log(2.0)
+    assert float(sys_.size_laplace(60, lam)) == math.exp(-60 * lam)  # the size is the stage n
     assert np.all(m >= 4.0)
 
 
@@ -764,10 +761,6 @@ def test_monotone_transform_delegates_exact_laws():
     u = 0.95
     assert float(wrapped.exact_max_cdf(10, u**2)) == pytest.approx(
         float(base.exact_max_cdf(10, u)), rel=1e-12
-    )
-    # the size law is untouched: G_n is the same function on the x scale
-    assert float(wrapped.size_pgf(10, u)) == pytest.approx(
-        float(base.size_pgf(10, u)), rel=1e-12
     )
     assert float(wrapped.marginal_quantile(10, u)) == pytest.approx(u**2, rel=1e-12)
     assert float(wrapped.closed_form_u(10, 0.5)) == pytest.approx(
@@ -828,15 +821,11 @@ def test_size_jitter_size_pgf_is_the_exact_law(n):
     # built once per n, and the cached arrays cannot be changed in place
     assert _jitter_pmf(n) is _jitter_pmf(n) and not (k.flags.writeable or p.flags.writeable)
     bk, bp = _jitter_pmf_brute_force(n)
-    x = np.exp(-np.array([0.05, 0.5, 1.0, 3.0, 10.0, 30.0]) / n)  # G from ~0.95 down to ~1e-13
+    lam = np.array([0.05, 0.5, 1.0, 3.0, 10.0, 30.0]) / n  # G from ~0.95 down to ~1e-13
     for r in (1.0, 0.5):
-        want = [math.fsum(bp * t ** bk.astype(float)) for t in x**r]
-        np.testing.assert_allclose(sys_.size_pgf(n, x, r), want, rtol=1e-12, atol=1e-300)
-    edges = sys_.size_pgf(n, np.array([0.0, -1.0, 1.0, 2.0, math.nan]))
-    assert edges[0] == edges[1] == 0.0 and edges[2] == edges[3] == 1.0 and math.isnan(edges[4])
-    assert float(Calibrator(sys_, n).pgf(1.0)) == 1.0
-    assert sys_.size_pgf(n, 0.5).shape == ()
-    assert sys_.size_pgf(n, np.full((2, 3), 0.5)).shape == (2, 3)
+        want = [math.fsum(bp * math.exp(-r * li) ** bk.astype(float)) for li in lam]
+        np.testing.assert_allclose(sys_.size_laplace(n, r * lam), want, rtol=1e-12, atol=1e-300)
+    assert float(Calibrator(sys_, n).laplace(0.0)) == 1.0
 
 
 def test_size_jitter_size_pgf_matches_sampled_sizes():
@@ -846,7 +835,7 @@ def test_size_jitter_size_pgf_matches_sampled_sizes():
     for xi in (0.99, 0.997, 0.999):
         y = xi ** nu.astype(float)
         se = y.std(ddof=1) / math.sqrt(y.size)
-        assert abs(y.mean() - float(sys_.size_pgf(400, xi))) < 4.0 * se, xi
+        assert abs(y.mean() - float(sys_.size_laplace(400, -math.log(xi)))) < 4.0 * se, xi
     k, p = _jitter_pmf(400)
     assert abs(nu.mean() - float(k @ p)) < 4.0 * nu.std(ddof=1) / math.sqrt(nu.size)
 
@@ -872,13 +861,63 @@ def test_size_jitter_refuses_a_tilted_base():
 
 
 # ---------------------------------------------------------------------------
+# size laws: G_n(lam) = E e^(-lam nu_n)
+
+def _geometric_sum(eps):
+    # sum_(k >= 1) eps (1 - eps)^(k - 1) y^k
+    return lambda lam: eps * math.exp(-lam) / (1.0 - (1.0 - eps) * math.exp(-lam))
+
+
+def _jitter_sum(n):
+    bk, bp = _jitter_pmf_brute_force(n)
+    return lambda lam: math.fsum(bp * math.exp(-lam) ** bk.astype(float))
+
+
+_GEOMETRIC = GeometricThresholdSystem(eps=0.1)
+
+# id: system, stage n, lam grid, the law from an independent route, rtol
+_SIZE_LAWS = {
+    "copula": (ExchangeableCopulaSystem(ClaytonGenerator(1.0)), 10,
+               [-math.log(0.9), 0.01, 0.3, 3.0], lambda lam: math.exp(-lam) ** 10, 1e-12),
+    "geometric": (GeometricThresholdSystem(eps=0.01), 1000,
+                  [1e-4, 0.01, 0.5, 3.0], _geometric_sum(0.01), 1e-12),
+    # zeta = 1 < n: the geometric size with eps = 1/n
+    "random_threshold": (RandomThresholdSystem(Degenerate(1.0)), 1000,
+                         [-math.log(0.999), 1e-4, 0.01, 0.5], _geometric_sum(1e-3), 1e-12),
+    "size_jitter": (SizeJitterSystem(DuplicatedIidSystem(2)), 400,
+                    [0.05 / 400, 0.5 / 400, 3.0 / 400, 30.0 / 400], _jitter_sum(400), 1e-12),
+    "stable_size": (StableSizeGumbelSystem(beta=0.5, gamma=0.5), 16,
+                    list(-np.log([1e-9, 1e-3, 0.3, 0.9])),
+                    lambda lam: stable_size_pgf_direct(0.5, 16, math.exp(-lam)), 1e-13),
+    "monotone_transform": (MonotoneTransformSystem(_GEOMETRIC, 2.0), 10,
+                           [-math.log(0.95), 0.01, 0.5, 3.0],
+                           lambda lam: float(_GEOMETRIC.size_laplace(10, lam)), 1e-12),
+}
+
+
+@pytest.mark.parametrize("row", list(_SIZE_LAWS))
+def test_size_laplace_is_the_exact_law(row):
+    sys_, n, lam, law, rtol = _SIZE_LAWS[row]
+    lam = np.array(lam)
+    # E x^(r nu) is the law at r lam, lam = -ln x
+    for r in (1.0, 0.5, 2.0):
+        want = [law(r * li) for li in lam]
+        np.testing.assert_allclose(sys_.size_laplace(n, r * lam), want, rtol=rtol, atol=1e-300)
+    ends = sys_.size_laplace(n, np.array([0.0, math.inf, math.nan]))
+    assert ends[0] == 1.0 and ends[1] == 0.0 and math.isnan(ends[2])
+    assert np.shape(sys_.size_laplace(n, lam[0])) == ()
+    block = sys_.size_laplace(n, np.full((2, 3), lam[0]))
+    assert block.shape == (2, 3) and np.all(block == sys_.size_laplace(n, lam[:1])[0])
+
+
+# ---------------------------------------------------------------------------
 # calibration
 
 def test_calibrator_exact_path():
     sys_ = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     cal = Calibrator(sys_, 50)
     u = np.array([0.9, 0.99])
-    assert np.allclose(cal.value(u, r=0.5), u**25, rtol=1e-12)
+    assert np.allclose(cal.laplace(0.5 * cal.lam_at(u)), u**25, rtol=1e-12)
     assert np.all(cal.stderr_at(u) == 0.0)
     assert cal.exact and float(cal.stderr_at([0.99])[0]) == 0.0
     assert float(cal.value([0.99])[0]) == pytest.approx(0.99**50, rel=1e-12)
@@ -909,7 +948,7 @@ def test_calibrator_nu_pool_matches_independent_mc():
     for u in (0.999, 0.9995):
         got = float(cal.value(np.array([u]))[0])
         se = float(cal.stderr_at(np.array([u]))[0])
-        want = float(sys_.size_pgf(n, u))
+        want = float(sys_.size_laplace(n, -math.log(u)))
         assert abs(got - want) < 4.0 * se
 
 
@@ -935,16 +974,19 @@ def _uncompressed_pool_mean(pool, f, r):
 ], ids=["stable_size_n100", "stable_size", "branching"])
 def test_calibrator_compressed_pool_matches_uncompressed_sum(sys_, n, u):
     cal = Calibrator(sys_, n, stream=RandomStream(seed=39, stream_id=0))
-    assert cal.nu.size < cal.pool.size
+    pool = build_calibration_pool(sys_, n, RandomStream(seed=39, stream_id=0))  # the same draws
+    assert cal.nu.size < cal.size == pool.size
     u = np.array(u)
     f = sys_.marginal_cdf(n, u)
     assert f[0] == 0.0 and f[-2] == 1.0 and math.isnan(f[-1])
-    for r in (0.5, 1.0, 2.0):
-        want, want_se = _uncompressed_pool_mean(cal.pool, f, r)
-        got, got_se = cal.value(u, r), cal.stderr_at(u, r)
+    for r in (0.5, 1.0, 2.0):  # E F(u)^(r nu) = G(r lam)
+        want = _uncompressed_pool_mean(pool, f, r)[0]
+        got = cal.laplace(r * cal.lam_at(u))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        np.testing.assert_allclose(got_se, want_se, rtol=1e-10, atol=0.0)
-        assert math.isnan(got[-1]) and math.isnan(got_se[-1])
+        assert math.isnan(got[-1])
+    got_se = cal.stderr_at(u)  # the pool's standard error of E F(u)^nu
+    np.testing.assert_allclose(got_se, _uncompressed_pool_mean(pool, f, 1.0)[1], rtol=1e-10, atol=0.0)
+    assert math.isnan(got_se[-1])
 
 
 def _stable_size_calibrator():
@@ -958,10 +1000,10 @@ _POOL_X = 1.0 - np.logspace(-7.0, -2.0, 19)  # G from ~1 down to ~1e-4
 def test_pooled_pgf_is_bit_identical_on_every_sub_slice():
     # each point is one fixed-order sum, whichever points share the call
     cal = _stable_size_calibrator()
-    full, full_se = cal.pgf(_POOL_X), cal.stderr_at(_POOL_X)
+    full, full_se = cal.value(_POOL_X), cal.stderr_at(_POOL_X)
     for i in range(_POOL_X.size):
         for j in range(i + 1, _POOL_X.size + 1):
-            assert cal.pgf(_POOL_X[i:j]).tobytes() == full[i:j].tobytes()
+            assert cal.value(_POOL_X[i:j]).tobytes() == full[i:j].tobytes()
             assert cal.stderr_at(_POOL_X[i:j]).tobytes() == full_se[i:j].tobytes()
 
 
@@ -973,7 +1015,7 @@ from oracles import PooledStableSize
 cal = Calibrator(PooledStableSize(beta=0.5, gamma=math.log(2.0)), 10_000,
                  stream=RandomStream(seed=1, stream_id=0), pool_size=50_000)
 x = 1.0 - np.logspace(-7.0, -2.0, 19)
-print(cal.pgf(x).tobytes().hex(), cal.stderr_at(x).tobytes().hex())
+print(cal.value(x).tobytes().hex(), cal.stderr_at(x).tobytes().hex())
 """
 
 
@@ -989,7 +1031,7 @@ def test_pooled_pgf_does_not_depend_on_blas_threads():
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     cal = _stable_size_calibrator()
-    here = f"{cal.pgf(_POOL_X).tobytes().hex()} {cal.stderr_at(_POOL_X).tobytes().hex()}\n"
+    here = f"{cal.value(_POOL_X).tobytes().hex()} {cal.stderr_at(_POOL_X).tobytes().hex()}\n"
     assert outs == [here, here]
 
 
@@ -1000,12 +1042,6 @@ def test_calibrator_marginal_pool_edges():
     mid = float(cal.value(np.array([300.0]))[0])
     assert 0.0 < mid < 1.0
     assert float(cal.stderr_at(np.array([300.0]))[0]) > 0.0
-
-
-def test_calibrator_rejects_negative_power():
-    cal = Calibrator(ExchangeableCopulaSystem(ClaytonGenerator(1.0)), 10)
-    with pytest.raises(ConfigError):
-        cal.value(np.array([0.5]), r=-1.0)
 
 
 def test_sample_batch_single_draw():
@@ -1049,12 +1085,12 @@ def test_build_system_valid(cfg):
     for count, seed in ((64, 39), (1, 40)):
         m = sys_.sample_batch(12, count, _rng(seed))
         assert isinstance(m, np.ndarray) and m.dtype == np.float64 and m.shape == (count,)
-    # a size law known only through draws is the one case without size_pgf
+    # a size law known only through draws is the one case without size_laplace
     if sys_.calibration_kind != "nu_pool":
-        assert math.isfinite(float(sys_.size_pgf(12, 0.5)))
+        assert math.isfinite(float(sys_.size_laplace(12, 0.5)))
     else:
         with pytest.raises(NotImplementedError):
-            sys_.size_pgf(12, 0.5)
+            sys_.size_laplace(12, 0.5)
     if cfg["kind"] == "power_law_graph":
         with pytest.raises(NotImplementedError):
             sys_.marginal_cdf(12, 2.0)

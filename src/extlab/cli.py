@@ -77,8 +77,8 @@ def _jsonable(x):
 
 def _load_config(path: str) -> tuple[dict, str]:
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")  # JSON's encoding
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from None
     try:
         cfg = json.loads(raw)
@@ -359,8 +359,8 @@ def _num(v):
 def _read_result(path: str) -> dict:
     """The s, psi_hat and stderr columns and the index values of a result file."""
     try:
-        raw = Path(path).read_text()
-    except OSError as exc:
+        raw = Path(path).read_text(encoding="utf-8")  # JSON's encoding
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"{path}: {exc}") from None
     try:
         if raw.lstrip().startswith(("{", "[")):

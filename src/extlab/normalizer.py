@@ -1,23 +1,23 @@
 """Threshold calibration: solve E F_n(u)^nu_n = s for the level u_n(s).
 
 The left side is G_n(lam) = E e^(-lam nu_n), the Laplace transform of the
-series size, at lam = -ln F_n(u).  A system that gives u_n(s) itself (an
-exact inverse, or an asymptotic tail threshold whose achieved values show
-its bias) takes the closed_form route.  Every other curve is one bracketed
-root of G_n(lam) = s in lam (`_complement_root`), which keeps full relative
-precision where e^-lam is within a few doubles of 1, then
-u = F_n^{-1}(e^-lam).  The root finder (`_root`) takes ITP-projected secant
-steps and stops at the same adjacent doubles as 60 bisection steps in a
-fraction of the evaluations.  G_n is exact ("deterministic_root") or the
-mean over a frozen pool of sizes compressed into distinct sizes and counts
+series size, at lam = -ln F_n(u).  Every curve is solved in lam: by the
+system's closed_form_lam where its size law inverts in closed form, else by
+one bracketed root of G_n(lam) = s (`_complement_root`), which keeps full
+relative precision where e^-lam is within a few doubles of 1.  Then
+u_n = threshold_at(lam), the u with F_n(u) = e^-lam (for a marginal known
+only through draws, an asymptotic tail threshold whose achieved values show
+its bias).  The root finder (`_root`) takes ITP-projected secant steps and
+stops at the same adjacent doubles as 60 bisection steps in a fraction of
+the evaluations.  G_n is exact ("deterministic_root") or the mean over a
+frozen pool of sizes compressed into distinct sizes and counts
 ("stochastic_root"); a frozen pool is a fixed function, so the root is
 reproducible and its stderr measures the pool noise.  Both are continuous,
 so every root must close to 1e-9, and so must a closed form on an exact G.
-The curve carries the lam at which that residual is read: on the uniform
-marginal the threshold is e^-lam itself, and on any other it is
--ln F_n(u_n) at the double u_n.  One pool serves the whole s grid and the
-Definition-2 fit (the curve keeps its calibrator): common random numbers
-keep the curve monotone.
+The curve carries the lam at which that residual is read: e^-lam itself
+for a root on the uniform marginal, else -ln F_n(u_n) at the double u_n.
+One pool serves the whole s grid and the Definition-2 fit (the curve keeps
+its calibrator): common random numbers keep the curve monotone.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def _uniform_marginal(system: SeriesSystem) -> bool:
     """Whether the system keeps the uniform marginal of SeriesSystem, so u_n = e^-lam."""
     cls = type(system)
     return (cls.marginal_cdf is SeriesSystem.marginal_cdf
-            and cls.marginal_quantile is SeriesSystem.marginal_quantile)
+            and cls.threshold_at is SeriesSystem.threshold_at)
 
 
 def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
@@ -155,12 +155,11 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
     """Calibrate thresholds for a whole s grid at stage n; pools draw from the stream."""
     s = _check_grid(s_grid)
     cal = Calibrator(system, n, stream=stream, pool_size=pool_size)
-    u, method = system.closed_form_u(n, s), "closed_form"
-    if u is None:  # G_n(lam) = s, then u = F_n^{-1}(e^-lam)
+    lam, method = system.closed_form_lam(n, s), "closed_form"
+    if lam is None:  # G_n(lam) = s
         lam = _complement_root(cal.laplace, s)
-        u = system.marginal_quantile(n, np.exp(-lam))
         method = "deterministic_root" if cal.exact else "stochastic_root"
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(system.threshold_at(n, lam), dtype=float)
     if method == "closed_form" or not _uniform_marginal(system):  # G read at the double u_n
         lam, achieved = cal.lam_at(u), cal.value(u)
     else:  # u_n = e^-lam; a threshold that rounds to 1 counts every replicate: G reads 1 there

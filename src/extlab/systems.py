@@ -8,7 +8,8 @@ exposes its size law as the Laplace transform G_n(lam) = E e^(-lam nu_n)
 E F_n(u)^(theta nu_n) = G_n(theta lam) at lam = -ln F_n(u) (``Calibrator``,
 with G_n and F_n each exact or pooled): theta = 1 calibrates the thresholds,
 and general theta > 0 is the comparand used when matching against maxima of
-a theta-fraction of independent terms.
+a theta-fraction of independent terms.  ``closed_form_lam`` solves G_n = s
+where the size law inverts in closed form; ``threshold_at`` maps lam to u.
 
 Systems are immutable, picklable descriptions; all randomness flows through
 the generator handed to the sampling methods, so replicate batches can be
@@ -194,9 +195,9 @@ class SeriesSystem:
         """Common per-term d.f. F_n; uniform on [0, 1] unless overridden."""
         return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
-    def marginal_quantile(self, n: int, p):
-        """Inverse of marginal_cdf on [0, 1]; the identity for the uniform marginal."""
-        return np.asarray(p, dtype=float)
+    def threshold_at(self, n: int, lam):
+        """The u with F_n(u) = e^-lam; e^-lam itself for the uniform marginal."""
+        return np.exp(-np.asarray(lam, dtype=float))
 
     def size_laplace(self, n: int, lam):
         """G_n(lam) = E e^(-lam nu_n) for lam in [0, inf]; a deterministic size n unless overridden."""
@@ -207,9 +208,12 @@ class SeriesSystem:
     def exact_max_cdf(self, n: int, u):
         raise NotImplementedError
 
-    def closed_form_u(self, n: int, s):
-        """Threshold with E F_n(u)^nu_n = s where invertible in closed form."""
-        return None
+    def closed_form_lam(self, n: int, s):
+        """lam with G_n(lam) = s where the size law inverts in closed form, else None."""
+        cls = type(self)
+        if cls.size_laplace is not SeriesSystem.size_laplace or cls.calibration_kind == "nu_pool":
+            return None
+        return -np.log(np.asarray(s, dtype=float)) / n
 
     def reference(self) -> ReferenceModel | None:
         """The closed-form limit model of this system, where one exists."""
@@ -226,14 +230,11 @@ class _InvertedMaxSystem(SeriesSystem):
     """Deterministic size n, uniform marginals, a closed-form inverse of the max d.f.
 
     Each replicate costs one uniform V: M_n = max_inverse_given_size(n, V),
-    the exact inversion draw.  E F_n(u)^n = u^n inverts to u = s^(1/n).
+    the exact inversion draw.  G_n(lam) = e^(-n lam) inverts to lam = -ln s / n.
     """
 
     def sample_batch(self, n, count, rng):
         return self.max_inverse_given_size(n, rng.random(count))
-
-    def closed_form_u(self, n, s):
-        return np.asarray(s, dtype=float) ** (1.0 / n)
 
 
 def _check_tilt_stage(name: str, n: int, gamma: float) -> None:
@@ -344,11 +345,11 @@ class MixtureSpikeSystem(SeriesSystem):
             out = x * (1.0 + (x ** (self.gamma * n - 1.0) - 1.0) / n)
         return np.where(x == 0.0, 0.0, out)
 
-    def marginal_quantile(self, n, p):
-        def invert(pi):  # F_n(0) = 0 and F_n(1) = 1 exactly
-            return float(np.clip(pi, 0.0, 1.0)) if not 0.0 < pi < 1.0 else float_root(
-                lambda x: float(self.marginal_cdf(n, x)) - pi, 0.0, 1.0)
-        return np.vectorize(invert, otypes=[float])(p)
+    def threshold_at(self, n, lam):
+        def invert(p):  # F_n(0) = 0 and F_n(1) = 1 exactly
+            return p if not 0.0 < p < 1.0 else float_root(
+                lambda x: float(self.marginal_cdf(n, x)) - p, 0.0, 1.0)
+        return np.vectorize(invert, otypes=[float])(np.exp(-np.asarray(lam, dtype=float)))
 
     def exact_max_cdf(self, n, u):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._max_power(n)
@@ -383,6 +384,11 @@ class GeometricThresholdSystem(SeriesSystem):
         else:
             self.name = f"geometric_threshold(eps=n^-{self.eps_exponent:g})"
 
+    def validate_n(self, n):
+        super().validate_n(n)
+        if not self.eps_at(n) > 0.0:
+            raise ConfigError(f"{self.name}: eps = n^-{self.eps_exponent:g} is 0 at n = {n}")
+
     def eps_at(self, n) -> float:
         if self.eps is not None:
             return self.eps
@@ -403,10 +409,9 @@ class GeometricThresholdSystem(SeriesSystem):
         eps = self.eps_at(n)
         return np.clip((np.asarray(u, dtype=float) - (1.0 - eps)) / eps, 0.0, 1.0)
 
-    def closed_form_u(self, n, s):
-        eps = self.eps_at(n)
+    def closed_form_lam(self, n, s):
         s = np.asarray(s, dtype=float)
-        return s / (eps + (1.0 - eps) * s)
+        return np.log1p(self.eps_at(n) * (1.0 - s) / s)
 
     def reference(self):
         return RandomThresholdLimit(Degenerate(1.0))
@@ -473,9 +478,8 @@ class RandomThresholdSystem(SeriesSystem):
         w = n * (1.0 - np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
         return np.vectorize(lim.g, otypes=[float])(w) / lim.m
 
-    def closed_form_u(self, n, s):
-        t = np.vectorize(self._capped(n).f_inv, otypes=[float])(s)
-        return n / (n + t)
+    def closed_form_lam(self, n, s):
+        return np.log1p(np.vectorize(self._capped(n).f_inv, otypes=[float])(s) / n)
 
     def reference(self):
         return RandomThresholdLimit(self.zeta)
@@ -674,8 +678,8 @@ class BranchingHereditySystem(SeriesSystem):
     def marginal_cdf(self, n, x):
         return self._stable.cdf(x)
 
-    def marginal_quantile(self, n, p):
-        return self._stable.quantile(p)
+    def threshold_at(self, n, lam):
+        return self._stable.quantile(np.exp(-np.asarray(lam, dtype=float)))
 
     def reference(self):
         return BranchingHeredityIndex(self.a, self.gamma, self.mu)
@@ -791,7 +795,10 @@ class PowerLawGraphSystem(SeriesSystem):
     def marginal_cdf(self, n, x):
         raise NotImplementedError(f"{self.name}: the aggregate marginal has no closed form")
 
-    marginal_quantile = marginal_cdf
+    def threshold_at(self, n, lam):
+        # asymptotic tail threshold: F_n(u) = e^-lam where (1 + EK) (u/x_min)^(-a) = lam
+        scale = self.reference().frechet_scale
+        return self.x_min * (scale / np.asarray(lam, dtype=float)) ** (1.0 / self.a)
 
     def sample_marginal(self, n, count, rng):
         # aggregate of one vertex: own activity + D iid picked activities;
@@ -804,12 +811,6 @@ class PowerLawGraphSystem(SeriesSystem):
             starts = np.r_[0, np.cumsum(d)[:-1]]
             out += np.add.reduceat(picked, starts)
         return out
-
-    def closed_form_u(self, n, s):
-        # asymptotic tail calibration: n * (1 + EK) * (u/x_min)^(-a) = -ln s
-        s = np.asarray(s, dtype=float)
-        scale = self.reference().frechet_scale * n
-        return self.x_min * (scale / (-np.log(s))) ** (1.0 / self.a)
 
     def reference(self):
         return GraphActivityLimit(self.beta, self.a, self.x_min)
@@ -879,8 +880,8 @@ class MonotoneTransformSystem(_WrappedSystem):
     def marginal_cdf(self, n, x):
         return self.base.marginal_cdf(n, self._invert(x))
 
-    def marginal_quantile(self, n, p):
-        return self._apply(self.base.marginal_quantile(n, p))
+    def threshold_at(self, n, lam):
+        return self._apply(self.base.threshold_at(n, lam))
 
     def size_laplace(self, n, lam):
         return self.base.size_laplace(n, lam)
@@ -888,9 +889,8 @@ class MonotoneTransformSystem(_WrappedSystem):
     def exact_max_cdf(self, n, u):
         return self.base.exact_max_cdf(n, self._invert(u))
 
-    def closed_form_u(self, n, s):
-        u = self.base.closed_form_u(n, s)
-        return None if u is None else self._apply(u)
+    def closed_form_lam(self, n, s):
+        return self.base.closed_form_lam(n, s)
 
 
 class SizeJitterSystem(_WrappedSystem):

@@ -13,6 +13,8 @@ systems invert the diagonal d.f. of the maximum,
 where the system inverts the product d.f.,
 ``sample_branching_full_tree`` grows every particle of a branching
 population, where the system draws its last generation as maxima,
+``graph_max_cdf_3`` integrates the three-vertex power-law graph's maximum
+law over its pick patterns, where the system draws whole graphs,
 ``sample_threshold_pair`` draws (nu_n, M_n) of a threshold system, the size
 first, where the system draws M_n alone, ``sample_threshold_max`` draws
 that M_n by its construction, ``stable_size_pgf_direct`` sums the stable
@@ -278,6 +280,46 @@ def sample_threshold_pair(system, n: int, count: int, rng):
     return nu, sample_threshold_max(system, n, count, rng)
 
 
+def graph_max_cdf_3(beta: float, x: float) -> float:
+    """P(M_3 <= x) for the power-law graph at n = 3 with Pareto(1) activities X_0, X_1, X_2.
+
+    D = min(K, 2) and q = P(D = 1) = 1/zeta(beta).  A vertex with D = 2 sums
+    all three activities, the largest aggregate, so M = X_0 + X_1 + X_2 unless
+    every vertex picks one other.  Of those 2^3 pick patterns, 2 cover all
+    three pairs, so M is the largest pair sum, and 6 cover two pairs sharing a
+    vertex, so M = X_0 + max(X_1, X_2):
+    P(M <= x) = q^3 [P(every pair sum <= x)/4 + 3 E F(x - X_0)^2 / 4]
+    + (1 - q^3) P(X_0 + X_1 + X_2 <= x), with F(y) = 1 - 1/y on y >= 1.
+    Each term is one quadrature over X_0 = t of a closed-form inner law.
+    """
+    from scipy.special import zeta
+
+    def cdf(y):
+        return max(0.0, 1.0 - 1.0 / y) if y > 0.0 else 0.0
+
+    def pair_sum_cdf(y):  # P(X_1 + X_2 <= y)
+        return (y - 2.0) / y - 2.0 * math.log(y - 1.0) / y**2 if y > 2.0 else 0.0
+
+    def mixed(s):  # an antiderivative of F(x - s) / s^2 on 1 <= s <= x - 1
+        return (1.0 / x - 1.0) / s + (math.log(x - s) - math.log(s)) / x**2
+
+    def pairs_given(t):  # P(X_1, X_2 <= x - t and X_1 + X_2 <= x)
+        c = x - t
+        if t >= c:
+            return cdf(c) ** 2
+        return cdf(c) * cdf(t) + mixed(c) - mixed(t)
+
+    def quad(fn, hi, points=None):
+        return integrate.quad(lambda t: fn(t) / t**2, 1.0, hi, points=points, epsabs=0.0,
+                              epsrel=1e-12, limit=200)[0] if hi > 1.0 else 0.0
+
+    q3 = zeta(beta) ** -3.0
+    every_pair = quad(pairs_given, x - 1.0, points=[x / 2.0] if x > 2.0 else None)
+    shared = quad(lambda t: cdf(x - t) ** 2, x - 1.0)
+    triple = quad(lambda t: pair_sum_cdf(x - t), x - 2.0)
+    return q3 * (0.25 * every_pair + 0.75 * shared) + (1.0 - q3) * triple
+
+
 # ---------------------------------------------------------------------------
 # root finding
 
@@ -309,15 +351,15 @@ def stable_size_pgf_direct(beta: float, n: int, y: float) -> float:
 class PooledStableSize(StableSizeGumbelSystem):
     """The stable-size system calibrated on a frozen pool of sampled sizes.
 
-    The pool is drawn by the system's own ``sample_nu``.  The threshold is
-    the asymptotic closed form exp(-(-ln s)^(1/beta) / n), which matches
-    E u^nu = s only as n -> infinity, so the pool shows its bias and noise.
+    The pool is drawn by the system's own ``sample_nu``.  Its lam is the
+    asymptotic closed form (-ln s)^(1/beta) / n, which matches
+    E e^(-lam nu) = s only as n -> infinity, so the pool shows its bias and noise.
     """
 
     calibration_kind = "nu_pool"
 
-    def closed_form_u(self, n, s):
-        return np.exp(-((-np.log(np.asarray(s, dtype=float))) ** (1.0 / self.beta)) / n)
+    def closed_form_lam(self, n, s):
+        return (-np.log(np.asarray(s, dtype=float))) ** (1.0 / self.beta) / n
 
 
 def bisect_root(fn, s, steps: int = 60):

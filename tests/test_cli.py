@@ -384,6 +384,20 @@ def test_invalid_json_and_missing_file(tmp_path, capsys, monkeypatch):
                  monkeypatch=monkeypatch) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_undecodable_file_exits_2_located(tmp_path, capsys, monkeypatch, command):
+    # a UTF-16 byte order mark is not UTF-8, the encoding of JSON
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00{")
+    argv = {"run": ("run", "--config", str(bad), "--seed", "1"),
+            "sweep": ("sweep", "--config", str(bad), "--param", "n=10,20",
+                      "--out-dir", str(tmp_path / "out")),
+            "compare": ("compare", str(bad), str(bad))}[command]
+    assert _main(*argv, monkeypatch=monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{bad}: ") and "utf-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "overrides,flags,key,needle",
     [
@@ -397,16 +411,22 @@ def test_invalid_json_and_missing_file(tmp_path, capsys, monkeypatch):
                      "gamma": 1.0, "a": 0.5}, "n": 2000}, (), "n", "particle budget"),
         ({"system": {"kind": "size_jitter", "base": _BASE["system"]}, "n": 10**6 + 1}, (), "n",
          "jitter bound"),
+        # eps = n^-1000 underflows to 0, where the size law would read 0/0
+        ({"system": {"kind": "geometric_threshold", "eps_exponent": 1000}, "n": 10}, (), "n",
+         "eps = n^-1000 is 0 at n = 10"),
     ],
     ids=["grid_count", "grid_list", "graph_n", "replicates", "replicates_flag", "branching_n",
-         "jitter_n"],
+         "jitter_n", "geometric_eps"],
 )
 def test_oversized_inputs_exit_2_located(tmp_path, capsys, monkeypatch, overrides, flags, key,
                                          needle):
-    # refused before any array of that size is asked for
+    # refused before any array of that size is asked for, and with no numpy warning
     monkeypatch.setattr(estimator, "_replicate_batch", lambda job: pytest.fail("drew a batch"))
     cfg = _cfg(tmp_path, **overrides)
-    assert _main("run", "--config", str(cfg), *flags, monkeypatch=monkeypatch) == 2
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _main("run", "--config", str(cfg), *flags, monkeypatch=monkeypatch) == 2
+    assert [str(w.message) for w in seen] == []
     err = capsys.readouterr().err
     lineno = cli._line_of(cfg.read_text(), f'"{key}"')
     where = f"--{key}" if flags else f"{cfg}:{lineno}"

@@ -69,19 +69,18 @@ def test_closed_form_without_size_pgf_reports_pool_noise():
         solve_curve(sys_, 1000, [0.5])  # the pooled mean needs a stream
     seeded = solve_curve(sys_, 1000, [0.5], stream=_stream(3), pool_size=50_000)
     assert seeded.method == "closed_form"
-    assert seeded.u[0] == sys_.closed_form_u(1000, [0.5])[0]
+    assert seeded.u[0] == sys_.threshold_at(1000, sys_.closed_form_lam(1000, [0.5]))[0]
     assert math.isfinite(seeded.achieved[0]) and seeded.stderr[0] > 0.0
     assert abs(seeded.achieved[0] - 0.5) < 4.0 * seeded.stderr[0] + 2e-3
 
 
-# ---------------------------------------------------------------------------
-# deterministic root route
-
-def test_deterministic_root_mixture_spike():
+def test_closed_form_mixture_spike():
+    # the size n gives lam = -ln s / n in closed form; the threshold is the marginal's
+    # numeric inverse at e^-lam
     sys_ = MixtureSpikeSystem(1.0)
     n = 10
     curve = solve_curve(sys_, n, [0.2, 0.5, 0.8])
-    assert curve.method == "deterministic_root"
+    assert curve.method == "closed_form"
     assert np.all(np.diff(curve.u) > 0.0)
     assert np.allclose(curve.achieved, [0.2, 0.5, 0.8], atol=1e-9)
     # replay the calibration mean by hand at the solved threshold
@@ -90,10 +89,13 @@ def test_deterministic_root_mixture_spike():
     assert marg**n == pytest.approx(0.5, abs=1e-9)
 
 
-class _BisectedThreshold(RandomThresholdSystem):
-    """A random-threshold system without its closed-form threshold."""
+# ---------------------------------------------------------------------------
+# deterministic root route
 
-    def closed_form_u(self, n, s):
+class _BisectedThreshold(RandomThresholdSystem):
+    """A random-threshold system without its closed-form lam."""
+
+    def closed_form_lam(self, n, s):
         return None
 
 
@@ -157,8 +159,8 @@ def test_stable_size_takes_the_deterministic_root():
     assert curve.method == "deterministic_root"
     assert np.max(np.abs(curve.achieved - _GRID7)) <= 1e-9
     assert np.all(curve.stderr == 0.0) and np.all(np.diff(curve.u) > 0.0)
-    asymptotic = PooledStableSize(beta=0.5, gamma=math.log(2.0)).closed_form_u(10_000, _GRID7)
-    assert np.max(np.abs(sys_.size_laplace(10_000, -np.log(asymptotic)) - _GRID7)) > 1e-9
+    asymptotic = PooledStableSize(beta=0.5, gamma=math.log(2.0)).closed_form_lam(10_000, _GRID7)
+    assert np.max(np.abs(sys_.size_laplace(10_000, asymptotic) - _GRID7)) > 1e-9
 
 
 def test_size_jitter_takes_the_deterministic_root():
@@ -283,11 +285,11 @@ class _StepSystem(SeriesSystem):
         return np.where(np.asarray(lam, dtype=float) <= -math.log(0.7), 0.9, 0.1)
 
 
-class _MisplacedQuantileJitter(SizeJitterSystem):
-    """The jittered size law with a marginal quantile that misses F^{-1}."""
+class _MisplacedThresholdJitter(SizeJitterSystem):
+    """The jittered size law with a threshold that misses F^{-1}(e^-lam)."""
 
-    def marginal_quantile(self, n, p):
-        return 0.5 * np.asarray(p, dtype=float)
+    def threshold_at(self, n, lam):
+        return 0.5 * np.exp(-np.asarray(lam, dtype=float))
 
 
 def test_no_upper_bracket():
@@ -304,7 +306,7 @@ def test_no_lower_bracket():
 
 def test_residual_tolerance_enforced():
     # a jump in G, and G at the wrong u
-    jitter = _MisplacedQuantileJitter(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
+    jitter = _MisplacedThresholdJitter(ExchangeableCopulaSystem(ClaytonGenerator(1.0)))
     for sys_, s in ((_StepSystem(), 0.5), (jitter, 0.5)):
         with pytest.raises(SolverError, match="residual"):
             solve_curve(sys_, 10, [s], stream=_stream(11), pool_size=10_000)
@@ -336,11 +338,18 @@ def test_size_jitter_residual_holds_at_the_double_u_n():
 
 
 def test_spike_residual_is_read_at_its_marginal():
-    # at n = 1e15 the spike's quantile returns u_n = e^-lam, yet G read at that
+    # at n = 1e15 the spike's threshold_at returns u_n = e^-lam, yet G read at that
     # double misses s by 0.13; a residual read at -ln F_n(u_n), not at the carried
     # lam, stops the run
     with pytest.raises(SolverError, match="residual"):
         solve_curve(MixtureSpikeSystem(0.5), 10**15, [0.5])
+
+
+def test_closed_form_residual_is_read_at_the_double_u_n():
+    # Clayton(1) at n = 1e8: lam = -ln s / n is exact, but G read at the double
+    # u_n = e^-lam misses s by 4.6e-9 on the default grid, and the residual refuses it
+    with pytest.raises(SolverError, match="residual"):
+        solve_curve(ExchangeableCopulaSystem(ClaytonGenerator(1.0)), 10**8, DEFAULT_GRID)
 
 
 def test_stable_far_tail_root_closes():

@@ -426,8 +426,7 @@ def test_graph_limit_matches_system_constant():
     sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
     m = GraphActivityLimit(3.5, a=1.0)
     assert m.mean_degree == float(scipy_zeta(2.5) / scipy_zeta(3.5))
-    assert float(sys_.closed_form_u(100, math.exp(-1.0))) == pytest.approx(
-        100.0 * m.frechet_scale, rel=1e-12)
+    assert float(sys_.threshold_at(100, 0.01)) == pytest.approx(100.0 * m.frechet_scale, rel=1e-12)
 
 
 def test_branching_index():

@@ -47,6 +47,7 @@ from extlab.systems import (
     MonotoneTransformSystem,
     PowerLawGraphSystem,
     RandomThresholdSystem,
+    SeriesSystem,
     SizeJitterSystem,
     StableSizeGumbelSystem,
     _degree_cdf,
@@ -57,6 +58,7 @@ from extlab.systems import (
 )
 from oracles import (
     PooledStableSize,
+    graph_max_cdf_3,
     sample_branching_full_tree,
     sample_copula_max,
     sample_spike_max,
@@ -85,16 +87,8 @@ def _empirical_max_matches_exact(system, n, probes, draws=60_000, seed=42):
 def test_copula_exact_laws():
     sys_ = ExchangeableCopulaSystem(ClaytonGenerator(1.0))
     assert float(sys_.exact_max_cdf(2, 0.5)) == pytest.approx(1.0 / 3.0, rel=1e-12)
-    assert float(sys_.closed_form_u(100, 0.5)) == pytest.approx(0.5**0.01, rel=1e-12)
-
-
-@pytest.mark.parametrize("sys_", [ExchangeableCopulaSystem(FrankGenerator(2.0)),
-                                  DuplicatedIidSystem(3)], ids=repr)
-def test_inverted_max_closed_form_u_solves_uniform_marginal(sys_):
-    # uniform marginals: F_n(u)^n = u^n = s, one formula for both systems
-    s = np.array([0.05, 0.5, 0.95])
-    for n in (1, 7, 1000):
-        assert np.allclose(sys_.closed_form_u(n, s) ** n, s, rtol=1e-12, atol=0.0)
+    u = sys_.threshold_at(100, sys_.closed_form_lam(100, 0.5))
+    assert float(u) == pytest.approx(0.5**0.01, rel=1e-12)
 
 
 def test_copula_max_simulation_matches_diagonal():
@@ -212,16 +206,6 @@ def test_mixture_spike_inversion_matches_two_block_oracle(gamma, n):
         assert stats.kstest(draws, lambda u: u ** ((1.0 + gamma) * n - 1.0)).pvalue > 1e-3
 
 
-@pytest.mark.parametrize("gamma", [0.5, 2.0])
-def test_mixture_spike_marginal_quantile_round_trip(gamma):
-    sys_ = MixtureSpikeSystem(gamma)
-    n = 10_000
-    p = np.array([0.0, 1e-6, 0.3, 0.99, 0.9997, 0.99999, 1.0 - 1e-12, 1.0])
-    x = sys_.marginal_quantile(n, p)
-    assert x[0] == 0.0 and x[-1] == 1.0 and np.all(np.diff(x) >= 0.0)
-    assert np.max(np.abs(sys_.marginal_cdf(n, x) - p)) <= 2.0 * np.finfo(float).eps
-
-
 # ---------------------------------------------------------------------------
 # geometric threshold
 
@@ -238,7 +222,8 @@ def test_geometric_threshold_exact_values():
     sys_ = GeometricThresholdSystem(eps=0.01)
     u = 0.5 / 0.505
     assert float(sys_.size_laplace(1000, -math.log(u))) == pytest.approx(0.5, rel=1e-9)
-    assert float(sys_.closed_form_u(1000, 0.5)) == pytest.approx(u, rel=1e-12)
+    assert float(sys_.threshold_at(1000, sys_.closed_form_lam(1000, 0.5))) == pytest.approx(
+        u, rel=1e-12)
     assert float(GeometricThresholdSystem(eps=0.2).exact_max_cdf(10, 0.9)) == pytest.approx(
         0.5, rel=1e-12
     )
@@ -401,7 +386,7 @@ def test_stable_size_calibration_hits_target():
     n = 10_000
     cal = Calibrator(sys_, n, stream=RandomStream(seed=15, stream_id=0))
     for s in (0.3, 0.6, 0.9):
-        u = float(sys_.closed_form_u(n, s))
+        u = float(sys_.threshold_at(n, sys_.closed_form_lam(n, s)))
         got = float(cal.value(np.array([u]))[0])
         se = float(cal.stderr_at(np.array([u]))[0])
         # rounding nu to integers costs O(tau/n) on top of the pool noise
@@ -451,7 +436,7 @@ def test_stable_size_law_is_built_on_first_use():
     sys_ = build_system({"kind": "stable_size_gumbel", "beta": 0.5, "gamma": 0.5})
     sys_.validate_n(1000)
     assert _stable_size_cdf.cache_info().currsize == 0
-    assert sys_.calibration_kind == "exact" and sys_.closed_form_u(1000, 0.5) is None
+    assert sys_.calibration_kind == "exact" and sys_.closed_form_lam(1000, 0.5) is None
     table = _stable_size_cdf(0.5, 1000)
     assert _stable_size_cdf.cache_info().currsize == 1 and not table.flags.writeable
     # P(S < 1/(2n)) at beta = 1/2, where S is Levy: erfc(sqrt(n/2))
@@ -737,11 +722,14 @@ def test_graph_aggregates_bounded_below():
     assert np.all(m >= 4.0)
 
 
-def test_graph_closed_form_u():
-    sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
-    ek = sys_.reference().mean_degree
-    got = float(sys_.closed_form_u(100, math.exp(-1.0)))
-    assert got == pytest.approx(100.0 * (1.0 + ek), rel=1e-12)
+def test_graph_max_matches_its_three_vertex_law():
+    # the only sampler without a closed-form max law gets one at n = 3 (oracles)
+    draws = 50_000
+    m = PowerLawGraphSystem(beta=3.5, a=1.0).sample_batch(3, draws, _rng(81))
+    for x in (4.0, 6.0, 10.0, 20.0, 50.0, 200.0):
+        want = graph_max_cdf_3(3.5, x)
+        se = math.sqrt(want * (1.0 - want) / draws)
+        assert abs(np.mean(m <= x) - want) < 4.0 * se, (x, want)
 
 
 # ---------------------------------------------------------------------------
@@ -762,10 +750,8 @@ def test_monotone_transform_delegates_exact_laws():
     assert float(wrapped.exact_max_cdf(10, u**2)) == pytest.approx(
         float(base.exact_max_cdf(10, u)), rel=1e-12
     )
-    assert float(wrapped.marginal_quantile(10, u)) == pytest.approx(u**2, rel=1e-12)
-    assert float(wrapped.closed_form_u(10, 0.5)) == pytest.approx(
-        float(base.closed_form_u(10, 0.5)) ** 2, rel=1e-12
-    )
+    assert float(wrapped.threshold_at(10, -math.log(u))) == pytest.approx(u**2, rel=1e-12)
+    assert float(wrapped.closed_form_lam(10, 0.5)) == float(base.closed_form_lam(10, 0.5))
     assert wrapped.calibration_kind == base.calibration_kind == "exact"
 
 
@@ -1094,18 +1080,50 @@ def test_build_system_valid(cfg):
     if cfg["kind"] == "power_law_graph":
         with pytest.raises(NotImplementedError):
             sys_.marginal_cdf(12, 2.0)
-        with pytest.raises(NotImplementedError):
-            sys_.marginal_quantile(12, 0.5)
+
+
+_NO_CLOSED_FORM = {"size_jitter", "stable_size_gumbel", "branching_heredity"}
+# e^-lam from 0 to 1, through the near-1 levels where the spike's numeric inverse works hardest
+_HOOK_LAM = np.r_[np.inf, -np.log([1e-6, 0.3, 0.99, 0.9997, 0.99999, 1.0 - 1e-12]), 0.0]
+
+
+@pytest.mark.parametrize("cfg", _VALID_CONFIGS + [{"kind": "mixture_spike", "gamma": 0.5}],
+                         ids=lambda c: c["kind"])
+def test_threshold_hooks(cfg):
+    # closed_form_lam inverts size_laplace wherever it is given, and threshold_at
+    # inverts the marginal at e^-lam
+    sys_ = build_system(cfg)
+    s = np.array([0.05, 0.5, 0.95])
+    for n in (7, 1000):
+        lam = sys_.closed_form_lam(n, s)
+        assert (lam is None) == (cfg["kind"] in _NO_CLOSED_FORM)
+        if lam is not None:
+            np.testing.assert_allclose(sys_.size_laplace(n, lam), s, rtol=1e-12, atol=0.0)
+    n = 10_000
+    if cfg["kind"] == "power_law_graph":  # no marginal: the asymptotic tail threshold
+        lam = np.array([1e-4, 0.01, 1.0])
+        scale = 1.0 + sys_.reference().mean_degree
+        want = sys_.x_min * (scale / lam) ** (1.0 / sys_.a)
+        np.testing.assert_allclose(sys_.threshold_at(n, lam), want, rtol=1e-12, atol=0.0)
+        return
+    u = sys_.threshold_at(n, _HOOK_LAM)
+    assert np.all(np.diff(u) >= 0.0)
+    if cfg["kind"] != "branching_heredity":  # thresholds in [0, 1] reach both ends exactly
+        assert u[0] == 0.0 and u[-1] == 1.0
+    err = np.abs(sys_.marginal_cdf(n, u) - np.exp(-_HOOK_LAM))
+    assert np.max(err) <= 2.0 * np.finfo(float).eps
 
 
 def test_marginal_pool_systems_never_reach_the_root_route():
-    # solve_curve inverts a marginal only through marginal_quantile, so a marginal known
-    # only through draws must come with a closed-form threshold and refuse to be a base
+    # solve_curve inverts a marginal only through threshold_at, so a marginal known
+    # only through draws must come with its own threshold and a closed-form lam, and
+    # refuse to be a base
     pooled = [sys_ for sys_ in map(build_system, _VALID_CONFIGS)
               if sys_.calibration_kind == "marginal_pool"]
     assert pooled
     for sys_ in pooled:
-        assert sys_.closed_form_u(100, DEFAULT_GRID) is not None
+        assert sys_.closed_form_lam(100, DEFAULT_GRID) is not None
+        assert type(sys_).threshold_at is not SeriesSystem.threshold_at
         with pytest.raises(ConfigError):
             MonotoneTransformSystem(sys_, 2.0)
         with pytest.raises(ConfigError):

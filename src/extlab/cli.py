@@ -257,14 +257,9 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
     sha = _config_sha(cfg, seed, grid, replicates, analyses)
     rows = []
     for j, s in enumerate(est.s):
-        row = {
-            "s": float(s),
-            "u_n": float(est.u[j]),
-            "psi_hat": float(est.psi_hat[j]),
-            "stderr": float(est.stderr[j]),
-            "psi_ref": None if psi_ref is None else float(psi_ref[j]),
-            "z": None,
-        }
+        row = dict(zip(_COLUMNS, (float(s), float(est.u[j]), float(est.psi_hat[j]),
+                                  float(est.stderr[j]),
+                                  None if psi_ref is None else float(psi_ref[j]), None)))
         if psi_ref is not None:
             diff = row["psi_hat"] - row["psi_ref"]
             row["z"] = 0.0 if diff == 0.0 else diff / row["stderr"] \
@@ -292,26 +287,16 @@ def _execute(cfg: dict, path: str, raw: str, args) -> tuple[str, str, dict]:
         summary["max_abs_dev"] = _jsonable(np.max(np.abs(
             est.psi_hat - np.asarray(psi_ref, dtype=float))))
 
+    head = {k: summary[k] for k in ("config_sha256", "seed", "system", "n", "replicates")}
     if fmt == "csv":
-        lines = [
-            "# extlab result",
-            f"# config_sha256: {sha}",
-            f"# seed: {seed}",
-            f"# system: {system.name}",
-            f"# n: {n}",
-            f"# replicates: {replicates}",
-            ",".join(_COLUMNS),
-        ]
-        for row in rows:
-            lines.append(",".join(_fmt(row[k]) for k in _COLUMNS))
+        lines = ["# extlab result", *(f"# {k}: {v}" for k, v in head.items()), ",".join(_COLUMNS)]
+        lines += [",".join(_fmt(row[k]) for k in _COLUMNS) for row in rows]
         lines.append("# summary: " + json.dumps(
             summary, sort_keys=True, separators=(",", ":")))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {k: summary[k] for k in
-                   ("config_sha256", "seed", "system", "n", "replicates")}
-        payload["rows"] = [{k: _jsonable(v) for k, v in row.items()} for row in rows]
-        payload["summary"] = summary
+        payload = {**head, "rows": [{k: _jsonable(v) for k, v in row.items()} for row in rows],
+                   "summary": summary}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     summary["_runtime_seconds"] = runtime
@@ -408,24 +393,16 @@ def _cmd_compare(args) -> int:
         "argmax_s": _jsonable(sa[int(np.argmax(dev))]),
     }
     ia, ib = a["indices"], b["indices"]
-    deltas = {}
-    for key in sorted(set(ia) & set(ib)):
-        va, vb = ia[key], ib[key]
-        if va is None or vb is None:
-            continue
-        deltas[key] = _jsonable(va - vb)
-    report["index_deltas"] = deltas
+    report["index_deltas"] = {k: _jsonable(ia[k] - ib[k]) for k in sorted(set(ia) & set(ib))
+                              if ia[k] is not None and ib[k] is not None}
     for label, idx in (("a", ia), ("b", ib)):
         slope, def2 = idx.get("grid_mean_slope"), idx.get("theta_def2")
         if slope is not None and def2 is not None:
             report[f"def1_def2_gap_{label}"] = _jsonable(slope - def2)
 
+    ok = args.tolerance is None or bool(np.all(dev <= args.tolerance + 3.0 * sigma))
     if args.tolerance is not None:
-        ok = bool(np.all(dev <= args.tolerance + 3.0 * sigma))
-        report["tolerance"] = args.tolerance
-        report["within_tolerance"] = ok
-    else:
-        ok = True
+        report.update(tolerance=args.tolerance, within_tolerance=ok)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if ok else 1
 
@@ -452,15 +429,13 @@ def _parse_params(specs: list[str]) -> list[tuple[str, list]]:
 
 
 def _set_path(cfg: dict, dotted: str, value) -> None:
+    *path, last = dotted.split(".")
     node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
-        node = nxt
-    node[parts[-1]] = value
+    for part in path:
+        if not isinstance(node.get(part), dict):
+            node[part] = {}
+        node = node[part]
+    node[last] = value
 
 
 def _slug(value) -> str:

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .normalizer import NormalizingCurve, _root, solve_curve
-from .sampling import RandomStream
+from .normalizer import NormalizingCurve, solve_curve
+from .sampling import RandomStream, _root
 from .systems import ConfigError, SeriesSystem
 
 __all__ = [
@@ -209,7 +209,7 @@ def def2_fit(estimate: PsiEstimate, theta_bounds: tuple[float, float] = (0.01, 1
     every lam >= 0, so with g = psi_hat - G(theta lam_n) the upper gap
     A = max g rises, the lower gap B = -min g falls, and D = max(A, B) is
     least exactly where A = B.  One bracketed root in log theta
-    (`normalizer._root`) finds the sign change of A - B = max g + min g to
+    (`sampling._root`) finds the sign change of A - B = max g + min g to
     the same adjacent doubles as bisection; where A - B keeps one sign over
     the bounds, D is monotone and the nearer bound is the answer.
     """

@@ -7,9 +7,9 @@ one bracketed root of G_n(lam) = s (`_complement_root`), which keeps full
 relative precision where e^-lam is within a few doubles of 1.  Then
 u_n = threshold_at(lam), the u with F_n(u) = e^-lam (for a marginal known
 only through draws, an asymptotic tail threshold whose achieved values show
-its bias).  The root finder (`_root`) takes ITP-projected secant steps and
-stops at the same adjacent doubles as 60 bisection steps in a fraction of
-the evaluations.  G_n is exact ("deterministic_root") or the mean over a
+its bias).  The root finder (`sampling._root`) takes ITP-projected secant
+steps and stops at the same adjacent doubles as 60 bisection steps in a
+fraction of the evaluations.  G_n is exact ("deterministic_root") or the mean over a
 frozen pool of sizes compressed into distinct sizes and counts
 ("stochastic_root"); a frozen pool is a fixed function, so the root is
 reproducible and its stderr measures the pool noise.  Both are continuous,
@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .sampling import _root
 from .systems import POOL_SIZE, Calibrator, ConfigError, SeriesSystem
 
 __all__ = ["SolverError", "NormalizingCurve", "solve_curve"]
@@ -49,8 +50,6 @@ class NormalizingCurve:
     calibrator: Calibrator = field(repr=False)  # G_n and F_n, pool and all
 
 
-_ROOT_STEPS = 60          # bisection's 60 halvings of [0, 1]; a root closes in at most 61 steps
-_TRUNCATION = 0.2         # ITP's kappa1 on [0, 1]: a secant moves 0.2 w^2 toward the midpoint
 _RESIDUAL_TOL = 1e-9
 _LAM_BITS = (10.0, 70.0)  # the complement root's lam = 2^(10 - 70 t) over t in [0, 1]
 _G_LO, _G_HI = np.finfo(float).tiny, 1.0 - 2.0**-53  # the complement root's clip on G
@@ -63,62 +62,6 @@ def _check_grid(s_grid) -> np.ndarray:
     if np.any((s <= 0.0) | (s >= 1.0)):
         raise SolverError(f"s values must lie strictly inside (0, 1), got {s}")
     return s
-
-
-def _sum_rounded(x, y, up: bool):
-    """x + y rounded toward +inf (up) or -inf, from the exact error of the sum."""
-    s = x + y
-    z = s - x
-    err = (x - (s - z)) + (y - z)
-    if up:
-        return np.where(err > 0.0, np.nextafter(s, np.inf), s)
-    return np.where(err < 0.0, np.nextafter(s, -np.inf), s)
-
-
-def _root(fn, s):
-    """Per-point x in [0, 1] with fn(x) = s, for fn nondecreasing on [0, 1].
-
-    The bracket keeps fn(lo) <= s < fn(hi), NaN counting as above, and takes
-    fn(0) <= s < fn(1) as given.  It stops at two adjacent doubles or at
-    width 2^-60 and returns its midpoint.  A nondecreasing fn crosses s
-    between one pair of adjacent doubles, so a root of at least 2^-8 is the
-    one 60 bisection steps find, bit for bit, and a smaller one lies within
-    2^-60 of it.
-
-    Each step is an ITP step (Oliveira & Takahashi 2021, ACM TOMS 47(1)):
-    the secant through the last two points, moved toward the midpoint by
-    0.2 w^2 (w the bracket width), then projected into the window that
-    leaves the bracket at most 2^-j wide after step j.  So no point takes
-    more than 61 steps, and on a smooth fn the secant converges
-    superlinearly.  fn(0) and fn(1) start the secant; after that fn sees
-    only the points whose bracket is still open.
-    """
-    s = np.asarray(s, dtype=float)
-    lo, hi = np.zeros(s.shape), np.ones(s.shape)
-    x0, y0, x1, y1 = lo, fn(lo), hi, fn(hi)
-    out = np.empty(s.shape)
-    todo = np.arange(s.size)
-    for j in range(_ROOT_STEPS + 1):
-        done = (hi - lo <= 2.0**-_ROOT_STEPS) | (np.nextafter(lo, 1.0) >= hi)
-        out[todo[done]] = 0.5 * (lo[done] + hi[done])
-        todo, s, lo, hi, x0, y0, x1, y1 = (
-            v[~done] for v in (todo, s, lo, hi, x0, y0, x1, y1))
-        if not todo.size:
-            return out
-        mid, trunc = 0.5 * (lo + hi), _TRUNCATION * (hi - lo) ** 2
-        with np.errstate(all="ignore"):
-            x = x1 + (s - y1) * (x1 - x0) / (y1 - y0)
-            x += np.clip(mid - x, -trunc, trunc)
-        x = np.where(np.isfinite(x), x, mid)
-        w = 2.0**-j  # the largest bracket this step may leave
-        x = np.clip(x, np.maximum(_sum_rounded(hi, -w, up=True), np.nextafter(lo, 1.0)),
-                    np.minimum(_sum_rounded(lo, w, up=False), np.nextafter(hi, 0.0)))
-        y = fn(x)
-        above = ~(y <= s)
-        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
-        x0, y0, x1, y1 = x1, y1, x, y
-    out[todo] = 0.5 * (lo + hi)  # each bracket is now at most 2^-60 wide
-    return out
 
 
 def _complement_root(laplace, s):

@@ -10,6 +10,7 @@ hands out its own model through ``SeriesSystem.reference()``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -20,7 +21,7 @@ from .copulas import (
     IndependenceGenerator,
     TiltedGenerator,
 )
-from .sampling import Degenerate, Distribution, Pareto, TwoPoint, float_root
+from .sampling import Degenerate, Distribution, Pareto, TwoPoint, _root
 
 __all__ = [
     "ReferenceModel",
@@ -189,6 +190,10 @@ def _cap_excess(c: float, big_l: float) -> float:
     return total
 
 
+class _ExactRoot(Exception):
+    """Carries a t with f(t) = s exactly out of the bracketed root."""
+
+
 class RandomThresholdLimit(ReferenceModel):
     """psi(s) = g(f^{-1}(s)) with f(t) = E zeta/(t+zeta), g(t) = E (zeta-t)+.
 
@@ -268,17 +273,37 @@ class RandomThresholdLimit(ReferenceModel):
                      * k / (1.0 - x) ** 2, 0.0, top) / self.mass
 
     def f_inv(self, s: float) -> float:
-        """The root t of f(t) = s, bracketed by [0, (1-s)/s]: z/(t+z) is concave in z
-        and m <= 1, so f(t) <= 1/(1+t), with equality (up to rounding) only at one atom."""
+        """The root t of f(t) = s, at the relative precision of t however deep.
+
+        z/(t+z) is concave in z and m <= 1, so f(t) <= 1/(1+t), with equality
+        (up to rounding) only at one atom: the root is at most (1-s)/s, and inf
+        where that overflows.  [hi/2, hi] halves down until it holds the root
+        (lo = 0 past the least subnormal), and the bracketed root of -f runs on
+        its linear map; f is read once per t, and f(t) = s exactly ends it."""
         hi = (1.0 - s) / s
-        if self.f(hi) >= s:
+        f = functools.lru_cache(maxsize=None)(self.f)
+        if math.isinf(hi) or f(hi) >= s:
             return hi
-        return float_root(lambda t: self.f(t) - s, 0.0, hi)
+        lo = 0.5 * hi
+        while f(lo) < s:
+            lo, hi = 0.5 * lo, lo
+
+        def neg_f(x):  # one point: t = lo at x = 0 and hi at x = 1, exactly
+            t = lo + (hi - lo) * float(x[0])
+            if f(t) == s:
+                raise _ExactRoot(t)
+            return np.array([-f(t)])
+
+        try:
+            return lo + (hi - lo) * float(_root(neg_f, [-s])[0])
+        except _ExactRoot as hit:
+            return hit.args[0]
 
     def psi(self, s):
         s = _check_s(s)
         t = np.array([self.f_inv(float(si)) for si in np.atleast_1d(s)])
-        out = np.array([self.g(ti / (1.0 + ti / self.cap)) for ti in t]) / self.m
+        out = np.array([self.g(ti / (1.0 + ti / self.cap)) if ti < math.inf else 0.0  # g(inf) = 0
+                        for ti in t]) / self.m
         return out if np.ndim(s) else float(out[0])
 
     def theta1(self) -> float:
@@ -289,8 +314,7 @@ class RandomThresholdLimit(ReferenceModel):
         return 1.0 / self.expect(lambda z: 1.0 / z)
 
     def indices(self):
-        out = {"theta_minus": None, "theta_plus": None, "theta0": None,
-               "theta1": self.theta1(), "theta_def2": None}
+        out = {**super().indices(), "theta1": self.theta1()}
         if self._route == "atoms":
             # bounded thresholds: the curve hits zero, so the sup slope blows up
             out["theta_plus"] = math.inf
@@ -378,5 +402,4 @@ class BranchingHeredityIndex(ReferenceModel):
         self.name = f"branching_index(a={self.a:g}, gamma={self.gamma:g}, mu={self.mu:g})"
 
     def indices(self):
-        return {"theta_minus": None, "theta_plus": None, "theta0": None, "theta1": None,
-                "theta_def2": self.theta_def2}
+        return {**super().indices(), "theta_def2": self.theta_def2}

@@ -11,6 +11,7 @@ with a ``sample`` method plus its analytic hooks (mean, Laplace transform,
 cdf, quantile).  Samplers with no closed-form density (positive stable,
 symmetric stable) are exact transformation samplers, not approximations; the
 analytic checks of every sampler are one table in the test suite's oracles.
+``_root`` is the bracketed root behind every numeric inverse of the lab.
 """
 
 from __future__ import annotations
@@ -79,17 +80,71 @@ class RandomStream:
 
 
 # ---------------------------------------------------------------------------
+# the bracketed root
+
+_ROOT_STEPS = 60          # bisection's 60 halvings of [0, 1]; a root closes in at most 61 steps
+_TRUNCATION = 0.2         # ITP's kappa1 on [0, 1]: a secant moves 0.2 w^2 toward the midpoint
+
+
+def _sum_rounded(x, y, up: bool):
+    """x + y rounded toward +inf (up) or -inf, from the exact error of the sum."""
+    s = x + y
+    z = s - x
+    err = (x - (s - z)) + (y - z)
+    if up:
+        return np.where(err > 0.0, np.nextafter(s, np.inf), s)
+    return np.where(err < 0.0, np.nextafter(s, -np.inf), s)
+
+
+def _root(fn, s):
+    """Per-point x in [0, 1] with fn(x) = s, for fn nondecreasing on [0, 1].
+
+    The bracket keeps fn(lo) <= s < fn(hi), NaN counting as above, and takes
+    fn(0) <= s < fn(1) as given.  It stops at two adjacent doubles or at
+    width 2^-60 and returns its midpoint.  A nondecreasing fn crosses s
+    between one pair of adjacent doubles, so a root of at least 2^-8 is the
+    one 60 bisection steps find, bit for bit, and a smaller one lies within
+    2^-60 of it.
+
+    Each step is an ITP step (Oliveira & Takahashi 2021, ACM TOMS 47(1)):
+    the secant through the last two points, moved toward the midpoint by
+    0.2 w^2 (w the bracket width), then projected into the window that
+    leaves the bracket at most 2^-j wide after step j.  So no point takes
+    more than 61 steps, and on a smooth fn the secant converges
+    superlinearly.  fn(0) and fn(1) start the secant; after that fn sees
+    only the points whose bracket is still open.  Every numeric inverse of
+    the lab maps its bracket onto [0, 1] and calls it.
+    """
+    s = np.asarray(s, dtype=float)
+    lo, hi = np.zeros(s.shape), np.ones(s.shape)
+    x0, y0, x1, y1 = lo, fn(lo), hi, fn(hi)
+    out = np.empty(s.shape)
+    todo = np.arange(s.size)
+    for j in range(_ROOT_STEPS + 1):
+        done = (hi - lo <= 2.0**-_ROOT_STEPS) | (np.nextafter(lo, 1.0) >= hi)
+        out[todo[done]] = 0.5 * (lo[done] + hi[done])
+        todo, s, lo, hi, x0, y0, x1, y1 = (
+            v[~done] for v in (todo, s, lo, hi, x0, y0, x1, y1))
+        if not todo.size:
+            return out
+        mid, trunc = 0.5 * (lo + hi), _TRUNCATION * (hi - lo) ** 2
+        with np.errstate(all="ignore"):
+            x = x1 + (s - y1) * (x1 - x0) / (y1 - y0)
+            x += np.clip(mid - x, -trunc, trunc)
+        x = np.where(np.isfinite(x), x, mid)
+        w = 2.0**-j  # the largest bracket this step may leave
+        x = np.clip(x, np.maximum(_sum_rounded(hi, -w, up=True), np.nextafter(lo, 1.0)),
+                    np.minimum(_sum_rounded(lo, w, up=False), np.nextafter(hi, 0.0)))
+        y = fn(x)
+        above = ~(y <= s)
+        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        x0, y0, x1, y1 = x1, y1, x, y
+    out[todo] = 0.5 * (lo + hi)  # each bracket is now at most 2^-60 wide
+    return out
+
+
+# ---------------------------------------------------------------------------
 # distributions
-
-def float_root(fn, lo: float, hi: float) -> float:
-    """The root of fn on the bracket [lo, hi] to float resolution (brentq, rtol = 4 eps).
-
-    xtol is the least normal double: 2100 steps cover bisection over the whole double range."""
-    from scipy.optimize import brentq
-
-    return brentq(fn, lo, hi, xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps,
-                  maxiter=2100)
-
 
 class Distribution:
     """Base class: a sampler plus whatever analytic structure it has."""
@@ -261,7 +316,7 @@ class SymmetricStable(Distribution):
         return out.reshape(x.shape)
 
     def quantile(self, p):
-        """Closed form at gamma = 1 and 2; elsewhere the root of cdf(x) = p."""
+        """Closed form at gamma = 1 and 2; elsewhere per point the bracketed root of cdf = p."""
         p = np.asarray(p, dtype=float)
         if self.gamma == 1.0:
             return np.tan(np.pi * (p - 0.5))
@@ -277,7 +332,8 @@ class SymmetricStable(Distribution):
         edge = 1.0 if p > 0.5 else -1.0  # doubles on the root's side of 0 until it brackets
         while (float(self.cdf(edge)) - p) * edge < 0.0:
             edge *= 2.0
-        return float_root(lambda x: float(self.cdf(x)) - p, min(0.0, edge), max(0.0, edge))
+        lo, width = min(0.0, edge), abs(edge)
+        return float(lo + width * _root(lambda t: self.cdf(lo + width * t), [p])[0])
 
 
 class Pareto(Distribution):

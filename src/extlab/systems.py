@@ -59,7 +59,7 @@ from .sampling import (
     PositiveStable,
     SymmetricStable,
     TwoPoint,
-    float_root,
+    _root,
 )
 
 __all__ = [
@@ -346,10 +346,11 @@ class MixtureSpikeSystem(SeriesSystem):
         return np.where(x == 0.0, 0.0, out)
 
     def threshold_at(self, n, lam):
-        def invert(p):  # F_n(0) = 0 and F_n(1) = 1 exactly
-            return p if not 0.0 < p < 1.0 else float_root(
-                lambda x: float(self.marginal_cdf(n, x)) - p, 0.0, 1.0)
-        return np.vectorize(invert, otypes=[float])(np.exp(-np.asarray(lam, dtype=float)))
+        """F_n^-1(e^-lam): one bracketed root over the grid; F_n(0) = 0 and F_n(1) = 1 exactly."""
+        p = np.exp(-np.asarray(lam, dtype=float))
+        u, inside = p.copy(), (0.0 < p) & (p < 1.0)
+        u[inside] = _root(lambda x: self.marginal_cdf(n, x), p[inside])
+        return u
 
     def exact_max_cdf(self, n, u):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._max_power(n)
@@ -410,8 +411,10 @@ class GeometricThresholdSystem(SeriesSystem):
         return np.clip((np.asarray(u, dtype=float) - (1.0 - eps)) / eps, 0.0, 1.0)
 
     def closed_form_lam(self, n, s):
+        # (1 - s)/s overflows at a subnormal s, where lam = inf reads G = 0
         s = np.asarray(s, dtype=float)
-        return np.log1p(self.eps_at(n) * (1.0 - s) / s)
+        with np.errstate(over="ignore"):
+            return np.log1p(self.eps_at(n) * (1.0 - s) / s)
 
     def reference(self):
         return RandomThresholdLimit(Degenerate(1.0))

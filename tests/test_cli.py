@@ -314,34 +314,78 @@ def test_size_jitter_over_a_tilted_base_is_located(tmp_path, capsys, monkeypatch
     assert err.startswith(f"{cfg}:{lineno}: ") and "tilted" in err and "Traceback" not in err
 
 
-_SCIPY_FREE_RUN = """
+_SCIPY_PROBE_RUN = """
 import json, sys
-from extlab import cli, estimator
-cfg = {"system": {"kind": "size_jitter", "base": {"kind": "exchangeable_copula",
-                  "generator": {"family": "clayton", "alpha": 1.0}}},
-       "n": 10000, "replicates": 2000, "seed": 1, "format": "json",
-       "s_grid": {"start": 0.05, "stop": 0.95, "count": 7},
-       "analyses": ["psi", "compare", "def2_fit"]}
+from extlab import cli
 with open(sys.argv[1], "w") as fh:
-    json.dump(cfg, fh)
+    json.dump(json.loads(sys.argv[3]), fh)
 code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(code, "scipy" in sys.modules)
+print(code, json.dumps([m for m in ("scipy", "scipy.special", "scipy.optimize")
+                        if m in sys.modules]))
 """
+_SIZE_JITTER_RUN = {
+    "system": {"kind": "size_jitter", "base": {"kind": "exchangeable_copula",
+               "generator": {"family": "clayton", "alpha": 1.0}}},
+    "n": 10000, "replicates": 2000, "seed": 1, "format": "json",
+    "s_grid": {"start": 0.05, "stop": 0.95, "count": 7},
+    "analyses": ["psi", "compare", "def2_fit"]}
 
 
-def test_size_jitter_run_imports_no_scipy(tmp_path):
-    # the size-jitter experiment of the benchmark's calibration workload: the exact
-    # size law takes its normal tails from math.erfc, and scipy would add ~16 MB
-    # to the run's peak RSS
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path / "cfg.json"),
-                           str(tmp_path / "out.json")], capture_output=True, text=True,
+def _closed_forms_config(name):
+    sys.path.insert(0, os.path.join(os.path.dirname(_SRC), "perfbench"))
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.pop(0)
+    exp = next(e for e in WORKLOADS["closed_forms"].experiments if e.name == name)
+    return dict(exp.config, replicates=2000, seed=1, format="json")
+
+
+@pytest.mark.parametrize("name, loaded", [
+    # the calibration workload's size jitter: the exact size law takes its normal
+    # tails from math.erfc, and scipy would add ~16 MB to the run's peak RSS
+    ("size_jitter", []),
+    # closed_forms' threshold runs invert f and the spike's marginal with the
+    # lab's own bracketed root; scipy.optimize would add ~25 MB more
+    ("two_point_threshold", []),
+    ("mixture_spike", ["scipy", "scipy.special"]),
+    ("pareto_threshold", ["scipy", "scipy.special"]),
+], ids=["size_jitter", "two_point_threshold", "mixture_spike", "pareto_threshold"])
+def test_run_loads_only_the_scipy_it_needs(tmp_path, name, loaded):
+    cfg = _SIZE_JITTER_RUN if name == "size_jitter" else _closed_forms_config(name)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE_RUN, str(tmp_path / "cfg.json"),
+                           str(tmp_path / "out.json"), json.dumps(cfg)],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=os.pathsep.join(
                               filter(None, [_SRC, os.environ.get("PYTHONPATH")]))),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
-    summary = json.loads((tmp_path / "out.json").read_text())
-    assert summary["summary"]["solver_method"] == "deterministic_root"
+    code, modules = proc.stdout.split(maxsplit=1)
+    assert (code, json.loads(modules)) == ("0", loaded)
+    if name == "size_jitter":
+        summary = json.loads((tmp_path / "out.json").read_text())
+        assert summary["summary"]["solver_method"] == "deterministic_root"
+
+
+@pytest.mark.parametrize("system", [
+    {"kind": "random_threshold", "law": {"kind": "two_point", "delta": 0.5}},
+    {"kind": "random_threshold", "law": {"kind": "pareto", "a": 3.0}},
+    {"kind": "random_threshold", "law": {"kind": "gamma", "shape": 2.0}},
+    {"kind": "geometric_threshold", "eps_exponent": 0.5},
+], ids=["two_point", "pareto", "gamma", "geometric"])
+def test_subnormal_s_on_a_threshold_grid(tmp_path, capsys, monkeypatch, system):
+    # (1 - s)/s overflows at s = 1e-320: the root of f(t) = s lies past the largest
+    # double, so the threshold is 0 and the curve reads 0 there, with no warning
+    cfg = _cfg(tmp_path, system=system, n=200, s_grid=[1e-320, 0.5])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 0
+    assert [str(w.message) for w in seen] == []
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith(("#", "s,"))]
+    assert float(rows[0][0]) == 1e-320 and rows[0][1:5:3] == ["0", "0"]  # u_n and psi_ref
+
 
 def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch):
     def boom(*a, **k):

@@ -198,6 +198,10 @@ def test_two_point_threshold_frozen_curve():
     t = m.f_inv(0.8)
     assert t == pytest.approx((1.0 + math.sqrt(0.84)) / 1.6 - 1.0, rel=1e-12)
     assert m.psi(0.8) == pytest.approx(0.8021780381305187, rel=1e-9)
+    # the library's bracketed root against the closed form, from deep in the tail
+    gen = RandomThresholdLimit(TwoPoint(0.5, 1.5))
+    for s in np.r_[1e-300, 1e-12, 1e-6, DEFAULT_GRID]:
+        assert gen.f_inv(float(s)) == pytest.approx(float(m.f_inv(s)), rel=1e-13, abs=0.0), s
     idx = m.indices()
     assert idx["theta1"] == pytest.approx(0.75) and idx["theta_minus"] == pytest.approx(0.75)
     assert idx["theta_plus"] == math.inf and idx["theta0"] == math.inf

@@ -1087,19 +1087,23 @@ _NO_CLOSED_FORM = {"size_jitter", "stable_size_gumbel", "branching_heredity"}
 _HOOK_LAM = np.r_[np.inf, -np.log([1e-6, 0.3, 0.99, 0.9997, 0.99999, 1.0 - 1e-12]), 0.0]
 
 
-@pytest.mark.parametrize("cfg", _VALID_CONFIGS + [{"kind": "mixture_spike", "gamma": 0.5}],
-                         ids=lambda c: c["kind"])
-def test_threshold_hooks(cfg):
+_HOOK_CASES = [(cfg, 10_000) for cfg in _VALID_CONFIGS + [{"kind": "mixture_spike", "gamma": 0.5}]]
+# the spike's marginal inverse at stages where its spiked term sits within a few doubles of 1
+_HOOK_CASES += [({"kind": "mixture_spike", "gamma": 2.0}, n) for n in (10**8, 10**12)]
+
+
+@pytest.mark.parametrize("cfg, n", _HOOK_CASES, ids=[
+    c["kind"] if n == 10_000 else f"{c['kind']}-1e{len(str(n)) - 1}" for c, n in _HOOK_CASES])
+def test_threshold_hooks(cfg, n):
     # closed_form_lam inverts size_laplace wherever it is given, and threshold_at
     # inverts the marginal at e^-lam
     sys_ = build_system(cfg)
     s = np.array([0.05, 0.5, 0.95])
-    for n in (7, 1000):
-        lam = sys_.closed_form_lam(n, s)
+    for k in (7, 1000):
+        lam = sys_.closed_form_lam(k, s)
         assert (lam is None) == (cfg["kind"] in _NO_CLOSED_FORM)
         if lam is not None:
-            np.testing.assert_allclose(sys_.size_laplace(n, lam), s, rtol=1e-12, atol=0.0)
-    n = 10_000
+            np.testing.assert_allclose(sys_.size_laplace(k, lam), s, rtol=1e-12, atol=0.0)
     if cfg["kind"] == "power_law_graph":  # no marginal: the asymptotic tail threshold
         lam = np.array([1e-4, 0.01, 1.0])
         scale = 1.0 + sys_.reference().mean_degree

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -118,6 +119,33 @@ class DuplicatedIidLimit(_PowerLimit):
         self.name = f"duplicated_iid_limit(m={self.m})"
 
 
+_SPIKE_STEPS = 16
+
+
+def _spike_w(g, big_l):
+    """The root w of h(w) = w + 1 - exp(-g w) - L, elementwise over L = -ln s > 0.
+
+    h is increasing and concave, so Newton's method climbs to the root from a
+    lower bound until no point moves up: at most 8 steps for g in [1e-8, 1e12]
+    from the largest of L - 1, L/(1 + g) and -ln(U/g + max(1 - L, 0))/g, U =
+    max(ln g, 1), the last near L = 1 where g w ~ ln g.  From L = 1/2 up, h is read
+    as (w + (1 - L)) - exp(-g w), since the root can lie far below exp(-g w) and
+    1 - L is exact to L = 2; below, as (w - L) - expm1(-g w).
+    """
+    u = max(math.log(g), 1.0) / g
+    w = np.maximum(np.maximum(big_l - 1.0, big_l / (1.0 + g)),
+                   -np.log(u + np.maximum(1.0 - big_l, 0.0)) / g)
+    near_one = big_l >= 0.5
+    for _ in range(_SPIKE_STEPS):
+        e = np.exp(-g * w)
+        h = np.where(near_one, w + (1.0 - big_l) - e, w - big_l - np.expm1(-g * w))
+        up = np.maximum(w, w - h / (1.0 + g * e))
+        if np.array_equal(up, w):
+            return w
+        w = up
+    raise ArithmeticError(f"the spike's curve did not settle in {_SPIKE_STEPS} Newton steps")
+
+
 class SpikeMixtureLimit(ReferenceModel):
     """Limit curve of the spiked series, given implicitly by its inverse.
 
@@ -140,16 +168,10 @@ class SpikeMixtureLimit(ReferenceModel):
         return v ** (1.0 / (1.0 + g)) * np.exp(v ** (g / (1.0 + g)) - 1.0)
 
     def psi(self, s):
-        # with L = -ln s and w = L - 1 + x/gamma the equation becomes
-        # x e^x = gamma e^(gamma (1 - L)), so x = W0(gamma e^(gamma (1 - L)));
-        # the Wright omega function gives W0(e^z) without forming e^z, which
-        # keeps large gamma from overflowing.  In the deep tail psi is about
-        # (e s)^(1 + gamma) and underflows to 0 once that drops below 1e-308.
-        from scipy.special import wrightomega
-
+        # in the deep tail psi is about (e s)^(1 + gamma) and underflows to 0 once
+        # that drops below 1e-308
         g = self.gamma
-        big_l = -np.log(_check_s(s))
-        w = big_l - 1.0 + wrightomega(math.log(g) + g * (1.0 - big_l)) / g
+        w = _spike_w(g, -np.log(_check_s(s)))
         out = np.exp(-(1.0 + g) * w)
         return out if out.ndim else float(out)
 
@@ -190,6 +212,42 @@ def _cap_excess(c: float, big_l: float) -> float:
     return total
 
 
+def _pareto_h(a: float, t: float, scale: float) -> float:
+    """H(y) = 2F1(1, a; a+1; -y) = a int_0^1 w^(a-1)/(1 + y w) dw at y = t/scale.
+
+    y <= 2 sums Pfaff's series (DLMF 15.8.1), (1+y)^-1 sum_k k!/(a+1)_k x^k with
+    x = y/(1+y) <= 2/3.  y > 2 splits the integral at q = 2/y into the head
+    q^a H(2) and a tail expanded in 1/(y w) <= 1/2: (a/y) sum_k (-1)^k 2^-k T_k,
+    T_k = int_q^1 (q/w)^k w^(a-2) dw = q^m (1 - q^d)/d with m = min(k, a-1) and
+    d = |a-1-k|, so no term cancels near an integer a.  y is never formed past 2;
+    where q is subnormal its powers come from ln t - ln(2 scale).
+    """
+    if t <= 2.0 * scale:
+        y = t / scale
+        x, total, term, k = y / (1.0 + y), 1.0, 1.0, 0
+        while total + term != total:
+            k += 1
+            term *= k / (a + k) * x
+            total += term
+        return total / (1.0 + y)
+    q = 2.0 * scale / t
+    normal = q >= sys.float_info.min
+    big_l = math.log(q) if normal else math.log(2.0 * scale) - math.log(t)
+
+    def pw(p):  # q^p
+        return q**p if normal else math.exp(p * big_l)
+
+    total, k = 0.0, 0
+    while True:
+        d = abs(a - 1.0 - k)
+        term = pw(min(k, a - 1.0)) * (-math.expm1(d * big_l) / d if d else -big_l) / 2.0**k
+        if total + term == total:
+            break
+        total += -term if k % 2 else term
+        k += 1
+    return pw(a) * _pareto_h(a, 2.0, 1.0) + 0.5 * a * pw(1.0) * total
+
+
 class _ExactRoot(Exception):
     """Carries a t with f(t) = s exactly out of the bracketed root."""
 
@@ -207,7 +265,8 @@ class RandomThresholdLimit(ReferenceModel):
     - atomic laws sum their atoms exactly;
     - Pareto(a, x_m) takes closed forms.  w = x_m/zeta has density a w^(a-1)
       on [w0, 1], w0 = x_m/cap, so f is Euler's integral (DLMF 15.6.1):
-      f(t) = [H(t/x_m) - w0^a H(t/cap)] / mass, H(y) = 2F1(1, a; a+1; -y).
+      f(t) = [H(t/x_m) - w0^a H(t/cap)] / mass, H(y) = 2F1(1, a; a+1; -y),
+      which ``_pareto_h`` sums to ~1e-15 relative (~1e-13 as y nears overflow).
       g integrates S(z) - S(cap) over [max(t, x_m), cap] in closed form;
     - any other law takes adaptive quadrature: f on the quantile scale over
       [0, F(cap)], g as the integral of S(z) - S(cap) over [t, cap] on the z
@@ -238,14 +297,12 @@ class RandomThresholdLimit(ReferenceModel):
         return _quad(lambda p: float(fn(self.zeta.quantile(p))), 0.0, self.mass) / self.mass
 
     def f(self, t: float) -> float:
-        if t == 0.0 or math.isinf(t):  # f(inf) = 0, where 2F1 at -inf is NaN
+        if t == 0.0 or math.isinf(t):  # the limits f(0) = 1 and f(inf) = 0
             return float(t == 0.0)
         if self._route == "pareto":
-            from scipy.special import hyp2f1
-
             a = self.zeta.a
-            return float(hyp2f1(1.0, a, a + 1.0, -t / self.zeta.x_min)
-                         - self._tail * hyp2f1(1.0, a, a + 1.0, -t / self.cap)) / self.mass
+            return (_pareto_h(a, t, self.zeta.x_min)
+                    - self._tail * _pareto_h(a, t, self.cap)) / self.mass
         return self.expect(lambda z: z / (t + z))
 
     def g(self, t: float) -> float:
@@ -266,11 +323,13 @@ class RandomThresholdLimit(ReferenceModel):
                 big_l = -math.log1p((lo - cap) / cap) if lo > 0.5 * cap else math.log(cap / lo)
                 excess = xm * (xm / cap) ** (a - 1.0) * _cap_excess(a - 1.0, big_l)
             return excess / self.mass + max(xm - t, 0.0)
-        # z = t + k x / (1 - x) maps [t, cap] onto [0, top], the cap = inf tail included
+        # z = t + k x / (1 - x) maps [t, cap] onto [0, top], the cap = inf tail included;
+        # z overflows only where t is near the largest double, and S(inf) = 0 is right
         k = 1.0 + t
         top = 1.0 if math.isinf(cap) else (cap - t) / (k + cap - t)
-        return _quad(lambda x: (float(self.zeta.sf(t + k * x / (1.0 - x))) - self._tail)
-                     * k / (1.0 - x) ** 2, 0.0, top) / self.mass
+        with np.errstate(over="ignore"):
+            return _quad(lambda x: (float(self.zeta.sf(t + k * x / (1.0 - x))) - self._tail)
+                         * k / (1.0 - x) ** 2, 0.0, top) / self.mass
 
     def f_inv(self, s: float) -> float:
         """The root t of f(t) = s, at the relative precision of t however deep.

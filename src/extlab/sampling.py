@@ -199,7 +199,8 @@ class Gamma(Distribution):
     def sf(self, x):
         from scipy.special import gammaincc
 
-        return gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
+        with np.errstate(over="ignore"):  # x/scale past the largest double: sf 0 is right
+            return gammaincc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def size_biased(self):
         return Gamma(self.shape + 1.0, self.scale)

@@ -346,10 +346,12 @@ def _closed_forms_config(name):
     # tails from math.erfc, and scipy would add ~16 MB to the run's peak RSS
     ("size_jitter", []),
     # closed_forms' threshold runs invert f and the spike's marginal with the
-    # lab's own bracketed root; scipy.optimize would add ~25 MB more
+    # lab's own bracketed root, where scipy.optimize would add ~25 MB more; the
+    # spike's curve takes Newton's method and the Pareto law's f its own 2F1 series,
+    # where scipy.special would add ~15 MB
     ("two_point_threshold", []),
-    ("mixture_spike", ["scipy", "scipy.special"]),
-    ("pareto_threshold", ["scipy", "scipy.special"]),
+    ("mixture_spike", []),
+    ("pareto_threshold", []),
 ], ids=["size_jitter", "two_point_threshold", "mixture_spike", "pareto_threshold"])
 def test_run_loads_only_the_scipy_it_needs(tmp_path, name, loaded):
     cfg = _SIZE_JITTER_RUN if name == "size_jitter" else _closed_forms_config(name)
@@ -367,12 +369,15 @@ def test_run_loads_only_the_scipy_it_needs(tmp_path, name, loaded):
         assert summary["summary"]["solver_method"] == "deterministic_root"
 
 
-@pytest.mark.parametrize("system", [
+_THRESHOLD_SYSTEMS = pytest.mark.parametrize("system", [
     {"kind": "random_threshold", "law": {"kind": "two_point", "delta": 0.5}},
     {"kind": "random_threshold", "law": {"kind": "pareto", "a": 3.0}},
     {"kind": "random_threshold", "law": {"kind": "gamma", "shape": 2.0}},
     {"kind": "geometric_threshold", "eps_exponent": 0.5},
 ], ids=["two_point", "pareto", "gamma", "geometric"])
+
+
+@_THRESHOLD_SYSTEMS
 def test_subnormal_s_on_a_threshold_grid(tmp_path, capsys, monkeypatch, system):
     # (1 - s)/s overflows at s = 1e-320: the root of f(t) = s lies past the largest
     # double, so the threshold is 0 and the curve reads 0 there, with no warning
@@ -385,6 +390,25 @@ def test_subnormal_s_on_a_threshold_grid(tmp_path, capsys, monkeypatch, system):
     assert "Traceback" not in err
     rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith(("#", "s,"))]
     assert float(rows[0][0]) == 1e-320 and rows[0][1:5:3] == ["0", "0"]  # u_n and psi_ref
+
+
+@_THRESHOLD_SYSTEMS
+@pytest.mark.parametrize("s", [7e-309, 3e-308])
+def test_root_near_the_largest_double_on_a_threshold_grid(tmp_path, capsys, monkeypatch,
+                                                          system, s):
+    # (1 - s)/s is finite but t/x_m or z = t + k x/(1 - x) may overflow on the way:
+    # the run must neither fail its calibration nor warn
+    cfg = _cfg(tmp_path, system=system, n=200, s_grid=[s, 0.5])
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert _main("run", "--config", str(cfg), monkeypatch=monkeypatch) == 0
+    assert [str(w.message) for w in seen] == []
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    rows = [ln.split(",") for ln in out.splitlines() if ln and not ln.startswith(("#", "s,"))]
+    assert float(rows[0][0]) == s
+    u_n, psi_ref = float(rows[0][1]), float(rows[0][4])
+    assert 0.0 < u_n < 1e-300 and 0.0 <= psi_ref < 1e-300
 
 
 def test_missing_out_directory_refused_before_work(tmp_path, capsys, monkeypatch):

@@ -180,6 +180,41 @@ def test_spike_limit_frozen_value():
         SpikeMixtureLimit(0.0)
 
 
+# s from the deep tail to 1 - 1e-16, dense near s = 1/e, where L = -ln s crosses 1
+_SPIKE_S = np.unique(np.r_[np.geomspace(1e-320, 1e-3, 120), np.linspace(0.01, 0.99, 99),
+                           1.0 - np.geomspace(0.5, 1e-16, 120),
+                           np.exp(-1.0 + np.linspace(-1e-3, 1e-3, 41))])
+
+
+@pytest.mark.parametrize("gamma", [1e-8, 1e-3, 1.0, 1e3, 1e12])
+def test_spike_limit_solver_at_its_extremes(monkeypatch, gamma):
+    from scipy.special import wrightomega  # an oracle only: the library loads no scipy here
+
+    monkeypatch.setattr(reference, "_SPIKE_STEPS", 8)  # the loop must settle within 8 steps
+    big_l = -np.log(_SPIKE_S)
+    w = reference._spike_w(gamma, big_l)
+    eps = np.finfo(float).eps
+    with localcontext() as ctx:  # the residual of w + 1 - exp(-gamma w) = L, in 50 digits
+        ctx.prec = 50
+        g = Decimal(gamma)
+        for wi, li in zip(w, big_l):
+            res = Decimal(wi) + 1 - (-g * Decimal(wi)).exp() - Decimal(li)
+            assert abs(res) <= 4 * Decimal(eps) * Decimal(li), (wi, li)
+    psi = SpikeMixtureLimit(gamma).psi(_SPIKE_S)
+    assert np.all(np.isfinite(psi)) and np.all((psi >= 0.0) & (psi <= 1.0))
+    assert np.all(np.diff(psi) >= 0.0)
+    # x = omega(ln gamma + gamma (1 - L)) gives w = L - 1 + x/gamma, and psi =
+    # exp(-w) x/gamma keeps the cancellation in w out of the exponent's gamma w;
+    # exp loses |ln psi| eps to the rounding of its argument, which sets the
+    # tolerance deep in the tail
+    keep = _SPIKE_S <= 0.99
+    x = wrightomega(math.log(gamma) + gamma * (1.0 - big_l[keep]))
+    want = np.exp(-(big_l[keep] - 1.0 + x / gamma)) * (x / gamma)
+    normal = want >= np.finfo(float).tiny
+    tol = np.maximum(1e-13, 4.0 * eps * np.abs(np.log(want[normal])))
+    assert np.all(np.abs(psi[keep][normal] - want[normal]) <= tol * want[normal])
+
+
 def test_fixed_threshold_limit():
     m = GeometricThresholdSystem(eps=0.1).reference()
     assert m.psi(0.5) == 0.0
@@ -384,6 +419,58 @@ def test_pareto_threshold_runs_without_quadrature(monkeypatch):
     ref = sys_.reference()
     assert np.all(np.abs(ref.psi(DEFAULT_GRID) - psi_n) < 1e-3)
     assert ref.theta1() == pytest.approx(8.0 / 9.0, rel=1e-15)
+
+
+def _pfaff_h(a, y):
+    """2F1(1, a; a+1; -y) = (1+y)^-1 sum_k k!/(a+1)_k x^k, x = y/(1+y), in 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, y = Decimal(a), Decimal(y)
+        x = y / (1 + y)
+        total, term, k = Decimal(1), Decimal(1), 0
+        while term > Decimal("1e-45") * total:
+            k += 1
+            term *= k / (a + k) * x
+            total += term
+        return total / (1 + y)
+
+
+@pytest.mark.parametrize("a", [1.001, 2.999999, 3.000001, 4.0000001])
+def test_pareto_f_near_an_integer_a(a):
+    # f(t) = H(t / x_m) uncapped; y <= 2 sums Pfaff's series and y > 2 splits the integral
+    x_m = (a - 1.0) / a
+    m = RandomThresholdLimit(Pareto(a, x_m))
+    for y in (1e-8, 1e-3, 0.1, 0.5, 1.0, 1.5, 2.0, 2.01, 2.5, 3.0, 4.0):
+        t = y * x_m
+        want = float(_pfaff_h(a, Decimal(t) / Decimal(x_m)))
+        assert m.f(t) == pytest.approx(want, rel=1e-13, abs=0.0), (a, y)
+
+
+@pytest.mark.parametrize("a", [2.5, 2.999999, 4.0000001])
+def test_pareto_h_keeps_its_recurrence_in_the_tail(a):
+    # H_a(y) = a/((a-1) y) (1 - H_(a-1)(y)), from w^(a-1)/(1 + y w) = w^(a-2) (1 - 1/(1 + y w))/y;
+    # the split route sums neither side through it
+    for y in np.geomspace(4.0, 1e12, 33):
+        y = float(y)
+        want = a / ((a - 1.0) * y) * (1.0 - reference._pareto_h(a - 1.0, y, 1.0))
+        assert reference._pareto_h(a, y, 1.0) == pytest.approx(want, rel=1e-13, abs=0.0), y
+
+
+def test_pareto_f_where_t_over_x_m_overflows():
+    # the largest roots of f(t) = s sit near 1/s; t/x_m overflows past t = x_m * 1.8e308
+    m = RandomThresholdLimit(Pareto(3.0, 2.0 / 3.0))
+    assert math.isfinite(m.f(1.7e308))
+    assert m.f(1.7e308) == pytest.approx(_f_pareto(3.0, math.inf, 1.7e308), rel=1e-12, abs=0.0)
+    # near a = 1 the second term of DLMF 15.8.2, H(y) = a/((a-1) y) (1 + O(1/y))
+    # + a pi/sin(pi a) y^-a, is half the first even at y = 1.7e311
+    a = 1.001
+    x_m = (a - 1.0) / a
+    with localcontext() as ctx:
+        ctx.prec = 50
+        y = Decimal(1.7e308) / Decimal(x_m)
+        reflect = Decimal(-a * math.pi / math.sin(math.pi * (a - 1.0)))  # a pi/sin(pi a)
+        want = Decimal(a) / (Decimal(a - 1.0) * y) + reflect * (-Decimal(a) * y.ln()).exp()
+    assert RandomThresholdLimit(Pareto(a, x_m)).f(1.7e308) == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_random_threshold_limit_needs_mean_one():

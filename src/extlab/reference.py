@@ -22,7 +22,7 @@ from .copulas import (
     IndependenceGenerator,
     TiltedGenerator,
 )
-from .sampling import Degenerate, Distribution, Pareto, TwoPoint, _root
+from .sampling import Degenerate, Distribution, Pareto, TwoPoint, _hurwitz_zeta, _root
 
 __all__ = [
     "ReferenceModel",
@@ -212,12 +212,13 @@ def _cap_excess(c: float, big_l: float) -> float:
     return total
 
 
-def _pareto_h(a: float, t: float, scale: float) -> float:
+def _pareto_h(a: float, t: float, scale: float, h2: float | None = None) -> float:
     """H(y) = 2F1(1, a; a+1; -y) = a int_0^1 w^(a-1)/(1 + y w) dw at y = t/scale.
 
     y <= 2 sums Pfaff's series (DLMF 15.8.1), (1+y)^-1 sum_k k!/(a+1)_k x^k with
     x = y/(1+y) <= 2/3.  y > 2 splits the integral at q = 2/y into the head
-    q^a H(2) and a tail expanded in 1/(y w) <= 1/2: (a/y) sum_k (-1)^k 2^-k T_k,
+    q^a H(2), H(2) = h2 when the caller holds it, and a tail expanded in
+    1/(y w) <= 1/2: (a/y) sum_k (-1)^k 2^-k T_k,
     T_k = int_q^1 (q/w)^k w^(a-2) dw = q^m (1 - q^d)/d with m = min(k, a-1) and
     d = |a-1-k|, so no term cancels near an integer a.  y is never formed past 2;
     where q is subnormal its powers come from ln t - ln(2 scale).
@@ -245,7 +246,7 @@ def _pareto_h(a: float, t: float, scale: float) -> float:
             break
         total += -term if k % 2 else term
         k += 1
-    return pw(a) * _pareto_h(a, 2.0, 1.0) + 0.5 * a * pw(1.0) * total
+    return pw(a) * (_pareto_h(a, 2.0, 1.0) if h2 is None else h2) + 0.5 * a * pw(1.0) * total
 
 
 class _ExactRoot(Exception):
@@ -287,6 +288,8 @@ class RandomThresholdLimit(ReferenceModel):
         else:  # P(zeta >= cap) apart from 1 - mass, which would lose its relative precision
             self._tail = float(zeta.sf(cap))
             self.mass = float(zeta.cdf(cap))
+        # H(2), the head of every H(y > 2) that the Pareto f reads
+        self._h2 = _pareto_h(zeta.a, 2.0, 1.0) if self._route == "pareto" else None
         self.m = 1.0 if math.isinf(self.cap) else self.g(0.0)
         self.name = f"random_threshold_limit({type(zeta).__name__.lower()})"
 
@@ -301,8 +304,8 @@ class RandomThresholdLimit(ReferenceModel):
             return float(t == 0.0)
         if self._route == "pareto":
             a = self.zeta.a
-            return (_pareto_h(a, t, self.zeta.x_min)
-                    - self._tail * _pareto_h(a, t, self.cap)) / self.mass
+            return (_pareto_h(a, t, self.zeta.x_min, self._h2)
+                    - self._tail * _pareto_h(a, t, self.cap, self._h2)) / self.mass
         return self.expect(lambda z: z / (t + z))
 
     def g(self, t: float) -> float:
@@ -415,9 +418,8 @@ class GraphActivityLimit(_PowerLimit):
         self.beta = float(beta)
         self.a = float(a)
         self.x_min = float(x_min)
-        from scipy.special import zeta
-
-        self.mean_degree = float(zeta(self.beta - 1.0) / zeta(self.beta))
+        self.mean_degree = float(_hurwitz_zeta(self.beta - 1.0, 1.0)
+                                 / _hurwitz_zeta(self.beta, 1.0))
         self.frechet_scale = 1.0 + self.mean_degree
         self.theta = self.theta_def2 = 1.0 / self.frechet_scale
         self.name = f"graph_activity_limit(beta={self.beta:g}, a={self.a:g})"

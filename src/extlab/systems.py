@@ -59,6 +59,7 @@ from .sampling import (
     PositiveStable,
     SymmetricStable,
     TwoPoint,
+    _hurwitz_zeta,
     _root,
 )
 
@@ -627,18 +628,17 @@ class BranchingHereditySystem(SeriesSystem):
             )
 
     def _offspring(self, rng, count):
-        # inversion on the cdf table, without a search: u >= cum[j] steps k from
-        # vals[j] to vals[j + 1], the clamped searchsorted(cum, u, side="right")
+        """Offspring sizes by inversion on the cdf table, without a search: j counts
+        the cdf steps that u passes, in the smallest integer type, then vals[j]."""
         u = rng.random(count)
-        k = np.full(count, self.offspring_vals[0])
-        for step, c in zip(np.diff(self.offspring_vals), np.cumsum(self.offspring_probs)[:-1]):
-            k += step * (u >= c)
-        return k
+        j = np.zeros(count, dtype=np.min_scalar_type(self.offspring_vals.size))
+        for c in np.cumsum(self.offspring_probs)[:-1]:
+            j += u >= c
+        del u
+        return self.offspring_vals[j]
 
     def _max_innovation(self, k, rng):
         """Largest of k[i] iid innovations for each i, by inversion: G^-1(U^(1/k))."""
-        from scipy.special import ndtri
-
         q = rng.random(k.size)  # becomes 1 - U^(1/k) in place, precise in the upper tail
         np.log(q, out=q)
         q /= k
@@ -646,6 +646,8 @@ class BranchingHereditySystem(SeriesSystem):
         if self.gamma == 1.0:
             q *= np.pi
             return np.divide(1.0, np.tan(q, out=q), out=q)
+        from scipy.special import ndtri
+
         ndtri(q, out=q)
         q *= -math.sqrt(2.0)
         return q
@@ -656,18 +658,25 @@ class BranchingHereditySystem(SeriesSystem):
         scores = self._stable.sample(rng, count)  # stationary roots
         starts = np.arange(count)
         hard_cap = max(64 * self.particle_budget, 100_000_000)
+        # a * repeat(x) is repeat(a * x) bit for bit, so each update runs in place
         for gen in range(n):
             k = self._offspring(rng, scores.size)
             nu = np.add.reduceat(k, starts)
             total = int(nu.sum())
             if total > hard_cap:
                 raise ConfigError(f"{self.name}: population blew past the hard particle cap")
+            scores *= self.a
             if gen == n - 1 and self.gamma in (1.0, 2.0):
                 # the last generation as one maximum per parent, where G^-1 is closed
-                scores = self.a * scores + self.b * self._max_innovation(k, rng)
-                break
-            scores = self.a * np.repeat(scores, k) + self.b * self._stable.sample(rng, total)
-            starts = np.cumsum(nu) - nu
+                fresh = self._max_innovation(k, rng)
+            else:
+                scores = np.repeat(scores, k)
+                fresh = self._stable.sample(rng, total)
+                starts = np.cumsum(nu) - nu
+            del k
+            fresh *= self.b
+            scores += fresh
+            del fresh
         return np.maximum.reduceat(scores, starts)
 
     def sample_nu(self, n, count, rng):
@@ -824,11 +833,10 @@ def _degree_cdf(beta: float, n: int):
     """P(D <= k) for k = 1..n-2, as 1 - zeta(beta, k+1)/zeta(beta) (Hurwitz zeta).
 
     Taking the tail, not a sum of the head, keeps the relative precision
-    of the atom P(D = n-1) = zeta(beta, n-1)/zeta(beta).  The table is read-only.
+    of the atom P(D = n-1) = zeta(beta, n-1)/zeta(beta).  zeta is the lab's
+    Euler-Maclaurin sum, so the graph loads no scipy.  The table is read-only.
     """
-    from scipy.special import zeta
-
-    cdf = 1.0 - zeta(beta, np.arange(2.0, n)) / zeta(beta)
+    cdf = 1.0 - _hurwitz_zeta(beta, np.arange(2.0, n)) / _hurwitz_zeta(beta, 1.0)
     cdf.flags.writeable = False
     return cdf
 

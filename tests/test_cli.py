@@ -323,38 +323,41 @@ code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
 print(code, json.dumps([m for m in ("scipy", "scipy.special", "scipy.optimize")
                         if m in sys.modules]))
 """
-_SIZE_JITTER_RUN = {
-    "system": {"kind": "size_jitter", "base": {"kind": "exchangeable_copula",
-               "generator": {"family": "clayton", "alpha": 1.0}}},
-    "n": 10000, "replicates": 2000, "seed": 1, "format": "json",
-    "s_grid": {"start": 0.05, "stop": 0.95, "count": 7},
-    "analyses": ["psi", "compare", "def2_fit"]}
 
 
-def _closed_forms_config(name):
+def _workload_config(workload, name, n=None, **system):
+    """The benchmark experiment's config at a test's size, n and system fields replaced."""
     sys.path.insert(0, os.path.join(os.path.dirname(_SRC), "perfbench"))
     try:
         from workloads import WORKLOADS
     finally:
         sys.path.pop(0)
-    exp = next(e for e in WORKLOADS["closed_forms"].experiments if e.name == name)
-    return dict(exp.config, replicates=2000, seed=1, format="json")
+    cfg = next(e for e in WORKLOADS[workload].experiments if e.name == name).config
+    return dict(cfg, n=n or cfg["n"], system=dict(cfg["system"], **system),
+                replicates=1000 if workload == "samplers" else 2000, seed=1, format="json")
 
 
-@pytest.mark.parametrize("name, loaded", [
+@pytest.mark.parametrize("workload, name, changes, loaded", [
     # the calibration workload's size jitter: the exact size law takes its normal
     # tails from math.erfc, and scipy would add ~16 MB to the run's peak RSS
-    ("size_jitter", []),
+    ("calibration", "size_jitter", {}, []),
     # closed_forms' threshold runs invert f and the spike's marginal with the
     # lab's own bracketed root, where scipy.optimize would add ~25 MB more; the
     # spike's curve takes Newton's method and the Pareto law's f its own 2F1 series,
     # where scipy.special would add ~15 MB
-    ("two_point_threshold", []),
-    ("mixture_spike", []),
-    ("pareto_threshold", []),
-], ids=["size_jitter", "two_point_threshold", "mixture_spike", "pareto_threshold"])
-def test_run_loads_only_the_scipy_it_needs(tmp_path, name, loaded):
-    cfg = _SIZE_JITTER_RUN if name == "size_jitter" else _closed_forms_config(name)
+    ("closed_forms", "two_point_threshold", {}, []),
+    ("closed_forms", "mixture_spike", {}, []),
+    ("closed_forms", "pareto_threshold", {}, []),
+    # the samplers: the graph's degree law is the lab's own Hurwitz zeta, and
+    # branching at gamma = 1 inverts the Cauchy law by tan; gamma = 2 still
+    # takes ndtr and ndtri from scipy.special
+    ("samplers", "branching_heredity", {}, []),
+    ("samplers", "power_law_graph", {}, []),
+    ("samplers", "branching_heredity", {"n": 8, "gamma": 2.0}, ["scipy", "scipy.special"]),
+], ids=["size_jitter", "two_point_threshold", "mixture_spike", "pareto_threshold",
+        "branching_heredity", "power_law_graph", "branching_gamma_2"])
+def test_run_loads_only_the_scipy_it_needs(tmp_path, workload, name, changes, loaded):
+    cfg = _workload_config(workload, name, **changes)
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE_RUN, str(tmp_path / "cfg.json"),
                            str(tmp_path / "out.json"), json.dumps(cfg)],
                           capture_output=True, text=True,

@@ -36,8 +36,10 @@ from extlab.sampling import (
     PositiveStable,
     RandomStream,
     TwoPoint,
+    _hurwitz_zeta,
 )
 from extlab.systems import (
+    _GRAPH_MAX_N,
     BranchingHereditySystem,
     DuplicatedIidSystem,
     ExchangeableCopulaSystem,
@@ -49,6 +51,7 @@ from extlab.systems import (
     SeriesSystem,
     SizeJitterSystem,
     StableSizeGumbelSystem,
+    _degree_cdf,
 )
 from oracles import MaxStableLaw, TwoPointThresholdLimit, mixed_max_stable_cdf
 
@@ -516,8 +519,25 @@ def test_graph_limit_matches_system_constant():
     # the system's threshold formula and the limit model share the factor 1 + EK
     sys_ = PowerLawGraphSystem(beta=3.5, a=1.0)
     m = GraphActivityLimit(3.5, a=1.0)
-    assert m.mean_degree == float(scipy_zeta(2.5) / scipy_zeta(3.5))
+    # scipy is the oracle, not the implementation: within 2 ulp of its ratio
+    assert m.mean_degree == pytest.approx(float(scipy_zeta(2.5) / scipy_zeta(3.5)),
+                                          rel=4.5e-16, abs=0.0)
     assert float(sys_.threshold_at(100, 0.01)) == pytest.approx(100.0 * m.frechet_scale, rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [2.001, 2.1, 2.5, 3.5, 6.0])
+def test_hurwitz_zeta_against_scipy(beta):
+    # every q the degree table reads, up to the graph bound, and the s = beta - 1
+    # that the limit model's mean degree reads at q = 1
+    q = np.r_[np.arange(1.0, 10_001.0), np.geomspace(1e4, _GRAPH_MAX_N, 1000)]
+    for s in (beta, beta - 1.0):
+        got = _hurwitz_zeta(s, q)
+        assert np.max(np.abs(got / scipy_zeta(s, q) - 1.0)) <= 1e-15, s
+
+
+def test_degree_table_matches_scipy_cell_for_cell():
+    want = 1.0 - scipy_zeta(3.5, np.arange(2.0, 10_000)) / scipy_zeta(3.5)
+    assert np.array_equal(_degree_cdf(3.5, 10_000), want)
 
 
 def test_branching_index():

@@ -1,11 +1,13 @@
 """System-level laws: exact formulas vs simulation, wrappers, config plumbing."""
 
 import ast
+import hashlib
 import math
 import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +591,39 @@ def test_branching_maxima_last_generation_matches_full_tree_oracle(gamma):
     nu_o, m_o = sample_branching_full_tree(sys_, 5, 5000, _rng(63))
     assert stats.ks_2samp(m, m_o).pvalue > 0.01
     assert stats.ks_2samp(nu, nu_o).pvalue > 0.01
+
+
+@pytest.mark.parametrize("law, gamma, n, count, seed, digest", [
+    ({1: 0.5, 3: 0.5}, 1.0, 10, 64, 11,
+     "079f5fa3fdfca8bf08000a0e083508c704dfbba4de0930eb63585daa88d5b6c0"),
+    ({1: 0.3, 2: 0.3, 4: 0.4}, 2.0, 8, 32, 12,
+     "29fccb6328f0054aaa98e9846b8621a9575c1cd08c7b8c0e5bde880691d3e13d"),
+    ({2: 0.5, 500: 0.5}, 1.0, 2, 8, 13,
+     "f3009e632938ebb5e9105f6a494a08862c24c950f1ff60fd7b90914ec7e63c61"),
+    ({2: 0.5, 500: 0.5}, 1.5, 2, 8, 13,
+     "557fd4647d4aaee2dda716165341413db6f374cd686b5e60e525c61af43959f7"),
+], ids=["cauchy", "gauss", "wide_gap_cauchy", "wide_gap_every_particle"])
+def test_branching_draws_are_frozen(law, gamma, n, count, seed, digest):
+    # the bytes of the update a * repeat(x) + b * eps, before it ran in place
+    # (numpy 2.4, x86-64; another libm may move the last bits of tan or sin)
+    sys_ = BranchingHereditySystem(law, gamma=gamma, a=0.5)
+    m = sys_.sample_batch(n, count, np.random.default_rng(seed))
+    assert hashlib.sha256(m.tobytes()).hexdigest() == digest
+
+
+def test_branching_batch_working_set():
+    # one batch of 16 trees to n = 16 (~730k parents in the last generation)
+    # peaks at ~16.9 MiB of numpy data; four or five full-size temporaries per
+    # generation took it to 25.9 MiB
+    sys_ = BranchingHereditySystem({1: 0.5, 3: 0.5}, gamma=1.0, a=0.5)
+    sys_.sample_batch(4, 4, np.random.default_rng(1))
+    tracemalloc.start()
+    try:
+        sys_.sample_batch(16, 16, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,47 @@ __all__ = [
 ]
 
 
+def _out(y):
+    """out= for a chain's next step: y itself, or None where y is a numpy scalar.
+
+    A scalar step returns a new scalar, as the plain expression's does, so a
+    scalar keeps numpy's scalar arithmetic (its pow is libm's, not the loop's).
+    """
+    return y if isinstance(y, np.ndarray) else None
+
+
+def _pow(x, p, out):
+    """x ** p into out (a new array where out is None).
+
+    It uses the ** operator, which numpy may route through a fast path for
+    some exponents (a square root at 0.5) that np.power skips, so it is
+    bit-equal to x ** p.
+    """
+    if out is None:
+        return x ** p
+    if out is not x:
+        np.copyto(out, x)
+    out **= p
+    return out
+
+
 class ArchimedeanGenerator:
-    """Base class: phi, its inverse f, and the frailty behind them."""
+    """Base class: phi, its inverse f, and the frailty behind them.
+
+    ``phi(t, out=None)`` and ``f(u, out=None)`` are ufunc chains whose first
+    step writes into ``out`` (a new array where it is None) and whose later
+    steps write into that array, so a call makes at most one array; ``out``
+    may be the input.  The steps are the ufuncs of the plain expression, in
+    its order, so every value is bit-equal to it; the input is only read
+    unless it is ``out``, and a scalar in gives a float out.
+    """
 
     name: str = "archimedean"
 
-    def phi(self, t):
+    def phi(self, t, out=None):
         raise NotImplementedError
 
-    def f(self, u):
+    def f(self, u, out=None):
         """Inverse generator; equals the Laplace transform of the frailty."""
         raise NotImplementedError
 
@@ -74,12 +106,14 @@ class IndependenceGenerator(ArchimedeanGenerator):
 
     name = "independence"
 
-    def phi(self, t):
+    def phi(self, t, out=None):
         with np.errstate(divide="ignore"):
-            return -np.log(t)
+            y = np.log(np.asarray(t, dtype=float), out=out)
+        return np.negative(y, out=_out(y))
 
-    def f(self, u):
-        return np.exp(-np.asarray(u, dtype=float))
+    def f(self, u, out=None):
+        y = np.negative(np.asarray(u, dtype=float), out=out)
+        return np.exp(y, out=_out(y))
 
     @property
     def mu(self):
@@ -99,12 +133,16 @@ class ClaytonGenerator(ArchimedeanGenerator):
         self.alpha = float(alpha)
         self.name = f"clayton(alpha={self.alpha:g})"
 
-    def phi(self, t):
+    def phi(self, t, out=None):
         with np.errstate(divide="ignore"):
-            return np.asarray(t, dtype=float) ** (-self.alpha) - 1.0
+            y = _pow(np.asarray(t, dtype=float), -self.alpha, out)
+        y -= 1.0
+        return y
 
-    def f(self, u):
-        return (1.0 + np.asarray(u, dtype=float)) ** (-1.0 / self.alpha)
+    def f(self, u, out=None):
+        y = np.add(np.asarray(u, dtype=float), 1.0, out=out)
+        y **= -1.0 / self.alpha
+        return y
 
     @property
     def mu(self):
@@ -130,16 +168,27 @@ class FrankGenerator(ArchimedeanGenerator):
             raise ValueError(f"alpha is too large for floating point: f(0) = {f0!r}, "
                              f"not 1 to within 1e-9, at alpha = {alpha}")
 
-    def phi(self, t):
+    def phi(self, t, out=None):
+        # -ln(-expm1(-a t) / -expm1(-a))
         a = self.alpha
-        t = np.asarray(t, dtype=float)
+        y = np.multiply(np.asarray(t, dtype=float), -a, out=out)
+        y = np.expm1(y, out=_out(y))
+        y = np.negative(y, out=_out(y))
+        y /= -np.expm1(-a)
         with np.errstate(divide="ignore"):
-            return -np.log(-np.expm1(-a * t) / -np.expm1(-a))
+            y = np.log(y, out=_out(y))
+        return np.negative(y, out=_out(y))
 
-    def f(self, u):
+    def f(self, u, out=None):
+        # -log1p(expm1(-a) e^-u) / a
         a = self.alpha
-        u = np.asarray(u, dtype=float)
-        return -np.log1p(np.expm1(-a) * np.exp(-u)) / a
+        y = np.negative(np.asarray(u, dtype=float), out=out)
+        y = np.exp(y, out=_out(y))
+        y *= np.expm1(-a)
+        y = np.log1p(y, out=_out(y))
+        y = np.negative(y, out=_out(y))
+        y /= a
+        return y
 
     @property
     def mu(self):
@@ -165,12 +214,17 @@ class GumbelHougaardGenerator(ArchimedeanGenerator):
         self.alpha = float(alpha)
         self.name = f"gumbel_hougaard(alpha={self.alpha:g})"
 
-    def phi(self, t):
+    def phi(self, t, out=None):
         with np.errstate(divide="ignore"):
-            return (-np.log(t)) ** self.alpha
+            y = np.log(np.asarray(t, dtype=float), out=out)
+        y = np.negative(y, out=_out(y))
+        y **= self.alpha
+        return y
 
-    def f(self, u):
-        return np.exp(-np.asarray(u, dtype=float) ** (1.0 / self.alpha))
+    def f(self, u, out=None):
+        y = _pow(np.asarray(u, dtype=float), 1.0 / self.alpha, out)
+        y = np.negative(y, out=_out(y))
+        return np.exp(y, out=_out(y))
 
     @property
     def mu(self):
@@ -232,27 +286,42 @@ def _effective(gen, d):
 
 
 def diag_cdf(gen, d, y):
-    """P(max of the d exchangeable terms <= y) = f(d * phi(y))."""
+    """P(max of the d exchangeable terms <= y) = f(d * phi(y)), pinned to 0 and 1 off (0, 1)."""
     g, d = _effective(gen, d)
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = g.f(d * g.phi(y))
-    out = np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, out))
-    return out if out.ndim else float(out)
+        x = g.phi(y)
+        x *= d
+        x = g.f(x, out=_out(x))
+    if not isinstance(x, np.ndarray):  # a scalar in: a float out
+        return 0.0 if y <= 0.0 else 1.0 if y >= 1.0 else float(x)
+    x[y >= 1.0] = 1.0
+    x[y <= 0.0] = 0.0
+    return x
 
 
 def diag_inverse(gen, d, v):
     """Inverse of diag_cdf in y: f(phi(v) / d), with v = 0 -> 0 and v = 1 -> 1.
 
-    Some inverse generators round an ulp past [0, 1] (Frank's f(0) is
-    1 +- 6e-16 for many alpha), so the result is clipped to [0, 1] and v = 1
-    is pinned to 1, as diag_cdf pins y = 1.
+    One chain over one array: phi makes it, and the division, f, the clip
+    and the pin write into it, so v is only read and every value is the one
+    the plain expression gives.  Some inverse generators round an ulp past
+    [0, 1] (Frank's f(0) is 1 +- 6e-16 for many alpha), so the result is
+    clipped to [0, 1] and v = 1 is pinned to 1, as diag_cdf pins y = 1.  A
+    NaN passes through as NaN; a value below 0 or above 1 raises ValueError.
     """
     g, d = _effective(gen, d)
     v = np.asarray(v, dtype=float)
-    if np.any((v < 0.0) | (v > 1.0)):
+    # fmin and fmax skip NaN, and the initial values make an empty v pass
+    if (np.fmin.reduce(v, axis=None, initial=0.0) < 0.0
+            or np.fmax.reduce(v, axis=None, initial=1.0) > 1.0):
         raise ValueError("diagonal values must lie in [0, 1]")
     with np.errstate(divide="ignore", over="ignore"):  # phi(0) = inf
-        out = g.f(g.phi(v) / d)
-    out = np.where(v >= 1.0, 1.0, np.clip(out, 0.0, 1.0))
-    return out if out.ndim else float(out)
+        y = g.phi(v)
+        y /= d
+        y = g.f(y, out=_out(y))
+    if not isinstance(y, np.ndarray):  # a scalar in: a float out
+        return 1.0 if v >= 1.0 else float(np.clip(y, 0.0, 1.0))
+    np.clip(y, 0.0, 1.0, out=y)
+    y[v >= 1.0] = 1.0
+    return y

@@ -62,11 +62,21 @@ class PsiEstimate:
 
 
 def _replicate_batch(args):
+    """Counts of batch j's maxima at or below each threshold, and the maxima if kept.
+
+    The batch's maxima are sorted in place for the count; a kept batch is
+    returned in draw order, so its count sorts a copy.
+    """
     system, n, u, seed, parent_id, j, size, keep = args
     rng = RandomStream(seed, parent_id).substream(_REPLICATE_TAG, j).generator
     m = system.sample_batch(n, size, rng)
-    counts = np.searchsorted(np.sort(m), u, side="right").astype(np.int64)
-    return counts, (m if keep else None)
+    if keep:
+        ordered = np.sort(m)
+    else:
+        m.sort()
+        ordered, m = m, None
+    counts = np.searchsorted(ordered, u, side="right").astype(np.int64)
+    return counts, m
 
 
 def estimate_psi(system: SeriesSystem, n: int, s_grid=None, replicates: int = 100_000,

@@ -369,7 +369,10 @@ class Pareto(Distribution):
         self.x_min = float(x_min)
 
     def sample(self, rng, size=None):
-        return self.x_min * (1.0 + rng.pareto(self.a, size))
+        x = rng.pareto(self.a, size)
+        x += 1.0
+        x *= self.x_min
+        return x
 
     def mean(self):
         if self.a <= 1.0:

@@ -307,7 +307,10 @@ class DuplicatedIidSystem(_InvertedMaxSystem):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._groups(n, self.m)
 
     def max_inverse_given_size(self, d, v):
-        return np.asarray(v, dtype=float) ** (1.0 / self._groups(np.asarray(d), self.m))
+        e = 1.0 / self._groups(np.asarray(d), self.m)
+        if isinstance(e, np.ndarray) and e.shape == np.shape(v):
+            return np.power(v, e, out=e)  # a size per draw: the power writes over its exponents
+        return np.asarray(v, dtype=float) ** e
 
     def reference(self):
         return DuplicatedIidLimit(self.m)
@@ -338,7 +341,9 @@ class MixtureSpikeSystem(SeriesSystem):
 
     def sample_batch(self, n, count, rng):
         # the max d.f. x^p inverts in closed form: M = V^(1/p), one uniform V per replicate
-        return rng.random(count) ** (1.0 / self._max_power(n))
+        u = rng.random(count)
+        u **= 1.0 / self._max_power(n)
+        return u
 
     def marginal_cdf(self, n, x):
         x = np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
@@ -397,8 +402,12 @@ class GeometricThresholdSystem(SeriesSystem):
         return float(n) ** (-self.eps_exponent)
 
     def sample_batch(self, n, count, rng):
+        # 1 - eps + eps U, in place on the uniforms
         eps = self.eps_at(n)
-        return 1.0 - eps + eps * rng.random(count)
+        u = rng.random(count)
+        u *= eps
+        u += 1.0 - eps
+        return u
 
     def size_laplace(self, n, lam):
         # E e^(-lam nu) = eps e^-lam / (1 - (1 - eps) e^-lam), with no 1 - eps to round away;
@@ -462,8 +471,15 @@ class RandomThresholdSystem(SeriesSystem):
         raise ConfigError(f"{self.name}: threshold law puts too much mass above n={n}")
 
     def sample_batch(self, n, count, rng):
-        x = 1.0 - self._draw(self.zeta_biased, n, count, rng) / n
-        return x + (1.0 - x) * rng.random(count)
+        # x + (1 - x) U with x = 1 - zeta/n: in place on the draws and the uniforms
+        x = self._draw(self.zeta_biased, n, count, rng)
+        x /= n
+        np.subtract(1.0, x, out=x)
+        w = 1.0 - x
+        u = rng.random(count)
+        u *= w
+        u += x
+        return u
 
     def _capped(self, n):
         return RandomThresholdLimit(self.zeta, cap=n)
@@ -519,11 +535,17 @@ class StableSizeGumbelSystem(SeriesSystem):
     def sample_nu(self, n, count, rng):
         """Sizes as integer-valued float64, not int64: n S is heavy-tailed and can pass 2^63."""
         s = self._stable.sample(rng, count)
-        return np.maximum(1.0, np.rint(n * s))
+        s *= n
+        np.rint(s, out=s)
+        return np.maximum(s, 1.0, out=s)
 
     def sample_batch(self, n, count, rng):
-        nu = self.sample_nu(n, count, rng)
-        return rng.random(count) ** (nu ** (-1.0 / default_tilt_power(n, self.gamma)))
+        # V^(nu^(-1/alpha_n)): the exponents overwrite the sizes, the maxima the uniforms
+        e = self.sample_nu(n, count, rng)
+        e **= -1.0 / default_tilt_power(n, self.gamma)
+        u = rng.random(count)
+        u **= e
+        return u
 
     def size_laplace(self, n, lam):
         """E e^(-lam nu), exact: Poisson summation of the rounding of T = n S.
@@ -929,7 +951,10 @@ class SizeJitterSystem(_WrappedSystem):
 
     def sample_batch(self, n, count, rng):
         z = rng.standard_normal(count)
-        nu = np.maximum(1, n + np.rint(math.sqrt(n) * z)).astype(np.int64)
+        z *= math.sqrt(n)
+        np.rint(z, out=z)
+        z += n
+        nu = np.maximum(z, 1, out=z).astype(np.int64)
         return self.base.max_inverse_given_size(nu, rng.random(count))
 
     def validate_n(self, n):

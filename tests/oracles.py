@@ -22,8 +22,12 @@ size law term by term, where the system sums it by Poisson summation,
 ``PooledStableSize`` keeps the stable-size system on a frozen pool of
 sampled sizes for the pooled-calibrator tests, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
-superlinear root finder must reproduce, and ``PROBES`` with ``probe_z``
-checks each sampler against closed-form moments of its law.
+superlinear root finder must reproduce, ``PROBES`` with ``probe_z``
+checks each sampler against closed-form moments of its law, and
+``expression_phi``, ``expression_f``, ``expression_diag_cdf`` and
+``expression_diag_inverse`` are the generator kernels and the diagonals as
+plain numpy expressions, one new array per step, which the library's
+in-place chains must match bit for bit.
 """
 
 import math
@@ -36,6 +40,7 @@ from extlab.copulas import (
     ClaytonGenerator,
     FrankGenerator,
     GumbelHougaardGenerator,
+    IndependenceGenerator,
     TiltedGenerator,
 )
 from extlab.reference import ReferenceModel, _check_s
@@ -152,6 +157,64 @@ class PinnedTilt:
 
     def f(self, u):
         return self.base.f(np.asarray(u, dtype=float) ** (1.0 / self.beta))
+
+
+def expression_phi(gen, t):
+    """phi of a plain generator as one numpy expression."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore"):
+        if isinstance(gen, IndependenceGenerator):
+            return -np.log(t)
+        if isinstance(gen, ClaytonGenerator):
+            return t ** (-gen.alpha) - 1.0
+        if isinstance(gen, FrankGenerator):
+            a = gen.alpha
+            return -np.log(-np.expm1(-a * t) / -np.expm1(-a))
+        if isinstance(gen, GumbelHougaardGenerator):
+            return (-np.log(t)) ** gen.alpha
+    raise TypeError(f"no expression for {gen!r}")
+
+
+def expression_f(gen, u):
+    """f, the inverse generator, of a plain generator as one numpy expression."""
+    u = np.asarray(u, dtype=float)
+    if isinstance(gen, IndependenceGenerator):
+        return np.exp(-u)
+    if isinstance(gen, ClaytonGenerator):
+        return (1.0 + u) ** (-1.0 / gen.alpha)
+    if isinstance(gen, FrankGenerator):
+        a = gen.alpha
+        return -np.log1p(np.expm1(-a) * np.exp(-u)) / a
+    if isinstance(gen, GumbelHougaardGenerator):
+        return np.exp(-u ** (1.0 / gen.alpha))
+    raise TypeError(f"no expression for {gen!r}")
+
+
+def _plain(gen, d):
+    d = np.asarray(d, dtype=float)
+    if isinstance(gen, TiltedGenerator):
+        return gen.base, d * math.exp(-gen.gamma)
+    return gen, d
+
+
+def expression_diag_cdf(gen, d, y):
+    """f(d phi(y)), with 0 at y <= 0 and 1 at y >= 1, one new array per step."""
+    g, d = _plain(gen, d)
+    y = np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = expression_f(g, d * expression_phi(g, y))
+    out = np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, out))
+    return out if out.ndim else float(out)
+
+
+def expression_diag_inverse(gen, d, v):
+    """f(phi(v) / d) clipped to [0, 1], with 1 at v >= 1, one new array per step."""
+    g, d = _plain(gen, d)
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", over="ignore"):
+        out = expression_f(g, expression_phi(g, v) / d)
+    out = np.where(v >= 1.0, 1.0, np.clip(out, 0.0, 1.0))
+    return out if out.ndim else float(out)
 
 
 def pin(gen, d):

@@ -20,7 +20,15 @@ from extlab.copulas import (
 )
 from extlab.reference import ArchimedeanLimit
 from extlab.sampling import RandomStream
-from oracles import pin, sample_exchangeable, sample_frailty
+from oracles import (
+    expression_diag_cdf,
+    expression_diag_inverse,
+    expression_f,
+    expression_phi,
+    pin,
+    sample_exchangeable,
+    sample_frailty,
+)
 
 _GENERATORS = [
     IndependenceGenerator(),
@@ -206,8 +214,91 @@ def test_diag_inverse_exact_endpoints(gen):
 
 
 def test_diag_inverse_validates_input():
+    gen = ClaytonGenerator(1.0)
     with pytest.raises(ValueError):
-        diag_inverse(ClaytonGenerator(1.0), 4, 1.5)
+        diag_inverse(gen, 4, 1.5)
+    # an array: a NaN passes through as NaN, and no NaN hides a value off [0, 1]
+    out = diag_inverse(gen, 4, np.array([0.25, np.nan, 1.0]))
+    assert np.isnan(out[1]) and out[2] == 1.0 and 0.0 < out[0] < 1.0
+    for bad in ([0.5, 1.5], [-0.1, 0.5], [np.nan, 1.5], [-0.1, np.nan]):
+        with pytest.raises(ValueError):
+            diag_inverse(gen, 4, np.array(bad))
+    assert diag_inverse(gen, 4, np.array([])).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the kernel contract: in-place chains, bit-equal to the plain expressions
+
+_KERNEL_GENERATORS = [
+    IndependenceGenerator(),
+    ClaytonGenerator(0.5),
+    ClaytonGenerator(1.0),       # exponent -1 in phi and f
+    FrankGenerator(2.0),
+    FrankGenerator(7.0),
+    GumbelHougaardGenerator(1.5),
+    GumbelHougaardGenerator(2.0),  # exponent 0.5 in f
+]
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(40)
+    t = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0 - 2**-53, 1.0, np.nan],
+                        rng.random(4000)])
+    u = np.concatenate([[0.0, 5e-324, 1e-12, 1.0, 700.0, 1e300, np.inf, np.nan],
+                        rng.standard_exponential(4000) * 10.0 ** rng.integers(-6, 7, 4000)])
+    return {"phi": (t, expression_phi), "f": (u, expression_f)}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("gen", _KERNEL_GENERATORS, ids=lambda g: g.name)
+@pytest.mark.parametrize("kernel", ["phi", "f"])
+def test_kernels_match_their_expressions_with_and_without_out(gen, kernel):
+    x, expression = _kernel_inputs()[kernel]
+    fn = getattr(gen, kernel)
+    with np.errstate(all="ignore"):
+        want = expression(gen, x)
+        kept = x.copy()
+        got = fn(x)
+        assert _same_bits(got, want) and _same_bits(x, kept)
+        out = np.empty_like(x)
+        assert fn(x, out=out) is out
+        assert _same_bits(out, want) and _same_bits(x, kept)
+        alias = x.copy()
+        assert fn(alias, out=alias) is alias
+        assert _same_bits(alias, want)
+        for xi in x[:8]:  # a scalar in gives a float out, as the expression's scalar
+            got = fn(float(xi))
+            assert isinstance(got, float) and _same_bits(got, expression(gen, float(xi)))
+
+
+_DIAGONAL_GENERATORS = _KERNEL_GENERATORS + [
+    TiltedGenerator(FrankGenerator(2.0), math.log(2.0)),
+    TiltedGenerator(GumbelHougaardGenerator(1.5), math.log(2.0)),
+]
+
+
+@pytest.mark.parametrize("gen", _DIAGONAL_GENERATORS, ids=lambda g: g.name)
+def test_diagonals_match_their_expressions_and_leave_the_input(gen):
+    rng = np.random.default_rng(41)
+    v = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0 - 2**-53, 1.0, np.nan], rng.random(3000)])
+    y = np.concatenate([[-0.5, 0.0, 1e-300, 0.5, 1.0, 1.5, np.nan], rng.random(3000)])
+    sizes = rng.integers(3, 5000, v.size)  # a size per value, as the size jitter passes
+    for diag, expression, x in ((diag_inverse, expression_diag_inverse, v),
+                                (diag_cdf, expression_diag_cdf, y)):
+        kept = x.copy()
+        with np.errstate(over="ignore"):  # diag_cdf past y = 1: exp of a large positive
+            for d in (3, 10_000, sizes):
+                assert _same_bits(diag(gen, d, x), expression(gen, d, x)), (diag.__name__, d)
+                assert _same_bits(x, kept)
+            for xi in x[:7]:
+                got = diag(gen, 10, float(xi))
+                assert isinstance(got, float) and _same_bits(got, expression(gen, 10, float(xi)))
+        # one value against many sizes broadcasts, as the expression does
+        assert _same_bits(diag(gen, sizes[:5], 0.5), expression(gen, sizes[:5], 0.5))
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,20 @@ def test_default_grid_and_kept_maxima():
     assert np.allclose(replay, est.psi_hat, rtol=1e-12)
 
 
+def test_kept_maxima_are_the_batches_in_draw_order():
+    # each batch is sorted in place for its count unless it is kept, and a kept
+    # batch keeps its draw order while its count reads a sorted copy
+    sys_, n, reps = _clayton(), 50, 2000
+    kw = dict(s_grid=[0.2, 0.5, 0.8], replicates=reps, stream=_stream(5))
+    kept = estimate_psi(sys_, n, keep_maxima=True, **kw)
+    replay = np.concatenate([
+        sys_.sample_batch(n, int(size), _stream(5).substream(estimator._REPLICATE_TAG, j).generator)
+        for j, size in enumerate(kept.batch_sizes)])
+    assert kept.batch_sizes.size == 64
+    assert np.array_equal(kept.maxima, replay)
+    assert np.array_equal(kept.batch_counts, estimate_psi(sys_, n, **kw).batch_counts)
+
+
 def test_estimate_validation():
     with pytest.raises(ConfigError):
         estimate_psi(_clayton(), 50, replicates=1000)

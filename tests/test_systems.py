@@ -611,6 +611,56 @@ def test_branching_draws_are_frozen(law, gamma, n, count, seed, digest):
     assert hashlib.sha256(m.tobytes()).hexdigest() == digest
 
 
+_LN2 = math.log(2.0)
+# (system, n, count, seed, SHA-256 of sample_batch(n, count, RandomStream(seed, 0).generator))
+_FROZEN_DRAWS = {
+    "clayton": (lambda: ExchangeableCopulaSystem(ClaytonGenerator(1.0)), 10_000, 4096, 21,
+                "a4c2106b7147b7d9bf16d12a78abfdcb2eed15184e8bf63f5c5c9fbbd46dfa50"),
+    "tilted_frank": (lambda: ExchangeableCopulaSystem(TiltedGenerator(FrankGenerator(2.0), _LN2)),
+                     10_000, 4096, 22,
+                     "fc5cfe4e30c9a79c4a2a1bfb40240c51518dd411cd3f1c9c954062c540d5ed77"),
+    "frank_7": (lambda: ExchangeableCopulaSystem(FrankGenerator(7.0)), 100, 4096, 23,
+                "ab7a439b9ee6d330d08617c9e3a475ae12cdb2261a52806d2093936d8894c5b2"),
+    "gumbel_1.5": (lambda: ExchangeableCopulaSystem(GumbelHougaardGenerator(1.5)), 100, 4096, 24,
+                   "58161aa2ad04f221b93531bbc9925e7314ae72e6d12a01448376b2224bb9b0c4"),
+    "tilted_gumbel_1.5": (lambda: ExchangeableCopulaSystem(
+                              TiltedGenerator(GumbelHougaardGenerator(1.5), _LN2)), 100, 4096, 25,
+                          "53d31819e75c28e806404806ffa7aa98b6989a7e90a3ae3b937f32fb227a249d"),
+    "independence": (lambda: ExchangeableCopulaSystem(IndependenceGenerator()), 100, 4096, 26,
+                     "101a3de5639a84642392c61bac5a1df4637cf3ffb6a791fca331f0efe40cfa84"),
+    "duplicated_iid": (lambda: DuplicatedIidSystem(3), 100, 4096, 27,
+                       "d20de7755d5345e9d2f94c432a7c969889e8c0859f31b5b4be52c985ad10ae09"),
+    "mixture_spike": (lambda: MixtureSpikeSystem(0.5), 10_000, 4096, 28,
+                      "1b80c550a1cafcb31d89349562daba5d93cbae5f4aab118379cc9783503012d6"),
+    "geometric_eps": (lambda: GeometricThresholdSystem(eps=0.01), 100, 4096, 29,
+                      "ba5dbc8ca687bb903d0f091416cfc9251ecca9b58fee11fc33ab8f1861f04bf0"),
+    "geometric_eps_exponent": (lambda: GeometricThresholdSystem(eps_exponent=0.5), 100, 4096, 30,
+                               "535edb81131fc2d803bca244c23beea972a4ebfec8b935d44616649e81ab87da"),
+    "two_point_threshold": (lambda: RandomThresholdSystem(TwoPoint(0.5, 1.5, 0.5)), 100, 4096, 31,
+                            "1c197452544d11d81c972b0f18aca37f02d6e661631daf7df74603725977eb73"),
+    "pareto_threshold": (lambda: RandomThresholdSystem(Pareto(3.0, 2.0 / 3.0)), 100, 4096, 32,
+                         "9eff67c049d93229939d6497e4b7911f6bc4262b02916c80be9fc840465ff88a"),
+    "gamma_threshold": (lambda: RandomThresholdSystem(Gamma(2.0, 0.5)), 100, 4096, 33,
+                        "37f848e8deeb24270cfaa6d9435b28cbfe2e3238d3327d7fea1bd7ed6ce21668"),
+    "stable_size": (lambda: StableSizeGumbelSystem(0.5, _LN2), 100, 4096, 34,
+                    "4756844906cdfe4f125814f3b0dcf23e2257b5b2a40797f8a2f67261f34a9c9c"),
+    "size_jitter": (lambda: SizeJitterSystem(ExchangeableCopulaSystem(ClaytonGenerator(1.0))),
+                    100, 4096, 35,
+                    "ddba2aa94fcb880b59007a05c0e70cebcd1302fa2c6477ab6bd1b9190e9ad8e6"),
+    "power_law_graph": (lambda: PowerLawGraphSystem(3.5), 50, 16, 36,
+                        "06d6cf4f75530d9c50d26428cec04c1da555d8a47190aca205e1487774f4f708"),
+}
+
+
+@pytest.mark.parametrize("name", list(_FROZEN_DRAWS))
+def test_sampler_draws_are_frozen(name):
+    # the bytes of each sampler before its arithmetic ran in place
+    # (numpy 2.4, x86-64; another libm may move the last bits of pow, exp or log)
+    make, n, count, seed, digest = _FROZEN_DRAWS[name]
+    m = make().sample_batch(n, count, RandomStream(seed, 0).generator)
+    assert hashlib.sha256(m.tobytes()).hexdigest() == digest
+
+
 def test_branching_batch_working_set():
     # one batch of 16 trees to n = 16 (~730k parents in the last generation)
     # peaks at ~16.9 MiB of numpy data; four or five full-size temporaries per

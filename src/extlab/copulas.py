@@ -53,29 +53,27 @@ def _out(y):
 
 
 def _pow(x, p, out):
-    """x ** p into out (a new array where out is None).
+    """x ** p: a new array where out is None, else written over x (out is x).
 
     It uses the ** operator, which numpy may route through a fast path for
-    some exponents (a square root at 0.5) that np.power skips, so it is
-    bit-equal to x ** p.
+    some exponents (a square root at 0.5) that np.power skips; **= takes the
+    same path, so both are bit-equal to x ** p.
     """
     if out is None:
         return x ** p
-    if out is not x:
-        np.copyto(out, x)
-    out **= p
-    return out
+    x **= p
+    return x
 
 
 class ArchimedeanGenerator:
     """Base class: phi, its inverse f, and the frailty behind them.
 
-    ``phi(t, out=None)`` and ``f(u, out=None)`` are ufunc chains whose first
-    step writes into ``out`` (a new array where it is None) and whose later
-    steps write into that array, so a call makes at most one array; ``out``
-    may be the input.  The steps are the ufuncs of the plain expression, in
-    its order, so every value is bit-equal to it; the input is only read
-    unless it is ``out``, and a scalar in gives a float out.
+    ``phi(t, out=None)`` and ``f(u, out=None)`` are ufunc chains.  ``out`` is
+    None or the input itself, a float64 array: the first step writes a new
+    array or over the input, and every later step writes into that array,
+    so a call makes at most one array.  The steps are the ufuncs of the
+    plain expression, in its order, so every value is bit-equal to it; the
+    input is only read unless it is ``out``, and a scalar in gives a float out.
     """
 
     name: str = "archimedean"
@@ -286,18 +284,13 @@ def _effective(gen, d):
 
 
 def diag_cdf(gen, d, y):
-    """P(max of the d exchangeable terms <= y) = f(d * phi(y)), pinned to 0 and 1 off (0, 1)."""
+    """P(max of the d exchangeable terms <= y) = f(d * phi(y))."""
     g, d = _effective(gen, d)
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = g.phi(y)
-        x *= d
-        x = g.f(x, out=_out(x))
-    if not isinstance(x, np.ndarray):  # a scalar in: a float out
-        return 0.0 if y <= 0.0 else 1.0 if y >= 1.0 else float(x)
-    x[y >= 1.0] = 1.0
-    x[y <= 0.0] = 0.0
-    return x
+        out = g.f(d * g.phi(y))
+    out = np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, out))
+    return out if out.ndim else float(out)
 
 
 def diag_inverse(gen, d, v):

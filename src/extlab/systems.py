@@ -307,10 +307,7 @@ class DuplicatedIidSystem(_InvertedMaxSystem):
         return np.clip(np.asarray(u, dtype=float), 0.0, 1.0) ** self._groups(n, self.m)
 
     def max_inverse_given_size(self, d, v):
-        e = 1.0 / self._groups(np.asarray(d), self.m)
-        if isinstance(e, np.ndarray) and e.shape == np.shape(v):
-            return np.power(v, e, out=e)  # a size per draw: the power writes over its exponents
-        return np.asarray(v, dtype=float) ** e
+        return np.asarray(v, dtype=float) ** (1.0 / self._groups(np.asarray(d), self.m))
 
     def reference(self):
         return DuplicatedIidLimit(self.m)
@@ -402,12 +399,8 @@ class GeometricThresholdSystem(SeriesSystem):
         return float(n) ** (-self.eps_exponent)
 
     def sample_batch(self, n, count, rng):
-        # 1 - eps + eps U, in place on the uniforms
         eps = self.eps_at(n)
-        u = rng.random(count)
-        u *= eps
-        u += 1.0 - eps
-        return u
+        return 1.0 - eps + eps * rng.random(count)
 
     def size_laplace(self, n, lam):
         # E e^(-lam nu) = eps e^-lam / (1 - (1 - eps) e^-lam), with no 1 - eps to round away;

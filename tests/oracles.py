@@ -24,10 +24,10 @@ sampled sizes for the pooled-calibrator tests, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
 superlinear root finder must reproduce, ``PROBES`` with ``probe_z``
 checks each sampler against closed-form moments of its law, and
-``expression_phi``, ``expression_f``, ``expression_diag_cdf`` and
-``expression_diag_inverse`` are the generator kernels and the diagonals as
-plain numpy expressions, one new array per step, which the library's
-in-place chains must match bit for bit.
+``expression_phi``, ``expression_f``, ``expression_diag_inverse`` and
+``expression_sample_batch`` are the generator kernels, the inverse
+diagonal and the closed-form samplers as plain numpy expressions, one new
+array per step, which the library's in-place chains must match bit for bit.
 """
 
 import math
@@ -42,11 +42,18 @@ from extlab.copulas import (
     GumbelHougaardGenerator,
     IndependenceGenerator,
     TiltedGenerator,
+    default_tilt_power,
 )
 from extlab.reference import ReferenceModel, _check_s
 from extlab.sampling import (Degenerate, Distribution, Gamma, Pareto, PositiveStable,
                              SymmetricStable, TwoPoint)
-from extlab.systems import GeometricThresholdSystem, StableSizeGumbelSystem
+from extlab.systems import (
+    ExchangeableCopulaSystem,
+    GeometricThresholdSystem,
+    MixtureSpikeSystem,
+    SizeJitterSystem,
+    StableSizeGumbelSystem,
+)
 
 
 class TwoPointThresholdLimit(ReferenceModel):
@@ -197,16 +204,6 @@ def _plain(gen, d):
     return gen, d
 
 
-def expression_diag_cdf(gen, d, y):
-    """f(d phi(y)), with 0 at y <= 0 and 1 at y >= 1, one new array per step."""
-    g, d = _plain(gen, d)
-    y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = expression_f(g, d * expression_phi(g, y))
-    out = np.where(y <= 0.0, 0.0, np.where(y >= 1.0, 1.0, out))
-    return out if out.ndim else float(out)
-
-
 def expression_diag_inverse(gen, d, v):
     """f(phi(v) / d) clipped to [0, 1], with 1 at v >= 1, one new array per step."""
     g, d = _plain(gen, d)
@@ -215,6 +212,27 @@ def expression_diag_inverse(gen, d, v):
         out = expression_f(g, expression_phi(g, v) / d)
     out = np.where(v >= 1.0, 1.0, np.clip(out, 0.0, 1.0))
     return out if out.ndim else float(out)
+
+
+def expression_sample_batch(system, n, count, rng):
+    """sample_batch of a closed-form system as plain numpy expressions, one new array per step.
+
+    It draws from rng in the system's order, so on one machine it gives the
+    system's bytes: the copula diagonal, the spike, the stable size, and
+    the size jitter over a copula.
+    """
+    if isinstance(system, ExchangeableCopulaSystem):
+        return expression_diag_inverse(system.gen, n, rng.random(count))
+    if isinstance(system, MixtureSpikeSystem):
+        return rng.random(count) ** (1.0 / system._max_power(n))
+    if isinstance(system, StableSizeGumbelSystem):
+        nu = np.maximum(1.0, np.rint(n * system._stable.sample(rng, count)))
+        return rng.random(count) ** (nu ** (-1.0 / default_tilt_power(n, system.gamma)))
+    if isinstance(system, SizeJitterSystem) and isinstance(system.base, ExchangeableCopulaSystem):
+        z = rng.standard_normal(count)
+        nu = np.maximum(1, n + np.rint(math.sqrt(n) * z)).astype(np.int64)
+        return expression_diag_inverse(system.base.gen, nu, rng.random(count))
+    raise TypeError(f"no expression for {system.name}")
 
 
 def pin(gen, d):

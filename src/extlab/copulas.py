@@ -27,6 +27,7 @@ d * exp(-gamma), which is how the diagonal helpers compute it.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -52,33 +53,20 @@ def _out(y):
     return y if isinstance(y, np.ndarray) else None
 
 
-def _pow(x, p, out):
-    """x ** p: a new array where out is None, else written over x (out is x).
-
-    It uses the ** operator, which numpy may route through a fast path for
-    some exponents (a square root at 0.5) that np.power skips; **= takes the
-    same path, so both are bit-equal to x ** p.
-    """
-    if out is None:
-        return x ** p
-    x **= p
-    return x
-
-
 class ArchimedeanGenerator:
     """Base class: phi, its inverse f, and the frailty behind them.
 
-    ``phi(t, out=None)`` and ``f(u, out=None)`` are ufunc chains.  ``out`` is
-    None or the input itself, a float64 array: the first step writes a new
-    array or over the input, and every later step writes into that array,
-    so a call makes at most one array.  The steps are the ufuncs of the
-    plain expression, in its order, so every value is bit-equal to it; the
-    input is only read unless it is ``out``, and a scalar in gives a float out.
+    ``phi(t)`` and ``f(u, out=None)`` are ufunc chains.  ``out`` is None or
+    the input itself, a float64 array: the first step writes a new array or
+    over the input, and every later step writes into that array, so a call
+    makes at most one array.  The steps are the ufuncs of the plain
+    expression, in its order, so every value is bit-equal to it; the input
+    is only read unless it is ``out``, and a scalar in gives a float out.
     """
 
     name: str = "archimedean"
 
-    def phi(self, t, out=None):
+    def phi(self, t):
         raise NotImplementedError
 
     def f(self, u, out=None):
@@ -104,9 +92,9 @@ class IndependenceGenerator(ArchimedeanGenerator):
 
     name = "independence"
 
-    def phi(self, t, out=None):
+    def phi(self, t):
         with np.errstate(divide="ignore"):
-            y = np.log(np.asarray(t, dtype=float), out=out)
+            y = np.log(np.asarray(t, dtype=float))
         return np.negative(y, out=_out(y))
 
     def f(self, u, out=None):
@@ -131,9 +119,9 @@ class ClaytonGenerator(ArchimedeanGenerator):
         self.alpha = float(alpha)
         self.name = f"clayton(alpha={self.alpha:g})"
 
-    def phi(self, t, out=None):
+    def phi(self, t):
         with np.errstate(divide="ignore"):
-            y = _pow(np.asarray(t, dtype=float), -self.alpha, out)
+            y = np.asarray(t, dtype=float) ** -self.alpha
         y -= 1.0
         return y
 
@@ -166,10 +154,10 @@ class FrankGenerator(ArchimedeanGenerator):
             raise ValueError(f"alpha is too large for floating point: f(0) = {f0!r}, "
                              f"not 1 to within 1e-9, at alpha = {alpha}")
 
-    def phi(self, t, out=None):
+    def phi(self, t):
         # -ln(-expm1(-a t) / -expm1(-a))
         a = self.alpha
-        y = np.multiply(np.asarray(t, dtype=float), -a, out=out)
+        y = np.multiply(np.asarray(t, dtype=float), -a)
         y = np.expm1(y, out=_out(y))
         y = np.negative(y, out=_out(y))
         y /= -np.expm1(-a)
@@ -212,15 +200,17 @@ class GumbelHougaardGenerator(ArchimedeanGenerator):
         self.alpha = float(alpha)
         self.name = f"gumbel_hougaard(alpha={self.alpha:g})"
 
-    def phi(self, t, out=None):
+    def phi(self, t):
         with np.errstate(divide="ignore"):
-            y = np.log(np.asarray(t, dtype=float), out=out)
+            y = np.log(np.asarray(t, dtype=float))
         y = np.negative(y, out=_out(y))
         y **= self.alpha
         return y
 
     def f(self, u, out=None):
-        y = _pow(np.asarray(u, dtype=float), 1.0 / self.alpha, out)
+        # ** and **= take numpy's fast paths (a square root at 0.5) that np.power skips
+        y, p = np.asarray(u, dtype=float), 1.0 / self.alpha
+        y = y ** p if out is None else operator.ipow(y, p)
         y = np.negative(y, out=_out(y))
         return np.exp(y, out=_out(y))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-import warnings
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .copulas import (
     IndependenceGenerator,
     TiltedGenerator,
 )
-from .sampling import Degenerate, Distribution, Pareto, TwoPoint, _hurwitz_zeta, _root
+from .sampling import Degenerate, Distribution, Pareto, TwoPoint, _hurwitz_zeta, _integral, _root
 
 __all__ = [
     "ReferenceModel",
@@ -182,24 +181,6 @@ class SpikeMixtureLimit(ReferenceModel):
         }
 
 
-def _quad(fn, a: float, b: float) -> float:
-    """Adaptive quadrature of fn over [a, b] at relative tolerance 1e-12.
-
-    quad warns when it cannot certify 1e-12; the warning is dropped when its
-    own error estimate is within 1e-9 of the value, the tolerance the
-    threshold solver holds its residuals to.  Every other warning passes.
-    """
-    from scipy.integrate import IntegrationWarning, quad
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        val, err = quad(fn, a, b, limit=300, epsabs=0.0, epsrel=1e-12)
-    for w in caught:
-        if not (issubclass(w.category, IntegrationWarning) and err <= 1e-9 * abs(val)):
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-    return val
-
-
 def _cap_excess(c: float, big_l: float) -> float:
     """h(L) = expm1(c L)/c + expm1(-L).  Its two terms cancel to first order at
     small L, where it takes the series sum_{k>=2} [c^(k-1) + (-1)^k] L^k / k!."""
@@ -269,9 +250,9 @@ class RandomThresholdLimit(ReferenceModel):
       f(t) = [H(t/x_m) - w0^a H(t/cap)] / mass, H(y) = 2F1(1, a; a+1; -y),
       which ``_pareto_h`` sums to ~1e-15 relative (~1e-13 as y nears overflow).
       g integrates S(z) - S(cap) over [max(t, x_m), cap] in closed form;
-    - any other law takes adaptive quadrature: f on the quantile scale over
-      [0, F(cap)], g as the integral of S(z) - S(cap) over [t, cap] on the z
-      scale, which has no kink; both keep ~1e-13.
+    - Gamma(k, 1/k) integrates with ``_integral`` the density of y = k ln zeta, exp(y - k
+      expm1(y/k) + c), bounded and smooth at every shape (Gamma(0.01) has half its mass below
+      zeta = 1e-30); g and the tail anchor at t or the cap; theta1 = 0 for k <= 1.
     """
 
     def __init__(self, zeta: Distribution, cap: float = math.inf):
@@ -281,23 +262,50 @@ class RandomThresholdLimit(ReferenceModel):
         self.zeta = zeta
         self.cap = float(cap)
         self._route = ("atoms" if isinstance(zeta, (TwoPoint, Degenerate))
-                       else "pareto" if isinstance(zeta, Pareto) else "quad")
-        # P(zeta < cap) and E[zeta | zeta < cap], which is the law's mean 1 when uncapped
+                       else "pareto" if isinstance(zeta, Pareto) else "gamma")
+        # P(zeta < cap), P(zeta >= cap) apart for its relative precision, E[zeta | zeta < cap]
         if self._route == "atoms":
             self.mass = zeta.expect(lambda z: z < cap)
-        else:  # P(zeta >= cap) apart from 1 - mass, which would lose its relative precision
-            self._tail = float(zeta.sf(cap))
-            self.mass = float(zeta.cdf(cap))
-        # H(2), the head of every H(y > 2) that the Pareto f reads
-        self._h2 = _pareto_h(zeta.a, 2.0, 1.0) if self._route == "pareto" else None
+        elif self._route == "pareto":  # H(2) is the head of every H(y > 2) that f reads
+            self._tail, self.mass = float(zeta.sf(cap)), float(zeta.cdf(cap))
+            self._h2 = _pareto_h(zeta.a, 2.0, 1.0)
+        else:  # Gamma: p < e^-745 past zeta = 1 + d/k, d^2 = 1490 (k + d); c makes the total 1
+            k, self._c = zeta.shape, 0.0
+            self._y_top = k * math.log1p((745.0 + math.sqrt(745.0 * (745.0 + 2.0 * k))) / k)
+            self._c = -math.log(self._by_density(lambda x: 1.0, hi=self._y_top))
+            self._tail = self._by_density(lambda x: 1.0, 0.0, self._y_top - self._y(cap), cap)
+            self.mass = self._by_density(lambda x: 1.0)
         self.m = 1.0 if math.isinf(self.cap) else self.g(0.0)
         self.name = f"random_threshold_limit({type(zeta).__name__.lower()})"
 
+    def _y(self, t: float) -> float:
+        """y = k ln(t / mean), the logs apart as t / mean may overflow, and -inf at t = 0."""
+        return self.zeta.shape * (math.log(t) - math.log(self.zeta.mean())) if t else -math.inf
+
+    def _by_density(self, fn, lo=-math.inf, hi=None, z0=None, cut=math.nan) -> float:
+        """int fn(x) p(y0 + x) dx over [lo, hi or the cap], y0 = k ln(z0/mean), cut at the mode
+        x = -y0 and at cut; r = z0/mean writes p(y0 + x) = exp(y0 + x - k (r e^(x/k) - 1) + c)."""
+        k, z0 = self.zeta.shape, z0 or self.zeta.mean()
+        r, y0 = z0 / self.zeta.mean(), self._y(z0)
+        if hi is None:  # k ln(cap/z0), exact as z0 nears the cap
+            hi = min(k * math.log1p((self.cap - z0) / z0), self._y_top - y0)
+
+        def integrand(x):
+            p = np.exp(y0 + x - k * (r * np.expm1(x / k) + (r - 1.0)) + self._c)
+            return np.where(p > 0.0, fn(x) * p, 0.0)  # fn may be inf where p underflows
+
+        cuts = sorted({lo, max(hi, lo), *(x for x in (-y0, cut) if lo < x < hi)})
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return _integral(integrand, *cuts)
+
     def expect(self, fn) -> float:
-        """E[fn(zeta) | zeta < cap]."""
+        """E[fn(zeta) | zeta < cap], fn vectorized over zeta on the Gamma route."""
         if self._route == "atoms":
             return self.zeta.expect(lambda z: fn(z) * (z < self.cap)) / self.mass
-        return _quad(lambda p: float(fn(self.zeta.quantile(p))), 0.0, self.mass) / self.mass
+        if self._route == "pareto":
+            raise NotImplementedError("the Pareto threshold law is read through its closed forms")
+        k, mean = self.zeta.shape, self.zeta.mean()
+        return self._by_density(lambda y: fn(mean * np.exp(y / k))) / self.mass
 
     def f(self, t: float) -> float:
         if t == 0.0 or math.isinf(t):  # the limits f(0) = 1 and f(inf) = 0
@@ -306,7 +314,10 @@ class RandomThresholdLimit(ReferenceModel):
             a = self.zeta.a
             return (_pareto_h(a, t, self.zeta.x_min, self._h2)
                     - self._tail * _pareto_h(a, t, self.cap, self._h2)) / self.mass
-        return self.expect(lambda z: z / (t + z))
+        if self._route == "atoms":
+            return self.expect(lambda z: z / (t + z))
+        k, y_t = self.zeta.shape, self._y(t)  # zeta/(t + zeta) = 1/(1 + e^((y_t - y)/k))
+        return self._by_density(lambda y: 1.0 / (1.0 + np.exp((y_t - y) / k)), cut=y_t) / self.mass
 
     def g(self, t: float) -> float:
         if self._route == "atoms":
@@ -326,13 +337,9 @@ class RandomThresholdLimit(ReferenceModel):
                 big_l = -math.log1p((lo - cap) / cap) if lo > 0.5 * cap else math.log(cap / lo)
                 excess = xm * (xm / cap) ** (a - 1.0) * _cap_excess(a - 1.0, big_l)
             return excess / self.mass + max(xm - t, 0.0)
-        # z = t + k x / (1 - x) maps [t, cap] onto [0, top], the cap = inf tail included;
-        # z overflows only where t is near the largest double, and S(inf) = 0 is right
-        k = 1.0 + t
-        top = 1.0 if math.isinf(cap) else (cap - t) / (k + cap - t)
-        with np.errstate(over="ignore"):
-            return _quad(lambda x: (float(self.zeta.sf(t + k * x / (1.0 - x))) - self._tail)
-                         * k / (1.0 - x) ** 2, 0.0, top) / self.mass
+        k, z0 = self.zeta.shape, max(t, self.zeta.mean())  # anchored at t right of the mode
+        return self._by_density(lambda x: z0 * np.expm1(x / k) + (z0 - t),
+                                self._y(t) - self._y(z0), z0=z0) / self.mass
 
     def f_inv(self, s: float) -> float:
         """The root t of f(t) = s, at the relative precision of t however deep.
@@ -373,7 +380,8 @@ class RandomThresholdLimit(ReferenceModel):
         if self._route == "pareto":  # E[1/zeta | zeta < cap] = a (1 - w0^(a+1)) / ((a+1) x_m mass)
             a, xm = self.zeta.a, self.zeta.x_min
             return (a + 1.0) * xm * self.mass / (a * (1.0 - xm / self.cap * self._tail))
-        return 1.0 / self.expect(lambda z: 1.0 / z)
+        gamma_k_le_1 = self._route == "gamma" and self.zeta.shape <= 1.0  # E[1/zeta] = inf
+        return 0.0 if gamma_k_le_1 else 1.0 / self.expect(lambda z: 1.0 / z)
 
     def indices(self):
         out = {**super().indices(), "theta1": self.theta1()}

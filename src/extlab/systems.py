@@ -448,7 +448,7 @@ class RandomThresholdSystem(SeriesSystem):
         try:
             RandomThresholdLimit(law)  # refuses a law whose mean is not 1
             self.zeta_biased = law.size_biased()
-        except (NotImplementedError, ValueError) as exc:
+        except (NotImplementedError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"unusable threshold law {law!r}: {exc}") from None
         self.zeta = law
         self.name = f"random_threshold({type(law).__name__.lower()})"

@@ -27,7 +27,10 @@ checks each sampler against closed-form moments of its law, and
 ``expression_phi``, ``expression_f``, ``expression_diag_inverse`` and
 ``expression_sample_batch`` are the generator kernels, the inverse
 diagonal and the closed-form samplers as plain numpy expressions, one new
-array per step, which the library's in-place chains must match bit for bit.
+array per step, which the library's in-place chains must match bit for bit,
+and ``inline_positive_stable_cdf`` is the positive stable cdf with its
+tanh-sinh nodes written out, which the cdf on the shared nodes must match
+bit for bit.
 """
 
 import math
@@ -147,6 +150,22 @@ def mixed_max_stable_cdf(law: MaxStableLaw, zeta: Distribution, theta: float, x)
         out = vals.reshape(u.shape) if u.ndim else vals[0]
     out = np.asarray(out)
     return out if out.ndim else float(out)
+
+
+def inline_positive_stable_cdf(beta: float, x):
+    """Kanter's integral for P(X <= x) on its own tanh-sinh nodes, step 1/64, |tau| <= 3.3."""
+    h = 1.0 / 64.0
+    tau = h * np.arange(-211, 212)
+    z = 0.5 * np.pi * np.sinh(tau)
+    phi = np.pi / (1.0 + np.exp(-2.0 * z))
+    w = (0.25 * np.pi * h) * np.cosh(tau) / np.cosh(z) ** 2  # dphi / pi
+    b = beta
+    p = b / (1.0 - b)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = ((1.0 - b) * b**p * (np.sin((1.0 - b) * phi) / ((1.0 - b) * phi))
+             * (np.sin(b * phi) / (b * phi)) ** p / (np.sin(phi) / phi) ** (1.0 / (1.0 - b)))
+        t = np.asarray(x, dtype=float) ** -p
+    return (np.exp(-np.multiply.outer(t, a)) * w).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -348,6 +348,9 @@ def _workload_config(workload, name, n=None, **system):
     ("closed_forms", "two_point_threshold", {}, []),
     ("closed_forms", "mixture_spike", {}, []),
     ("closed_forms", "pareto_threshold", {}, []),
+    # a Gamma threshold law integrates its density with the lab's own tanh-sinh
+    # rule, where scipy's QUADPACK loaded scipy.special, integrate and optimize
+    ("closed_forms", "pareto_threshold", {"law": {"kind": "gamma", "shape": 2.0}}, []),
     # the samplers: the graph's degree law is the lab's own Hurwitz zeta, and
     # branching at gamma = 1 inverts the Cauchy law by tan; gamma = 2 still
     # takes ndtr and ndtri from scipy.special
@@ -355,7 +358,7 @@ def _workload_config(workload, name, n=None, **system):
     ("samplers", "power_law_graph", {}, []),
     ("samplers", "branching_heredity", {"n": 8, "gamma": 2.0}, ["scipy", "scipy.special"]),
 ], ids=["size_jitter", "two_point_threshold", "mixture_spike", "pareto_threshold",
-        "branching_heredity", "power_law_graph", "branching_gamma_2"])
+        "gamma_threshold", "branching_heredity", "power_law_graph", "branching_gamma_2"])
 def test_run_loads_only_the_scipy_it_needs(tmp_path, workload, name, changes, loaded):
     cfg = _workload_config(workload, name, **changes)
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE_RUN, str(tmp_path / "cfg.json"),

@@ -263,9 +263,10 @@ def test_kernels_match_their_expressions_with_and_without_out(gen, kernel):
         kept = x.copy()
         got = fn(x)
         assert _same_bits(got, want) and _same_bits(x, kept)
-        alias = x.copy()
-        assert fn(alias, out=alias) is alias
-        assert _same_bits(alias, want)
+        if kernel == "f":  # f alone takes out: diag_inverse writes it over phi's array
+            alias = x.copy()
+            assert fn(alias, out=alias) is alias
+            assert _same_bits(alias, want)
         for xi in x[:8]:  # a scalar in gives a float out, as the expression's scalar
             got = fn(float(xi))
             assert isinstance(got, float) and _same_bits(got, expression(gen, float(xi)))

@@ -1,6 +1,7 @@
 """Closed-form limit models: frozen values, cross-checks, system lookup."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -411,7 +412,7 @@ def test_pareto_threshold_runs_without_quadrature(monkeypatch):
     def no_quad(*args):
         raise AssertionError("the Pareto threshold law took quadrature")
 
-    monkeypatch.setattr(reference, "_quad", no_quad)
+    monkeypatch.setattr(reference, "_integral", no_quad)
     sys_, n = RandomThresholdSystem(Pareto(3.0, 2.0 / 3.0)), 10_000
     curve = solve_curve(sys_, n, DEFAULT_GRID)
     assert curve.method == "closed_form"
@@ -422,6 +423,40 @@ def test_pareto_threshold_runs_without_quadrature(monkeypatch):
     ref = sys_.reference()
     assert np.all(np.abs(ref.psi(DEFAULT_GRID) - psi_n) < 1e-3)
     assert ref.theta1() == pytest.approx(8.0 / 9.0, rel=1e-15)
+
+
+# Gamma(1/2, 2) has mean one and zeta/2 is chi-square(1)/2, so with x = t/2 its means
+# are erfc forms: f(t) = 1 - sqrt(pi x) e^x erfc(sqrt x), the uncapped
+# g(t) = 2[(1/2 - x) erfc(sqrt x) + sqrt(x/pi) e^-x] and P(zeta < c) = erf(sqrt(c/2));
+# Gamma(1, 1) is the unit exponential
+_GAMMA_REL = 1e-13
+
+
+def test_gamma_threshold_means_match_exact_oracles():
+    m = RandomThresholdLimit(Gamma(0.5, 2.0))
+    for t in [10.0 ** (k / 4) for k in range(-48, 1)]:
+        x = t / 2.0
+        want = 1.0 - math.sqrt(math.pi * x) * math.exp(x) * math.erfc(math.sqrt(x))
+        assert m.f(t) == pytest.approx(want, rel=_GAMMA_REL, abs=0.0), t
+    for t in (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0):
+        x = t / 2.0
+        want = 2.0 * ((0.5 - x) * math.erfc(math.sqrt(x)) + math.sqrt(x / math.pi) * math.exp(-x))
+        assert m.g(t) == pytest.approx(want, rel=_GAMMA_REL, abs=0.0), t
+    for cap in (3.0, 100.0, math.inf):
+        half, one = (RandomThresholdLimit(Gamma(0.5, 2.0), cap), RandomThresholdLimit(Gamma(1.0, 1.0), cap))
+        r = math.sqrt(cap / 2.0)
+        assert (half.mass, half._tail) == pytest.approx((math.erf(r), math.erfc(r)), rel=_GAMMA_REL, abs=0.0)
+        assert (one.mass, one._tail) == pytest.approx((-math.expm1(-cap), math.exp(-cap)),
+                                                      rel=_GAMMA_REL, abs=0.0)
+
+
+@pytest.mark.parametrize("shape", [0.01, 0.5, 1.0, 2.0, 5.0])
+def test_gamma_threshold_theta1_matches_its_closed_form(shape):
+    # 1 / E[1/zeta] = (k - 1)/k for Gamma(k, 1/k), and 0 where E[1/zeta] is infinite, k <= 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = RandomThresholdLimit(Gamma(shape, 1.0 / shape)).theta1()
+    assert got == pytest.approx(max(shape - 1.0, 0.0) / shape, rel=_GAMMA_REL, abs=0.0)
 
 
 def _pfaff_h(a, y):

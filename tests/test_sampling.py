@@ -2,12 +2,13 @@
 
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 from scipy.special import zeta as scipy_zeta
 
 from extlab import sampling
@@ -22,7 +23,7 @@ from extlab.sampling import (
     SymmetricStable,
     TwoPoint,
 )
-from oracles import PROBES, probe_z
+from oracles import PROBES, inline_positive_stable_cdf, probe_z
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +180,20 @@ def test_two_point_expect_is_exact():
     assert d.expect(lambda x: x**2) == pytest.approx(0.25 * 0.25 + 0.75 * 2.25)
 
 
-def test_quantile_expect_agrees_with_closed_form():
-    # the threshold means' quantile-scale quadrature reproduces an exact Laplace
-    # transform and E 1/X = a / ((a+1) x_min) on mean-one laws
+def test_gamma_expect_agrees_with_closed_form():
+    # the Gamma threshold means' density quadrature reproduces an exact Laplace transform
     assert RandomThresholdLimit(Gamma(2.0, 0.5)).expect(lambda x: np.exp(-x)) == pytest.approx(
         (1.0 + 0.5) ** -2.0, rel=1e-12)
-    p = Pareto(3.0, 2.0 / 3.0)
-    assert RandomThresholdLimit(p).expect(lambda x: 1.0 / x) == pytest.approx(9.0 / 8.0, rel=1e-12)
+    # the Pareto law is read only through its closed forms
+    with pytest.raises(NotImplementedError):
+        RandomThresholdLimit(Pareto(3.0, 2.0 / 3.0)).expect(lambda x: 1.0 / x)
 
 
 @given(st.floats(0.01, 0.99))
 @settings(max_examples=40, deadline=None)
 def test_cdf_quantile_roundtrip(p):
-    for dist in (Gamma(0.7, 2.0), Pareto(2.5, 0.5)):
-        assert float(dist.cdf(dist.quantile(p))) == pytest.approx(p, abs=1e-9)
+    dist = Pareto(2.5, 0.5)
+    assert float(dist.cdf(dist.quantile(p))) == pytest.approx(p, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +215,19 @@ def test_size_biased_gamma_and_pareto():
         Pareto(1.0, 1.0).size_biased()
 
 
+def _pareto_mean(dist, fn):
+    """E fn(X) from the Pareto density a x_min^a x^(-a-1), by scipy's quadrature."""
+    a, xm = dist.a, dist.x_min
+    return integrate.quad(lambda x: fn(x) * a * xm**a * x ** (-a - 1.0), xm, math.inf)[0]
+
+
 def test_size_biased_matches_reweighted_expectation():
     # E h(X~) = E[X h(X)] / E[X] for any h; check with h = exp(-x)
     for dist in (TwoPoint(0.5, 1.5), Gamma(2.0, 0.5), Pareto(3.0, 2.0 / 3.0)):
         mean = dist.mean()
-        want = RandomThresholdLimit(dist).expect(lambda x: x * np.exp(-x)) / mean
+        weight = lambda x: x * np.exp(-x)  # noqa: E731
+        want = (_pareto_mean(dist, weight) if isinstance(dist, Pareto)
+                else RandomThresholdLimit(dist).expect(weight)) / mean
         x = dist.size_biased().sample(RandomStream(seed=31, stream_id=2).generator, 400_000)
         h = np.exp(-x)
         se = float(h.std(ddof=1)) / math.sqrt(h.size)
@@ -228,6 +237,49 @@ def test_size_biased_matches_reweighted_expectation():
 def test_size_biased_default_is_not_implemented():
     with pytest.raises(NotImplementedError):
         PositiveStable(0.5).size_biased()
+
+
+# ---------------------------------------------------------------------------
+# the quadrature rule
+
+def _logistic_integral(s, c):
+    """int_0^1 dy / (1 + e^(-s (y - c))) = [ln(1 + e^(s (y - c))) / s] from 0 to 1."""
+    return (1.0 - c) + (math.log1p(math.exp(-s * (1.0 - c))) - math.log1p(math.exp(-s * c))) / s
+
+
+@pytest.mark.parametrize("fn, a, b, want", [
+    (lambda y: y**-0.5, 0.0, 1.0, 2.0),
+    (np.exp, -math.inf, 0.0, 1.0),
+    (lambda y: 1.0 / (1.0 + np.exp(-200.0 * (y - 0.3))), 0.0, 1.0, _logistic_integral(200.0, 0.3)),
+    (lambda y: np.exp(-1e8 * y), 0.0, 1.0, 1e-8),
+    (np.exp, -math.inf, -720.0, math.exp(-720.0)),
+], ids=["endpoint_singularity", "exp_sinh", "steep_logistic", "steep_at_an_end", "subnormal"])
+def test_integral_of_known_integrals(fn, a, b, want):
+    # the subnormal e^-720 is spaced 5e-324 apart, and every node's term rounds to that
+    tol = {"abs": 1e-321} if want < sys.float_info.min else {"rel": 1e-14, "abs": 0.0}
+    assert sampling._integral(fn, a, b) == pytest.approx(want, **tol)
+
+
+def test_integral_reaches_a_feature_next_to_a_half_line_end():
+    # e^(1e8 y) on (-inf, 0] puts its integral 1e-8 within 1e-7 of the end, where
+    # exp-sinh's last node stops 2e-19 short
+    assert sampling._integral(lambda y: np.exp(1e8 * y), -math.inf, 0.0) == pytest.approx(
+        1e-8, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("fn", [lambda y: (y > 1.0 / 3.0) * 1.0, lambda y: np.full(y.shape, np.nan)],
+                         ids=["jump", "nan"])
+def test_integral_that_cannot_settle_raises(fn):
+    with pytest.raises(ArithmeticError):
+        sampling._integral(fn, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.7, 0.9])
+def test_positive_stable_cdf_on_the_shared_nodes_is_bit_equal(beta):
+    # the cdf feeds the stable-size law's exact G, so sharing the rule's nodes moves no bit
+    x = np.concatenate([[1e-12], np.logspace(-6.0, 6.0, 121), [1e300]])
+    assert PositiveStable(beta).cdf(x).tobytes() == inline_positive_stable_cdf(beta, x).tobytes()
+    assert PositiveStable(beta).cdf(0.3) == inline_positive_stable_cdf(beta, 0.3)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ def _complement_root(laplace, s):
     def lam(t):
         return np.exp2(top - span * t)
 
-    def fn(t):
+    def fn(t, _):
         return -np.log(-np.log(np.clip(laplace(lam(t)), _G_LO, _G_HI)))
 
     return lam(_root(fn, -np.log(-np.log(s))))
@@ -103,6 +103,8 @@ def solve_curve(system: SeriesSystem, n: int, s_grid, stream=None,
         lam = _complement_root(cal.laplace, s)
         method = "deterministic_root" if cal.exact else "stochastic_root"
     u = np.asarray(system.threshold_at(n, lam), dtype=float)
+    if np.any(np.isnan(u)):  # a pooled closed form skips the residual; the count needs a u
+        raise SolverError(f"no threshold at s = {s[np.isnan(u)]}")
     if method == "closed_form" or not _uniform_marginal(system):  # G read at the double u_n
         lam, achieved = cal.lam_at(u), cal.value(u)
     else:  # u_n = e^-lam; a threshold that rounds to 1 counts every replicate: G reads 1 there

@@ -230,10 +230,6 @@ def _pareto_h(a: float, t: float, scale: float, h2: float | None = None) -> floa
     return pw(a) * (_pareto_h(a, 2.0, 1.0) if h2 is None else h2) + 0.5 * a * pw(1.0) * total
 
 
-class _ExactRoot(Exception):
-    """Carries a t with f(t) = s exactly out of the bracketed root."""
-
-
 class RandomThresholdLimit(ReferenceModel):
     """psi(s) = g(f^{-1}(s)) with f(t) = E zeta/(t+zeta), g(t) = E (zeta-t)+.
 
@@ -341,39 +337,38 @@ class RandomThresholdLimit(ReferenceModel):
         return self._by_density(lambda x: z0 * np.expm1(x / k) + (z0 - t),
                                 self._y(t) - self._y(z0), z0=z0) / self.mass
 
-    def f_inv(self, s: float) -> float:
-        """The root t of f(t) = s, at the relative precision of t however deep.
+    def f_inv(self, s):
+        """The root t of f(t) = s at each s, at the relative precision of t however deep.
 
         z/(t+z) is concave in z and m <= 1, so f(t) <= 1/(1+t), with equality
         (up to rounding) only at one atom: the root is at most (1-s)/s, and inf
-        where that overflows.  [hi/2, hi] halves down until it holds the root
-        (lo = 0 past the least subnormal), and the bracketed root of -f runs on
-        its linear map; f is read once per t, and f(t) = s exactly ends it."""
-        hi = (1.0 - s) / s
+        where that overflows.  Per point, [hi/2, hi] halves down until it holds
+        the root (lo = 0 past the least subnormal), on Python floats; then one
+        bracketed root of -f runs over every open point, each on its own linear
+        map.  f is read once per t, and f(t) = s exactly ends a point there."""
         f = functools.lru_cache(maxsize=None)(self.f)
-        if math.isinf(hi) or f(hi) >= s:
-            return hi
-        lo = 0.5 * hi
-        while f(lo) < s:
-            lo, hi = 0.5 * lo, lo
+        flat = np.ravel(s).astype(float)
+        lo, hi, todo = np.zeros(flat.size), np.empty(flat.size), np.zeros(flat.size, bool)
+        for i, si in enumerate(flat.tolist()):
+            hi[i] = top = (1.0 - si) / si
+            if not (math.isinf(top) or f(top) >= si):
+                bottom = 0.5 * top
+                while f(bottom) < si:
+                    bottom, top = 0.5 * bottom, bottom
+                lo[i], hi[i], todo[i] = bottom, top, True
+        lo, width = lo[todo], hi[todo] - lo[todo]
 
-        def neg_f(x):  # one point: t = lo at x = 0 and hi at x = 1, exactly
-            t = lo + (hi - lo) * float(x[0])
-            if f(t) == s:
-                raise _ExactRoot(t)
-            return np.array([-f(t)])
+        def neg_f(x, idx):  # t = lo at x = 0 and hi at x = 1, exactly
+            return -np.array([f(t) for t in (lo[idx] + width[idx] * x).tolist()])
 
-        try:
-            return lo + (hi - lo) * float(_root(neg_f, [-s])[0])
-        except _ExactRoot as hit:
-            return hit.args[0]
+        hi[todo] = lo + width * _root(neg_f, -flat[todo], exact=True)
+        return hi.reshape(np.shape(s)) if np.ndim(s) else float(hi[0])
 
     def psi(self, s):
         s = _check_s(s)
-        t = np.array([self.f_inv(float(si)) for si in np.atleast_1d(s)])
         out = np.array([self.g(ti / (1.0 + ti / self.cap)) if ti < math.inf else 0.0  # g(inf) = 0
-                        for ti in t]) / self.m
-        return out if np.ndim(s) else float(out[0])
+                        for ti in np.ravel(self.f_inv(s))]) / self.m
+        return out.reshape(s.shape) if np.ndim(s) else float(out[0])
 
     def theta1(self) -> float:
         """1 / E[1/zeta]: the slope of the curve at s -> 1."""

@@ -12,7 +12,8 @@ cdf, quantile).  Samplers with no closed-form density (positive stable,
 symmetric stable) are exact transformation samplers, not approximations; the
 analytic checks of every sampler are one table in the test suite's oracles.
 ``_root`` is the bracketed root behind every numeric inverse of the lab,
-``_integral`` its quadrature rule and ``_hurwitz_zeta`` the graph's degree law.
+``_integral`` its quadrature rule, ``_hurwitz_zeta`` the graph's degree law
+and ``_below`` an exact Bernoulli draw at a byte a draw.
 """
 
 from __future__ import annotations
@@ -97,15 +98,17 @@ def _sum_rounded(x, y, up: bool):
     return np.where(err < 0.0, np.nextafter(s, -np.inf), s)
 
 
-def _root(fn, s):
-    """Per-point x in [0, 1] with fn(x) = s, for fn nondecreasing on [0, 1].
+def _root(fn, s, exact: bool = False):
+    """Per-point x in [0, 1] with fn(x, idx) = s, for fn nondecreasing on [0, 1].
 
-    The bracket keeps fn(lo) <= s < fn(hi), NaN counting as above, and takes
-    fn(0) <= s < fn(1) as given.  It stops at two adjacent doubles or at
-    width 2^-60 and returns its midpoint.  A nondecreasing fn crosses s
-    between one pair of adjacent doubles, so a root of at least 2^-8 is the
-    one 60 bisection steps find, bit for bit, and a smaller one lies within
-    2^-60 of it.
+    fn(x, idx) reads x[k] at point idx[k] of s, so each point may map its
+    bracket onto [0, 1] in its own way.  The bracket keeps fn(lo) <= s <
+    fn(hi), NaN counting as above, and takes fn(0) <= s < fn(1) as given.  It
+    stops at two adjacent doubles or at width 2^-60 and returns its midpoint.
+    A nondecreasing fn crosses s between one pair of adjacent doubles, so a
+    root of at least 2^-8 is the one 60 bisection steps find, bit for bit,
+    and a smaller one lies within 2^-60 of it.  With exact=True a point
+    stops at the first x where fn(x) = s exactly, and returns that x.
 
     Each step is an ITP step (Oliveira & Takahashi 2021, ACM TOMS 47(1)):
     the secant through the last two points, moved toward the midpoint by
@@ -118,9 +121,11 @@ def _root(fn, s):
     """
     s = np.asarray(s, dtype=float)
     lo, hi = np.zeros(s.shape), np.ones(s.shape)
-    x0, y0, x1, y1 = lo, fn(lo), hi, fn(hi)
-    out = np.empty(s.shape)
     todo = np.arange(s.size)
+    x0, y0, x1, y1 = lo, fn(lo, todo), hi, fn(hi, todo)
+    if exact:  # a hit closes its bracket on itself: lo = hi = x
+        hi = np.where(y0 == s, lo, hi)
+    out = np.empty(s.shape)
     for j in range(_ROOT_STEPS + 1):
         done = (hi - lo <= 2.0**-_ROOT_STEPS) | (np.nextafter(lo, 1.0) >= hi)
         out[todo[done]] = 0.5 * (lo[done] + hi[done])
@@ -136,12 +141,34 @@ def _root(fn, s):
         w = 2.0**-j  # the largest bracket this step may leave
         x = np.clip(x, np.maximum(_sum_rounded(hi, -w, up=True), np.nextafter(lo, 1.0)),
                     np.minimum(_sum_rounded(lo, w, up=False), np.nextafter(hi, 0.0)))
-        y = fn(x)
+        y = fn(x, todo)
         above = ~(y <= s)
-        lo, hi = np.where(above, lo, x), np.where(above, x, hi)
+        lo, hi = np.where(above, lo, x), np.where(above | (exact & (y == s)), x, hi)
         x0, y0, x1, y1 = x1, y1, x, y
     out[todo] = 0.5 * (lo + hi)  # each bracket is now at most 2^-60 wide
     return out
+
+
+# ---------------------------------------------------------------------------
+# a Bernoulli draw at a byte a draw
+
+def _below(rng: np.random.Generator, p: float, size) -> np.ndarray:
+    """size draws of rng.random() < p, the same law, P = ceil(p 2^53) / 2^53, at a byte a draw.
+
+    Draw i compares the 53-bit integer k = 2^45 b + r of its uniform k / 2^53
+    with c = ceil(p 2^53) through its top byte b alone, unless b ties c's top
+    byte; then r, the top 45 bits of one more word, settles it (one draw in
+    256).  The bytes come eight to a bit-generator word, least significant
+    first, and the tie words after them in draw order.
+    """
+    top, low = divmod(math.ceil(p * 2.0**53), 2**45)
+    count = int(np.prod(size))
+    words = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
+    b = words.view(np.uint8)[:count]
+    out = b < top
+    tie = np.flatnonzero(b == top)
+    out[tie] = (rng.bit_generator.random_raw(tie.size) >> 19) < low
+    return out.reshape(size)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +386,7 @@ class SymmetricStable(Distribution):
         while (float(self.cdf(edge)) - p) * edge < 0.0:
             edge *= 2.0
         lo, width = min(0.0, edge), abs(edge)
-        return float(lo + width * _root(lambda t: self.cdf(lo + width * t), [p])[0])
+        return float(lo + width * _root(lambda t, _: self.cdf(lo + width * t), [p])[0])
 
 
 class Pareto(Distribution):
@@ -411,8 +438,14 @@ class TwoPoint(Distribution):
         self.p_lo = float(p_lo)
 
     def sample(self, rng, size=None):
-        pick = rng.random(size) < self.p_lo
-        return np.where(pick, self.lo, self.hi)
+        if size is None:  # one uniform
+            return np.where(rng.random() < self.p_lo, self.lo, self.hi)
+        # hi's bit pattern, xor lo ^ hi where a draw picks lo: both atoms exact, in one array
+        lo, hi = np.array([self.lo, self.hi]).view(np.uint64)
+        x = _below(rng, self.p_lo, size).astype(np.uint64)
+        x *= lo ^ hi
+        x ^= hi
+        return x.view(float)
 
     def mean(self):
         return self.p_lo * self.lo + (1.0 - self.p_lo) * self.hi

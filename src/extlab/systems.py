@@ -352,7 +352,7 @@ class MixtureSpikeSystem(SeriesSystem):
         """F_n^-1(e^-lam): one bracketed root over the grid; F_n(0) = 0 and F_n(1) = 1 exactly."""
         p = np.exp(-np.asarray(lam, dtype=float))
         u, inside = p.copy(), (0.0 < p) & (p < 1.0)
-        u[inside] = _root(lambda x: self.marginal_cdf(n, x), p[inside])
+        u[inside] = _root(lambda x, _: self.marginal_cdf(n, x), p[inside])
         return u
 
     def exact_max_cdf(self, n, u):
@@ -456,11 +456,10 @@ class RandomThresholdSystem(SeriesSystem):
     def _draw(self, dist, n, count, rng):
         z = np.asarray(dist.sample(rng, count), dtype=float)
         for _ in range(100):
-            bad = z >= n
-            k = int(bad.sum())
-            if k == 0:
+            if not z.max(initial=-math.inf) >= n:  # one reduction clears the common case
                 return z
-            z[bad] = dist.sample(rng, k)
+            bad = z >= n
+            z[bad] = dist.sample(rng, int(bad.sum()))
         raise ConfigError(f"{self.name}: threshold law puts too much mass above n={n}")
 
     def sample_batch(self, n, count, rng):
@@ -492,7 +491,7 @@ class RandomThresholdSystem(SeriesSystem):
         return np.vectorize(lim.g, otypes=[float])(w) / lim.m
 
     def closed_form_lam(self, n, s):
-        return np.log1p(np.vectorize(self._capped(n).f_inv, otypes=[float])(s) / n)
+        return np.log1p(self._capped(n).f_inv(s) / n)
 
     def reference(self):
         return RandomThresholdLimit(self.zeta)

@@ -22,7 +22,11 @@ size law term by term, where the system sums it by Poisson summation,
 ``PooledStableSize`` keeps the stable-size system on a frozen pool of
 sampled sizes for the pooled-calibrator tests, and
 ``bisect_root`` is the plain 60-step bisection that the bracketed
-superlinear root finder must reproduce, ``PROBES`` with ``probe_z``
+superlinear root finder must reproduce, ``per_point_f_inv`` inverts the
+threshold law's f one point at a time, where the library runs one root
+over the grid, ``replay_two_point`` rebuilds two-atom draws from the raw
+words as the 53-bit comparison of a uniform, where the sampler reads a
+byte a draw, ``PROBES`` with ``probe_z``
 checks each sampler against closed-form moments of its law, and
 ``expression_phi``, ``expression_f``, ``expression_diag_inverse`` and
 ``expression_sample_batch`` are the generator kernels, the inverse
@@ -49,7 +53,7 @@ from extlab.copulas import (
 )
 from extlab.reference import ReferenceModel, _check_s
 from extlab.sampling import (Degenerate, Distribution, Gamma, Pareto, PositiveStable,
-                             SymmetricStable, TwoPoint)
+                             SymmetricStable, TwoPoint, _root)
 from extlab.systems import (
     ExchangeableCopulaSystem,
     GeometricThresholdSystem,
@@ -463,19 +467,68 @@ class PooledStableSize(StableSizeGumbelSystem):
 
 
 def bisect_root(fn, s, steps: int = 60):
-    """Per-point x in [0, 1] with fn(x) = s by `steps` plain halvings of [0, 1].
+    """Per-point x in [0, 1] with fn(x, idx) = s by `steps` plain halvings of [0, 1].
 
     fn(lo) <= s < fn(hi) throughout (NaN counts as above), taking
     fn(0) <= s < fn(1) as given; returns the midpoint of the last bracket.
+    fn reads every point at every step, so idx is always all of them.
     """
     s = np.asarray(s, dtype=float)
     lo, hi = np.zeros(s.shape), np.ones(s.shape)
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        below = fn(mid) <= s
+        below = fn(mid, np.arange(s.size)) <= s
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return 0.5 * (lo + hi)
+
+
+class _Hit(Exception):
+    """Carries a t with f(t) = s exactly out of a one-point root."""
+
+
+def per_point_f_inv(model, s: float) -> float:
+    """`RandomThresholdLimit.f_inv` at one s, on a bracketed root of its own.
+
+    The bracket (1-s)/s halves down until f(lo) >= s; then `_root` runs on -f
+    over [lo, hi] for this point alone, and an exact hit f(t) = s ends it by
+    an exception.  The library runs one root over the whole grid instead.
+    """
+    hi = (1.0 - s) / s
+    if math.isinf(hi) or model.f(hi) >= s:
+        return hi
+    lo = 0.5 * hi
+    while model.f(lo) < s:
+        lo, hi = 0.5 * lo, lo
+
+    def neg_f(x, _):
+        t = lo + (hi - lo) * float(x[0])
+        if model.f(t) == s:
+            raise _Hit(t)
+        return np.array([-model.f(t)])
+
+    try:
+        return lo + (hi - lo) * float(_root(neg_f, [-s])[0])
+    except _Hit as hit:
+        return hit.args[0]
+
+
+def replay_two_point(dist: TwoPoint, rng, size: int) -> np.ndarray:
+    """`TwoPoint.sample(rng, size)` rebuilt from the raw 64-bit words as k < ceil(p_lo 2^53).
+
+    Draw i's 53-bit integer k has top byte b, byte i % 8 (from the least
+    significant) of word i // 8; where b ties the cut's top byte, the next
+    word after the bytes gives k's other 45 bits as its top 45, else any
+    low bits give the same answer and 0 stands in.
+    """
+    cut = math.ceil(dist.p_lo * 2**53)
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-size // 8))]
+    picks = []
+    for i in range(size):
+        b = words[i // 8] >> (8 * (i % 8)) & 0xFF
+        low = int(rng.bit_generator.random_raw()) >> 19 if b == cut >> 45 else 0
+        picks.append(b * 2**45 + low < cut)
+    return np.where(picks, dist.lo, dist.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,52 @@ def test_kept_maxima_are_the_batches_in_draw_order():
     assert np.array_equal(kept.batch_counts, estimate_psi(sys_, n, **kw).batch_counts)
 
 
+@pytest.mark.parametrize("points,size,compare", [
+    (19, 78_125, True),                   # closed_forms at 5e6 replicates
+    (19, 3125, False),                    # the Pareto threshold at 2e5
+    (7, 1563, False), (7, 782, False),    # calibration
+    (7, 16, False),                       # samplers
+])
+def test_count_route_by_cost(points, size, compare):
+    assert estimator._compare_cheaper(points, size) is compare
+
+
+def test_compare_and_sort_count_alike():
+    # NaN maxima lie above every threshold, inf included; ties count; thresholds repeat
+    rng = np.random.default_rng(3)
+    m = rng.random(100_000)
+    m[:400] = [np.nan, np.inf, -np.inf, 0.5, -0.0, 0.0, 0.25, 1.0] * 50
+    rng.shuffle(m)
+    u = np.array([-np.inf, -0.0, 0.0, 0.25, 0.5, 0.5, np.nextafter(0.5, 0.0), 0.9, 1.0, np.inf])
+    by_sort = estimator._counts(m.copy(), u, compare=False)
+    by_compare = estimator._counts(m, u, compare=True)
+    assert by_sort.dtype == by_compare.dtype == np.int64
+    assert np.array_equal(by_sort, by_compare)
+    assert by_sort[0] == 50 and by_sort[-1] == m.size - 50
+
+
+def test_compare_route_keeps_the_batch_in_draw_order():
+    sys_, n, size = _clayton(), 50, 20_000
+    u = np.array([0.3, 0.9])
+    assert estimator._compare_cheaper(u.size, size)
+    counts, m = estimator._replicate_batch((sys_, n, u, 7, 0, 3, size, True))
+    replay = sys_.sample_batch(n, size, _stream(7).substream(estimator._REPLICATE_TAG, 3).generator)
+    assert np.array_equal(m, replay)
+    assert np.array_equal(counts, np.searchsorted(np.sort(replay), u, side="right"))
+
+
+def test_compared_batches_match_a_sort_replay_at_any_worker_count():
+    # 2,000 maxima a batch over 3 thresholds take the compare route
+    sys_, n, s = _clayton(), 50, [0.2, 0.5, 0.8]
+    kw = dict(s_grid=s, replicates=128_000, stream=_stream(8), keep_maxima=True)
+    assert estimator._compare_cheaper(len(s), 128_000 // 64)
+    serial, two = estimate_psi(sys_, n, workers=0, **kw), estimate_psi(sys_, n, workers=2, **kw)
+    assert np.array_equal(serial.batch_counts, two.batch_counts)
+    batches = np.split(serial.maxima, np.cumsum(serial.batch_sizes)[:-1])
+    replay = [np.searchsorted(np.sort(m), serial.u, side="right") for m in batches]
+    assert np.array_equal(serial.batch_counts, replay)
+
+
 def test_estimate_validation():
     with pytest.raises(ConfigError):
         estimate_psi(_clayton(), 50, replicates=1000)
@@ -296,7 +342,7 @@ def test_def2_fit_is_exact_minimax(sys_, n, seed):
     def bisected_theta(fit):  # 60 halvings of A - B in log theta
         lo, hi = fit.bounds
 
-        def spread(t):
+        def spread(t, _):
             g = fit.gaps(lo ** (1.0 - t[0]) * hi ** t[0])
             return np.array([np.max(g) + np.min(g)])
 

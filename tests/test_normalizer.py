@@ -210,7 +210,11 @@ def test_root_matches_bisection_on_exact_pgf(count, monkeypatch):
 
 def test_small_root_within_two_pow_minus_60():
     # below 2^-8 the bracket may stop at width 2^-60 on other doubles; G on the x scale
-    fn = Calibrator(SizeJitterSystem(DuplicatedIidSystem(2)), 4, stream=_stream(1)).value
+    value = Calibrator(SizeJitterSystem(DuplicatedIidSystem(2)), 4, stream=_stream(1)).value
+
+    def fn(x, _):
+        return value(x)
+
     got, want = _root(fn, np.array([1e-6])), bisect_root(fn, np.array([1e-6]))
     assert want[0] < 2.0**-8
     assert abs(got[0] - want[0]) <= 2.0**-60
@@ -223,11 +227,11 @@ def _adversarial(kind, p):
     """Nondecreasing fns on [0, 1] that break at p; s = 0.5 sits on the plateau."""
     q = p + 0.5 * (1.0 - p)
     return {
-        "step": lambda x: np.where(x < p, 0.0, 1.0),
-        "plateau": lambda x: np.where(x < p, 0.5 * x / p, np.where(
+        "step": lambda x, _: np.where(x < p, 0.0, 1.0),
+        "plateau": lambda x, _: np.where(x < p, 0.5 * x / p, np.where(
             x <= q, 0.5, 0.5 + 0.5 * (x - q) / (1.0 - q))),
-        "jump": lambda x: np.where(x < p, 0.2 * x, 0.6 + 0.4 * x),
-        "nan_above": lambda x: np.where(x <= p, 0.5 * x / p, np.nan),
+        "jump": lambda x, _: np.where(x < p, 0.2 * x, 0.6 + 0.4 * x),
+        "nan_above": lambda x, _: np.where(x <= p, 0.5 * x / p, np.nan),
     }[kind]
 
 
@@ -238,15 +242,38 @@ def test_root_on_adversarial_fns(kind):
         fn = _adversarial(kind, p)
         calls = []
 
-        def counted(x, fn=fn, calls=calls):
+        def counted(x, idx, fn=fn, calls=calls):
             calls.append(x.size)
-            return fn(x)
+            return fn(x, idx)
 
         got, want = _root(counted, s), bisect_root(fn, s)
         assert np.all(np.abs(got - want) <= 2.0**-60), (p, got, want)
         assert np.array_equal(got[want >= 2.0**-8], want[want >= 2.0**-8])
         # every point sees at most the two end values and 61 steps
         assert len(calls) <= 63
+
+
+def test_a_nan_threshold_is_refused():
+    # a pooled closed form skips the residual check, so a NaN lam would reach the count,
+    # where sorting counts every maximum at a NaN threshold and comparing counts none
+    class NaNLam(PooledStableSize):
+        def closed_form_lam(self, n, s):
+            return np.where(np.asarray(s) == 0.5, np.nan, super().closed_form_lam(n, s))
+
+    with pytest.raises(SolverError, match="no threshold"):
+        solve_curve(NaNLam(0.5, 0.5), 100, [0.3, 0.5], stream=_stream(1), pool_size=1000)
+
+
+def test_exact_root_stops_at_a_hit_and_only_there():
+    # a point stops at the first x with fn(x) = s, fn(0) included; with no hit the root is as before
+    calls = []
+    plateau = _adversarial("plateau", 0.5)
+    x = _root(lambda x, idx: calls.append(idx.size) or plateau(x, idx), [0.5], exact=True)
+    assert plateau(x, None)[0] == 0.5 and len(calls) < 8
+    flat_start = lambda x, _: np.where(x < 0.5, 0.3, 1.0)  # noqa: E731
+    assert _root(flat_start, [0.3], exact=True)[0] == 0.0
+    jump, s = _adversarial("jump", 0.5), np.array([0.5, 0.55, 0.3])  # s in the jump's gap
+    assert np.array_equal(_root(jump, s, exact=True), _root(jump, s))
 
 
 def test_solve_curve_pgf_points(monkeypatch):

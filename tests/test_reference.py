@@ -54,7 +54,7 @@ from extlab.systems import (
     StableSizeGumbelSystem,
     _degree_cdf,
 )
-from oracles import MaxStableLaw, TwoPointThresholdLimit, mixed_max_stable_cdf
+from oracles import MaxStableLaw, TwoPointThresholdLimit, mixed_max_stable_cdf, per_point_f_inv
 
 _S_GRID = np.linspace(0.05, 0.95, 10)
 
@@ -288,6 +288,27 @@ def test_f_inv_round_trip(zeta):
     m = RandomThresholdLimit(zeta)
     for s in DEFAULT_GRID:
         assert m.f(m.f_inv(float(s))) == pytest.approx(float(s), rel=1e-12, abs=0.0)
+
+
+# 1e-320 has an infinite root, 7e-309 a root near the largest double
+_F_INV_S = np.array([1e-320, 7e-309, 1e-12, *DEFAULT_GRID, 1.0 - 1e-9, 1.0 - 2.0**-53])
+
+
+@pytest.mark.parametrize("cap", [1e4, math.inf], ids=["cap_n", "cap_inf"])
+@pytest.mark.parametrize("zeta", [TwoPoint(0.5, 1.5), Degenerate(1.0), Pareto(3.0, 2.0 / 3.0),
+                                  Gamma(2.0, 0.5)], ids=["two_point", "degenerate", "pareto", "gamma"])
+def test_f_inv_on_a_grid_is_the_per_point_root(zeta, cap):
+    # one root over the grid gives each point's own root, bit for bit, with no warning
+    m = RandomThresholdLimit(zeta, cap)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = m.f_inv(_F_INV_S)
+        one_by_one = np.array([m.f_inv(float(s)) for s in _F_INV_S])
+        own_root = np.array([per_point_f_inv(m, float(s)) for s in _F_INV_S])
+        psi = m.psi(DEFAULT_GRID)
+    assert grid.tobytes() == one_by_one.tobytes() == own_root.tobytes()
+    assert math.isinf(grid[0]) and math.isfinite(grid[1])
+    assert psi.tobytes() == np.array([m.psi(float(s)) for s in DEFAULT_GRID]).tobytes()
 
 
 def test_f_inv_closes_a_root_far_below_its_bracket():

@@ -23,7 +23,7 @@ from extlab.sampling import (
     SymmetricStable,
     TwoPoint,
 )
-from oracles import PROBES, inline_positive_stable_cdf, probe_z
+from oracles import PROBES, inline_positive_stable_cdf, probe_z, replay_two_point
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +178,38 @@ def test_two_point_expect_is_exact():
     d = TwoPoint(0.5, 1.5, 0.25)
     assert d.expect(lambda x: x) == pytest.approx(0.25 * 0.5 + 0.75 * 1.5)
     assert d.expect(lambda x: x**2) == pytest.approx(0.25 * 0.25 + 0.75 * 2.25)
+
+
+@pytest.mark.parametrize("p", [0.25, 1.0 / 3.0, 0.5, 1e-3, 2.0**-60, 1.0 - 2.0**-53])
+def test_two_point_draws_replay_the_53_bit_comparison(p):
+    # a byte a draw, and 45 more bits on a tie: the law of rng.random() < p, P = ceil(p 2^53)/2^53
+    for size in (1, 8, 4099):
+        d = TwoPoint(-0.0, 3.0, p)
+        x = d.sample(RandomStream(seed=9, stream_id=size).generator, size)
+        want = replay_two_point(d, RandomStream(seed=9, stream_id=size).generator, size)
+        assert x.shape == (size,) and x.tobytes() == want.tobytes()
+
+
+def test_two_point_frequency_at_one_third():
+    # the cut's top byte is 85 of 85.33, so one draw in 256 ties and takes the next word
+    d, size = TwoPoint(0.5, 1.5, 1.0 / 3.0), 1_000_000
+    x = d.sample(RandomStream(seed=12, stream_id=0).generator, size)
+    words = RandomStream(seed=12, stream_id=0).generator.bit_generator.random_raw(size // 8)
+    top = ((words[:, None] >> np.arange(0, 64, 8, dtype=np.uint64)) & 0xFF).ravel()
+    top_cut, low_cut = divmod(math.ceil(2.0**53 / 3.0), 2**45)
+    tie = top == top_cut
+    assert 3600 < tie.sum() < 4200  # 3906 expected, sd 62
+    for among, p in ((slice(None), 1.0 / 3.0), (tie, low_cut / 2**45)):
+        picked = x[among] == 0.5
+        assert abs(picked.mean() - p) < 4.0 * math.sqrt(p * (1.0 - p) / picked.size)
+
+
+def test_two_point_scalar_draw_reads_one_uniform_and_shapes_pass_through():
+    d = TwoPoint(0.5, 1.5, 0.25)
+    for seed in range(20):
+        u = RandomStream(seed=seed, stream_id=0).generator.random()
+        assert d.sample(RandomStream(seed=seed, stream_id=0).generator) == (0.5 if u < 0.25 else 1.5)
+    assert d.sample(RandomStream(seed=0, stream_id=0).generator, (2, 3)).shape == (2, 3)
 
 
 def test_gamma_expect_agrees_with_closed_form():

@@ -360,6 +360,20 @@ def test_random_threshold_pareto_variant_runs():
     assert abs(got - want) < 4.0 * math.sqrt(want * (1 - want) / 20_000)
 
 
+def test_threshold_draws_reaching_n_are_drawn_again():
+    # Pareto(1.5) puts 1/27 of its mass at 3 and above: those draws, and only
+    # those, are drawn again in draw order until none reaches n
+    sys_, n, count = RandomThresholdSystem(Pareto(1.5, 1.0 / 3.0)), 3, 10_000
+    z = sys_._draw(sys_.zeta, n, count, _rng(77))
+    ref = _rng(77)
+    want = sys_.zeta.sample(ref, count)
+    while (bad := want >= n).any():
+        want[bad] = sys_.zeta.sample(ref, int(bad.sum()))
+    assert z.tobytes() == want.tobytes() and z.max() < n
+    with pytest.raises(ConfigError, match="too much mass"):
+        sys_._draw(Degenerate(5.0), n, 10, _rng(78))
+
+
 @pytest.mark.parametrize("sys_", [RandomThresholdSystem(TwoPoint(0.5, 1.5)),
                                   RandomThresholdSystem(Pareto(3.0, 2.0 / 3.0)),
                                   GeometricThresholdSystem(eps=0.1),
@@ -654,8 +668,9 @@ _FROZEN_DRAWS = {
                       "ba5dbc8ca687bb903d0f091416cfc9251ecca9b58fee11fc33ab8f1861f04bf0"),
     "geometric_eps_exponent": (lambda: GeometricThresholdSystem(eps_exponent=0.5), 100, 4096, 30,
                                "535edb81131fc2d803bca244c23beea972a4ebfec8b935d44616649e81ab87da"),
+    # recorded when TwoPoint.sample took one byte a draw (`_below`): the same law, other draws
     "two_point_threshold": (lambda: RandomThresholdSystem(TwoPoint(0.5, 1.5, 0.5)), 100, 4096, 31,
-                            "1c197452544d11d81c972b0f18aca37f02d6e661631daf7df74603725977eb73"),
+                            "b68dc06eaa16ea34cb58471c90199ced9d7b2030cfc2c6f9059777cb2c31d5ba"),
     "pareto_threshold": (lambda: RandomThresholdSystem(Pareto(3.0, 2.0 / 3.0)), 100, 4096, 32,
                          "9eff67c049d93229939d6497e4b7911f6bc4262b02916c80be9fc840465ff88a"),
     "gamma_threshold": (lambda: RandomThresholdSystem(Gamma(2.0, 0.5)), 100, 4096, 33,

@@ -12,8 +12,7 @@ cdf, quantile).  Samplers with no closed-form density (positive stable,
 symmetric stable) are exact transformation samplers, not approximations; the
 analytic checks of every sampler are one table in the test suite's oracles.
 ``_root`` is the bracketed root behind every numeric inverse of the lab,
-``_integral`` its quadrature rule, ``_hurwitz_zeta`` the graph's degree law
-and ``_below`` an exact Bernoulli draw at a byte a draw.
+``_integral`` its quadrature rule and ``_hurwitz_zeta`` the graph's degree law.
 """
 
 from __future__ import annotations
@@ -147,28 +146,6 @@ def _root(fn, s, exact: bool = False):
         x0, y0, x1, y1 = x1, y1, x, y
     out[todo] = 0.5 * (lo + hi)  # each bracket is now at most 2^-60 wide
     return out
-
-
-# ---------------------------------------------------------------------------
-# a Bernoulli draw at a byte a draw
-
-def _below(rng: np.random.Generator, p: float, size) -> np.ndarray:
-    """size draws of rng.random() < p, the same law, P = ceil(p 2^53) / 2^53, at a byte a draw.
-
-    Draw i compares the 53-bit integer k = 2^45 b + r of its uniform k / 2^53
-    with c = ceil(p 2^53) through its top byte b alone, unless b ties c's top
-    byte; then r, the top 45 bits of one more word, settles it (one draw in
-    256).  The bytes come eight to a bit-generator word, least significant
-    first, and the tie words after them in draw order.
-    """
-    top, low = divmod(math.ceil(p * 2.0**53), 2**45)
-    count = int(np.prod(size))
-    words = rng.bit_generator.random_raw(-(-count // 8)).astype("<u8", copy=False)
-    b = words.view(np.uint8)[:count]
-    out = b < top
-    tie = np.flatnonzero(b == top)
-    out[tie] = (rng.bit_generator.random_raw(tie.size) >> 19) < low
-    return out.reshape(size)
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +415,9 @@ class TwoPoint(Distribution):
         self.p_lo = float(p_lo)
 
     def sample(self, rng, size=None):
-        if size is None:  # one uniform
-            return np.where(rng.random() < self.p_lo, self.lo, self.hi)
         # hi's bit pattern, xor lo ^ hi where a draw picks lo: both atoms exact, in one array
         lo, hi = np.array([self.lo, self.hi]).view(np.uint64)
-        x = _below(rng, self.p_lo, size).astype(np.uint64)
+        x = np.asarray(rng.random(size) < self.p_lo, dtype=np.uint64)
         x *= lo ^ hi
         x ^= hi
         return x.view(float)

@@ -25,8 +25,7 @@ sampled sizes for the pooled-calibrator tests, and
 superlinear root finder must reproduce, ``per_point_f_inv`` inverts the
 threshold law's f one point at a time, where the library runs one root
 over the grid, ``replay_two_point`` rebuilds two-atom draws from the raw
-words as the 53-bit comparison of a uniform, where the sampler reads a
-byte a draw, ``PROBES`` with ``probe_z``
+words as the 53-bit comparison of a uniform, ``PROBES`` with ``probe_z``
 checks each sampler against closed-form moments of its law, and
 ``expression_phi``, ``expression_f``, ``expression_diag_inverse`` and
 ``expression_sample_batch`` are the generator kernels, the inverse
@@ -516,18 +515,11 @@ def per_point_f_inv(model, s: float) -> float:
 def replay_two_point(dist: TwoPoint, rng, size: int) -> np.ndarray:
     """`TwoPoint.sample(rng, size)` rebuilt from the raw 64-bit words as k < ceil(p_lo 2^53).
 
-    Draw i's 53-bit integer k has top byte b, byte i % 8 (from the least
-    significant) of word i // 8; where b ties the cut's top byte, the next
-    word after the bytes gives k's other 45 bits as its top 45, else any
-    low bits give the same answer and 0 stands in.
+    Draw i's uniform is k / 2^53 with k the top 53 bits of word i, so it lies
+    below p_lo exactly when the integer k lies below the cut.
     """
     cut = math.ceil(dist.p_lo * 2**53)
-    words = [int(w) for w in rng.bit_generator.random_raw(-(-size // 8))]
-    picks = []
-    for i in range(size):
-        b = words[i // 8] >> (8 * (i % 8)) & 0xFF
-        low = int(rng.bit_generator.random_raw()) >> 19 if b == cut >> 45 else 0
-        picks.append(b * 2**45 + low < cut)
+    picks = [int(w) >> 11 < cut for w in rng.bit_generator.random_raw(size)]
     return np.where(picks, dist.lo, dist.hi)
 
 

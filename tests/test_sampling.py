@@ -182,26 +182,12 @@ def test_two_point_expect_is_exact():
 
 @pytest.mark.parametrize("p", [0.25, 1.0 / 3.0, 0.5, 1e-3, 2.0**-60, 1.0 - 2.0**-53])
 def test_two_point_draws_replay_the_53_bit_comparison(p):
-    # a byte a draw, and 45 more bits on a tie: the law of rng.random() < p, P = ceil(p 2^53)/2^53
+    # one word a draw, its top 53 bits against the cut: P = ceil(p 2^53)/2^53, both atoms exact
     for size in (1, 8, 4099):
         d = TwoPoint(-0.0, 3.0, p)
         x = d.sample(RandomStream(seed=9, stream_id=size).generator, size)
         want = replay_two_point(d, RandomStream(seed=9, stream_id=size).generator, size)
         assert x.shape == (size,) and x.tobytes() == want.tobytes()
-
-
-def test_two_point_frequency_at_one_third():
-    # the cut's top byte is 85 of 85.33, so one draw in 256 ties and takes the next word
-    d, size = TwoPoint(0.5, 1.5, 1.0 / 3.0), 1_000_000
-    x = d.sample(RandomStream(seed=12, stream_id=0).generator, size)
-    words = RandomStream(seed=12, stream_id=0).generator.bit_generator.random_raw(size // 8)
-    top = ((words[:, None] >> np.arange(0, 64, 8, dtype=np.uint64)) & 0xFF).ravel()
-    top_cut, low_cut = divmod(math.ceil(2.0**53 / 3.0), 2**45)
-    tie = top == top_cut
-    assert 3600 < tie.sum() < 4200  # 3906 expected, sd 62
-    for among, p in ((slice(None), 1.0 / 3.0), (tie, low_cut / 2**45)):
-        picked = x[among] == 0.5
-        assert abs(picked.mean() - p) < 4.0 * math.sqrt(p * (1.0 - p) / picked.size)
 
 
 def test_two_point_scalar_draw_reads_one_uniform_and_shapes_pass_through():

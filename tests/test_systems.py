@@ -668,9 +668,8 @@ _FROZEN_DRAWS = {
                       "ba5dbc8ca687bb903d0f091416cfc9251ecca9b58fee11fc33ab8f1861f04bf0"),
     "geometric_eps_exponent": (lambda: GeometricThresholdSystem(eps_exponent=0.5), 100, 4096, 30,
                                "535edb81131fc2d803bca244c23beea972a4ebfec8b935d44616649e81ab87da"),
-    # recorded when TwoPoint.sample took one byte a draw (`_below`): the same law, other draws
     "two_point_threshold": (lambda: RandomThresholdSystem(TwoPoint(0.5, 1.5, 0.5)), 100, 4096, 31,
-                            "b68dc06eaa16ea34cb58471c90199ced9d7b2030cfc2c6f9059777cb2c31d5ba"),
+                            "1c197452544d11d81c972b0f18aca37f02d6e661631daf7df74603725977eb73"),
     "pareto_threshold": (lambda: RandomThresholdSystem(Pareto(3.0, 2.0 / 3.0)), 100, 4096, 32,
                          "9eff67c049d93229939d6497e4b7911f6bc4262b02916c80be9fc840465ff88a"),
     "gamma_threshold": (lambda: RandomThresholdSystem(Gamma(2.0, 0.5)), 100, 4096, 33,
